@@ -20,17 +20,17 @@ from .decomposition import (CriteriaReport, Partition, PrimeDecomposition,
                             partition_degree2)
 from .homology import (HomologyProfile, SimplicialComplex, pd_depth,
                        reduced_homology_ranks, stanley_reisner)
-from .groebner import (GroebnerBasis, MonomialOrder, Polynomial, WitnessCertificate,
-                       buchberger, certify_witness, normal_form,
-                       radical_membership)
+from .groebner import (BuchbergerStats, GroebnerBasis, MonomialOrder, Polynomial,
+                       WitnessCertificate, buchberger, certify_witness,
+                       normal_form, radical_membership)
 from .schmitt_vogel import (AraReport, SVWitness, ara_report, build_sv_witness,
                             verify_sv_conditions)
 from .cli import parse_ideal
 
 __all__ = [
-    "AraReport", "CriteriaReport", "DomainError", "ExchangeCertificate",
-    "GroebnerBasis", "HomologyProfile", "IdealSummary", "Monomial",
-    "MonomialIdeal", "MonomialOrder", "PairBudgetExceeded", "ParseError",
+    "AraReport", "BuchbergerStats", "CriteriaReport", "DomainError",
+    "ExchangeCertificate", "GroebnerBasis", "HomologyProfile", "IdealSummary",
+    "Monomial", "MonomialIdeal", "MonomialOrder", "PairBudgetExceeded", "ParseError",
     "Partition", "Polynomial", "PrimeDecomposition", "SVWitness",
     "SimplicialComplex", "StructuralError", "TheoremViolationError",
     "WitnessCertificate", "ara_report", "associated_primes", "buchberger",

@@ -20,6 +20,7 @@ from .checks import run_all
 from .decomposition import associated_primes, criteria_check, partition_degree2
 from .errors import (DomainError, ParseError, StructuralError,
                      TheoremViolationError)
+from .fields import require_prime
 from .groebner import DEFAULT_PRIME, certify_witness
 from .homology import pd_depth
 from .ideals import Monomial, MonomialIdeal, make_ideal
@@ -151,6 +152,11 @@ def _parse_text(text):
     return make_ideal(n, vectors)
 
 
+def _is_count(value):
+    # JSON true/false arrive as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_json(text):
     try:
         data = json.loads(text)
@@ -159,7 +165,7 @@ def _parse_json(text):
     if not isinstance(data, dict) or "n" not in data or "gens" not in data:
         raise ParseError('JSON input needs the shape {"n": ..., "gens": [[...], ...]}')
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_count(n) or n < 1:
         raise ParseError(f"n must be a positive integer, got {n!r}")
     gens = data["gens"]
     if not isinstance(gens, list):
@@ -167,7 +173,7 @@ def _parse_json(text):
     vectors = []
     for row in gens:
         if (not isinstance(row, list) or len(row) != n
-                or not all(isinstance(e, int) and e >= 0 for e in row)):
+                or not all(_is_count(e) and e >= 0 for e in row)):
             raise ParseError(f"bad exponent vector {row!r} (need {n} non-negative integers)")
         if any(e > MAX_EXPONENT for e in row):
             raise ParseError(f"exponent overflow in {row!r} (limit {MAX_EXPONENT})")
@@ -427,8 +433,10 @@ def _parse_field(value):
             p = int(value[3:])
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad field {value!r}")
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-            raise argparse.ArgumentTypeError(f"{p} is not prime")
+        try:
+            require_prime(p)
+        except DomainError as err:
+            raise argparse.ArgumentTypeError(str(err))
         return p
     raise argparse.ArgumentTypeError(f"field must be q or gf:<prime>, got {value!r}")
 
@@ -521,10 +529,19 @@ def main(argv=None):
     except StructuralError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if config.as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        _render_text(args.command, payload, sys.stdout)
+    try:
+        if config.as_json:
+            print(json.dumps(payload, indent=2))
+        else:
+            _render_text(args.command, payload, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (say `| head -1`): stop quietly, and point
+        # stdout at devnull so the interpreter's final flush stays quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     if args.command == "reproduce-paper" and any(
             not row["passed"] and not row["skipped"] for row in payload):
         return 3

@@ -4,27 +4,48 @@ Coefficients are arbitrary-precision rationals or a prime field GF(p).
 The monomial order is degree-reverse-lexicographic, fixed for the whole
 engine; the auxiliary variable used by the radical test is appended as
 the last (hence cheapest) variable on purpose, keeping leading terms in
-the original variables. Buchberger runs with normal pair selection and
-the coprime-leading-term criterion only, under a hard pair budget.
+the original variables.
+
+The public types speak exponent tuples; inside the engine a monomial is
+one int. Field k of it (width bits, lowest field first) holds the partial
+degree e_1 + ... + e_{k+1}, so the top field is the total degree and
+integer order is degrevlex. The packing is linear: multiplying monomials
+adds ints. The exponents themselves come back with one shift, one
+subtraction and a mask, and divisibility of their packed vectors is one
+subtraction tested against the guard bits (the top bit of every field).
+Division pops pending terms off a max-heap (Monagan-Pearce 2007).
+Buchberger takes pairs lowest lcm first, prunes them with the
+Gebauer-Moeller criteria (1988), and runs under a hard pair budget.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .errors import DomainError, PairBudgetExceeded, StructuralError
+from .fields import require_prime
 from .ideals import Monomial
 
 PAIR_BUDGET = 10 ** 6
 DEFAULT_PRIME = 32003
+_MIN_WIDTH = 8
 
 
-def _require_prime(p):
-    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-        raise DomainError(f"field characteristic must be prime, got {p}")
+def _width_for(degree):
+    """Field width whose guard bit stays clear up to twice the degree."""
+    return max(_MIN_WIDTH, degree.bit_length() + 2)
+
+
+def _pack(ev, width):
+    """Packed degrevlex key: partial degrees, the total degree on top."""
+    packed = total = 0
+    for k, e in enumerate(ev):
+        total += e
+        packed |= total << (width * k)
+    return packed
 
 
 @dataclass(frozen=True)
@@ -32,19 +53,11 @@ class MonomialOrder:
     """Degree-reverse-lexicographic order on exponent tuples."""
 
     nvars: int
-    kind: str = "degrevlex"
-
-    def __post_init__(self):
-        if self.kind != "degrevlex":
-            raise DomainError(f"unsupported order kind {self.kind!r}")
 
     def key(self, ev):
         """Sort key; larger key means larger monomial."""
-        return (sum(ev), tuple(-ev[k] for k in range(self.nvars - 1, -1, -1)))
-
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+        degree = sum(ev)
+        return degree, _pack(ev, _width_for(degree))
 
 
 def _ev_lcm(a, b):
@@ -70,7 +83,7 @@ class Polynomial:
 
     def __init__(self, nvars, terms=None, field=None):
         if field is not None:
-            _require_prime(field)
+            require_prime(field)
         self.nvars = nvars
         self.field = field
         clean = {}
@@ -84,6 +97,13 @@ class Polynomial:
             if c:
                 clean[ev] = c
         self.terms = clean
+
+    @classmethod
+    def _raw(cls, nvars, terms, field):
+        """Wrap a term map that is already normalized; checks nothing."""
+        poly = object.__new__(cls)
+        poly.nvars, poly.field, poly.terms = nvars, field, terms
+        return poly
 
     @classmethod
     def zero(cls, nvars, field=None):
@@ -170,13 +190,15 @@ class Polynomial:
             return self
         if self.field is not None:
             raise StructuralError("cannot lift coefficients out of a prime field")
-        _require_prime(field)
+        require_prime(field)
         terms = {}
         for ev, c in self.terms.items():
             if c.denominator % field == 0:
                 raise DomainError(f"denominator of {c} vanishes mod {field}")
-            terms[ev] = c.numerator * pow(c.denominator, -1, field) % field
-        return Polynomial(self.nvars, terms, field)
+            value = c.numerator * pow(c.denominator, -1, field) % field
+            if value:
+                terms[ev] = value
+        return Polynomial._raw(self.nvars, terms, field)
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
@@ -210,11 +232,39 @@ class Polynomial:
 
 
 @dataclass(frozen=True)
+class BuchbergerStats:
+    """Work counters of one Buchberger run; equal input gives equal counts.
+
+    pairs_pushed counts the S-pairs queued. Of the pairs a new basis
+    element forms, skipped_chain never entered the queue because the lcm
+    of another new pair divides theirs (Gebauer-Moeller criteria M and F),
+    and skipped_coprime because the two leading terms are coprime;
+    skipped_bk left the queue later, when a newer leading term divided
+    their lcm strictly (criterion B_k). reductions counts the
+    S-polynomials reduced, zero_reductions those that vanished, and
+    peak_basis the most non-redundant basis elements held at once.
+    """
+
+    pairs_pushed: int = 0
+    skipped_coprime: int = 0
+    skipped_chain: int = 0
+    skipped_bk: int = 0
+    reductions: int = 0
+    zero_reductions: int = 0
+    peak_basis: int = 0
+
+
+@dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced basis: monic generators with pairwise reduced terms."""
+    """A reduced basis: monic generators with pairwise reduced terms.
+
+    stats holds the work counters of the run that built it and takes no
+    part in equality.
+    """
 
     generators: tuple
     order: MonomialOrder
+    stats: BuchbergerStats = dataclass_field(default=BuchbergerStats(), compare=False)
 
     @property
     def is_trivial(self):
@@ -223,75 +273,194 @@ class GroebnerBasis:
             self.generators[0].nvars, self.generators[0].field)
 
 
-def _reduce_full(work, reducers, order, field):
+class _Repack(Exception):
+    """A basis degree outgrew the packed field width; rerun wider."""
+
+
+class _Packing:
+    """Masks for packed monomials in nvars variables, width bits per field."""
+
+    def __init__(self, nvars, width):
+        self.nvars = nvars
+        self.width = width
+        self.ones = sum(1 << (width * k) for k in range(nvars))
+        self.low = (1 << (width * nvars)) - 1
+        self.guard = self.ones << (width - 1)
+        self.top = width * max(nvars - 1, 0)
+        self.degree_limit = 1 << (width - 2)  # basis degrees; lcms stay below twice it
+
+    def packed(self, poly):
+        """Term map of a polynomial with packed monomials."""
+        width = self.width
+        return {_pack(ev, width): c for ev, c in poly.terms.items()}
+
+    def exponents(self, m):
+        """Packed exponent vector (x1 in the lowest field) of a packed monomial."""
+        return (m - (m << self.width)) & self.low
+
+    def unpacked(self, terms, field):
+        """Polynomial from (packed monomial, coefficient) pairs."""
+        width, nvars = self.width, self.nvars
+        mask = (1 << width) - 1
+        out = {}
+        for m, c in terms:
+            e = (m - (m << width)) & self.low
+            ev = tuple((e >> (width * k)) & mask for k in range(nvars))
+            out[ev] = c if field is not None else Fraction(c)
+        return Polynomial._raw(nvars, out, field)
+
+    def lcm(self, ea, eb):
+        """Packed exponent vector of the lcm of two packed exponent vectors."""
+        guard = self.guard
+        a_wins = ((ea | guard) - eb) & guard
+        fill = a_wins - (a_wins >> (self.width - 1))
+        return (ea & fill) | (eb & ~fill & (self.low ^ guard))
+
+    def monomial(self, e):
+        """Packed monomial of a packed exponent vector."""
+        return (e * self.ones) & self.low
+
+    def support(self, e):
+        """Guard bits of the fields where the exponent is nonzero."""
+        return ((e | self.guard) - self.ones) & self.guard
+
+
+def _monic(terms, p):
+    """Scale (monomial, coefficient) pairs, largest first, to lead coefficient 1."""
+    lead_c = terms[0][1]
+    if lead_c == 1:
+        return terms
+    if p is not None:
+        inv = pow(lead_c, -1, p)
+        return [(m, c * inv % p) for m, c in terms]
+    return [(m, Fraction(c) / lead_c) for m, c in terms]
+
+
+def _normalized(terms, p):
+    """Monic over GF(p); over Q integral and primitive with a positive lead.
+
+    Over Q this keeps the engine on ints: reduction by a basis element
+    scales the pending terms by its lead coefficient instead of dividing.
+    """
+    if p is not None:
+        return _monic(terms, p)
+    _, ints = _cleared([c for _, c in terms])
+    g = math.gcd(*ints)
+    if ints[0] < 0:
+        g = -g
+    return [(m, v // g) for (m, _), v in zip(terms, ints)]
+
+
+def _cleared(coefficients):
+    """Least common denominator d of rationals, and the ints c * d."""
+    den = math.lcm(*(c.denominator for c in coefficients))
+    return den, [c.numerator * (den // c.denominator) for c in coefficients]
+
+
+def _reduce(work, reducers, packing, p, scale=1):
     """Remainder of the term dict work against reducers; consumes work.
 
-    reducers holds (lead exponent, lead coefficient, term map) triples.
-    Every term of the remainder is divisible by no reducer lead.
+    reducers holds (lead monomial, lead exponents, lead coefficient, tail
+    pairs) of normalized polynomials, in the order they are tried. Over Q
+    the pending terms are ints standing for work / scale; a reducer whose
+    lead coefficient does not divide the term's scales them all up. The
+    pending terms sit on a max-heap, and a term cancelled after it was
+    queued is skipped when it surfaces. The remainder comes out exact,
+    largest term first, and no term of it is divisible by a reducer lead.
     """
-    remainder = {}
-    while work:
-        ev = max(work, key=order.key)
-        coeff = work.pop(ev)
-        for lev, lc, terms in reducers:
-            if _divides(lev, ev):
-                shift = _ev_sub(ev, lev)
-                factor = coeff / lc if field is None else coeff * pow(lc, -1, field) % field
-                for tev, tc in terms.items():
-                    if tev == lev:
-                        continue
-                    at = _ev_add(tev, shift)
-                    value = work.get(at, 0) - factor * tc
-                    if field is not None:
-                        value %= field
-                    if value:
-                        work[at] = value
-                    else:
-                        work.pop(at, None)
+    width, low, guard = packing.width, packing.low, packing.guard
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    remainder = []
+    while heap:
+        m = -pop(heap)
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        e = (m - (m << width)) & low
+        for lead, lead_e, lead_c, tail in reducers:
+            if not (e - lead_e) & guard:
                 break
         else:
-            remainder[ev] = coeff
+            remainder.append((m, c if scale == 1 else Fraction(c, scale)))
+            continue
+        shift = m - lead
+        if p is None:
+            if c % lead_c:
+                g = math.gcd(c, lead_c)
+                up = lead_c // g
+                for t in work:
+                    work[t] *= up
+                scale *= up
+                c //= g
+            else:
+                c //= lead_c
+            for t, tc in tail:
+                t += shift
+                v = work.get(t)
+                if v is None:
+                    work[t] = -c * tc
+                    push(heap, -t)
+                else:
+                    v -= c * tc
+                    if v:
+                        work[t] = v
+                    else:
+                        del work[t]
+        else:
+            for t, tc in tail:
+                t += shift
+                v = work.get(t)
+                if v is None:
+                    work[t] = -c * tc % p
+                    push(heap, -t)
+                else:
+                    v = (v - c * tc) % p
+                    if v:
+                        work[t] = v
+                    else:
+                        del work[t]
     return remainder
 
 
-def _reducers_of(polys, order):
-    out = []
-    for p in polys:
-        lead = p.leading(order)
-        if lead is not None:
-            out.append((lead[0], lead[1], p.terms))
-    return out
+def _check_ring(polys, nvars, field):
+    for poly in polys:
+        if poly.nvars != nvars or poly.field != field:
+            raise StructuralError("mixed variable counts or fields")
+
+
+def _max_degree(polys):
+    return max((sum(ev) for poly in polys for ev in poly.terms), default=0)
 
 
 def normal_form(f, basis, order=None):
     """Remainder of f under multivariate division by the basis.
 
-    Accepts a GroebnerBasis or any iterable of polynomials; against a
-    Groebner basis the remainder is zero exactly for ideal members.
+    Accepts a GroebnerBasis or any iterable of polynomials, tried in the
+    given order; against a Groebner basis the remainder is zero exactly
+    for ideal members. order is accepted for symmetry with buchberger;
+    degrevlex is the only order there is.
     """
     if isinstance(basis, GroebnerBasis):
-        order = order or basis.order
         polys = basis.generators
     else:
         polys = [p for p in basis if not p.is_zero]
-    order = order or MonomialOrder(f.nvars)
-    remainder = _reduce_full(dict(f.terms), _reducers_of(polys, order), order, f.field)
-    return Polynomial(f.nvars, remainder, f.field)
-
-
-def _strip(poly, order):
-    """Scalar-normalize: primitive with positive lead over Q, monic over GF."""
-    if poly.is_zero:
-        return poly
-    lead_ev, lead_c = poly.leading(order)
-    if poly.field is not None:
-        return poly.scale(pow(lead_c, -1, poly.field))
-    denom = math.lcm(*(c.denominator for c in poly.terms.values()))
-    numer = math.gcd(*(int(c * denom) for c in poly.terms.values()))
-    factor = Fraction(denom, numer)
-    if lead_c < 0:
-        factor = -factor
-    return poly.scale(factor)
+    _check_ring(polys, f.nvars, f.field)
+    if f.is_zero or not polys:
+        return f
+    packing = _Packing(f.nvars, _width_for(_max_degree([f, *polys])))
+    reducers = []
+    for poly in polys:
+        terms = _normalized(sorted(packing.packed(poly).items(), reverse=True), f.field)
+        lead, lead_c = terms[0]
+        reducers.append((lead, packing.exponents(lead), lead_c, terms[1:]))
+    work, scale = packing.packed(f), 1
+    if f.field is None:
+        scale, ints = _cleared(list(work.values()))
+        work = dict(zip(work, ints))
+    remainder = _reduce(work, reducers, packing, f.field, scale)
+    return packing.unpacked(remainder, f.field)
 
 
 def _spoly(f, g, order, field):
@@ -304,109 +473,180 @@ def _spoly(f, g, order, field):
             - g.times_term(pow(gc, -1, field), _ev_sub(lcm_ev, gev)))
 
 
-def _interreduce(polys, order, field):
-    """Minimalize leading terms, then reduce tails to a fixpoint, monic."""
-    leads = [p.leading(order)[0] for p in polys]
-    keep = []
-    for i in sorted(range(len(polys)), key=lambda k: order.key(leads[k])):
-        if not any(_divides(leads[j], leads[i]) for j in keep):
-            keep.append(i)
-    reduced = []
-    for i in keep:
-        lead_c = polys[i].leading(order)[1]
-        inv = 1 / lead_c if field is None else pow(lead_c, -1, field)
-        reduced.append(polys[i].scale(inv))
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(reduced)):
-            others = reduced[:k] + reduced[k + 1:]
-            better = normal_form(reduced[k], others, order)
-            if better != reduced[k]:
-                reduced[k] = better
-                changed = True
-    reduced.sort(key=lambda p: order.key(p.leading(order)[0]), reverse=True)
-    return reduced
+class _Buchberger:
+    """One Buchberger run on packed, normalized polynomials.
+
+    Basis elements are never deleted: elements holds each one as a
+    reducer (lead, lead exponents, lead coefficient, tail) and exps its
+    lead exponents, both indexed by creation. active lists the
+    non-redundant ones, which reduce S-polynomials and meet each new
+    element in pairs; pairs is a heap of (lcm monomial, i, j, lcm
+    exponents).
+    """
+
+    def __init__(self, packing, p, pair_budget):
+        self.packing, self.p, self.pair_budget = packing, p, pair_budget
+        self.elements, self.exps = [], []
+        self.active, self.reducers, self.pairs = [], [], []
+        self.counts = dict.fromkeys(BuchbergerStats.__dataclass_fields__, 0)
+
+    def run(self, inputs):
+        """Reduced basis as (monomial, coefficient) lists, or None for the unit ideal."""
+        for terms in inputs:
+            if not self._add(_normalized(terms, self.p)):
+                return None
+        processed = 0
+        packing, p, counts, elements = self.packing, self.p, self.counts, self.elements
+        while self.pairs:
+            lcm, i, j, _ = heapq.heappop(self.pairs)
+            processed += 1
+            if processed > self.pair_budget:
+                raise PairBudgetExceeded(self.pair_budget)
+            lead_i, _, c_i, tail_i = elements[i]
+            lead_j, _, c_j, tail_j = elements[j]
+            g = math.gcd(c_i, c_j)
+            shift_i, shift_j, up_i, up_j = lcm - lead_i, lcm - lead_j, c_j // g, c_i // g
+            work = {t + shift_i: c * up_i for t, c in tail_i}
+            for t, c in tail_j:
+                t += shift_j
+                v = work.get(t, 0) - c * up_j
+                if p is not None:
+                    v %= p
+                if v:
+                    work[t] = v
+                else:
+                    work.pop(t, None)
+            counts["reductions"] += 1
+            remainder = _reduce(work, self.reducers, packing, p)
+            if not remainder:
+                counts["zero_reductions"] += 1
+            elif not self._add(_normalized(remainder, p)):
+                return None
+        return self._interreduced()
+
+    def _add(self, terms):
+        """Adjoin one normalized element; False when it is a constant."""
+        lead, lead_c = terms[0]
+        if lead == 0:
+            return False
+        packing = self.packing
+        if lead >> packing.top >= packing.degree_limit:
+            raise _Repack
+        k = len(self.elements)
+        e_new = packing.exponents(lead)
+        self.elements.append((lead, e_new, lead_c, terms[1:]))
+        self.exps.append(e_new)
+        self._update(k, e_new)
+        return True
+
+    def _update(self, k, e_new):
+        """Gebauer-Moeller update of the pairs and the active set for element k."""
+        packing, exps, counts = self.packing, self.exps, self.counts
+        guard, lcm_of = packing.guard, packing.lcm
+        support_new = packing.support(e_new)
+        candidates = [(g, lcm_of(exps[g], e_new),
+                       not packing.support(exps[g]) & support_new)
+                      for g in self.active]
+        kept = []
+        for idx, (g, lcm_e, coprime) in enumerate(candidates):
+            if coprime or not any(not (lcm_e - other) & guard
+                                  for _, other, _ in candidates[idx + 1:] + kept):
+                kept.append((g, lcm_e, coprime))
+            else:
+                counts["skipped_chain"] += 1
+        fresh = []
+        for g, lcm_e, coprime in kept:
+            if coprime:
+                counts["skipped_coprime"] += 1
+            else:
+                fresh.append((packing.monomial(lcm_e), g, k, lcm_e))
+        survivors = [pair for pair in self.pairs
+                     if (pair[3] - e_new) & guard
+                     or lcm_of(exps[pair[1]], e_new) == pair[3]
+                     or lcm_of(exps[pair[2]], e_new) == pair[3]]
+        counts["skipped_bk"] += len(self.pairs) - len(survivors)
+        if len(survivors) < len(self.pairs):
+            heapq.heapify(survivors)
+        for pair in fresh:
+            heapq.heappush(survivors, pair)
+        self.pairs = survivors
+        counts["pairs_pushed"] += len(fresh)
+        self.active = [g for g in self.active if (exps[g] - e_new) & guard] + [k]
+        counts["peak_basis"] = max(counts["peak_basis"], len(self.active))
+        self.reducers = [self.elements[g] for g in self.active]
+
+    def _interreduced(self):
+        """Minimal leads, then every tail reduced by the other elements; monic."""
+        exps, guard, elements = self.exps, self.packing.guard, self.elements
+        minimal = []
+        for g in sorted(self.active, key=lambda g: elements[g][0]):
+            if all((exps[g] - exps[h]) & guard for h in minimal):
+                minimal.append(g)
+        basis = []
+        for g in minimal:
+            lead, _, lead_c, tail = elements[g]
+            others = [elements[h] for h in minimal if h != g]
+            basis.append(_monic([(lead, lead_c)]
+                                + _reduce(dict(tail), others, self.packing, self.p), self.p))
+        basis.sort(key=lambda terms: terms[0][0], reverse=True)
+        return basis
+
+    def stats(self):
+        return BuchbergerStats(**self.counts)
 
 
 def buchberger(gens, order=None, pair_budget=PAIR_BUDGET):
     """Reduced Groebner basis of the given generators.
 
-    Pairs are processed lowest lcm first; pairs with coprime leading
-    terms are skipped. Exceeding the pair budget raises instead of
-    spinning forever. A unit discovered mid-run short-circuits to the
-    trivial basis.
+    Pairs are processed lowest lcm first; the Gebauer-Moeller criteria
+    drop pairs that would reduce to zero. Exceeding the pair budget
+    raises instead of spinning forever. A unit discovered mid-run
+    short-circuits to the trivial basis. The basis carries the run's
+    work counters in stats.
     """
     polys = [g for g in gens if not g.is_zero]
     if not polys:
         return GroebnerBasis((), order or MonomialOrder(1))
     nvars, field = polys[0].nvars, polys[0].field
-    for p in polys:
-        if p.nvars != nvars or p.field != field:
-            raise StructuralError("mixed variable counts or fields")
+    _check_ring(polys, nvars, field)
     order = order or MonomialOrder(nvars)
-    trivial = GroebnerBasis((Polynomial.one(nvars, field),), order)
-    basis = []
-    for p in polys:
-        stripped = _strip(p, order)
-        if stripped.is_constant:
-            return trivial
-        basis.append(stripped)
-    pairs = []
-
-    def push(i, j):
-        lcm_ev = _ev_lcm(basis[i].leading(order)[0], basis[j].leading(order)[0])
-        heapq.heappush(pairs, (sum(lcm_ev), order.key(lcm_ev), i, j))
-
-    for j in range(len(basis)):
-        for i in range(j):
-            push(i, j)
-    processed = 0
-    while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        processed += 1
-        if processed > pair_budget:
-            raise PairBudgetExceeded(pair_budget)
-        lt_i = basis[i].leading(order)[0]
-        lt_j = basis[j].leading(order)[0]
-        if _ev_lcm(lt_i, lt_j) == _ev_add(lt_i, lt_j):
-            continue  # coprime leads reduce to zero, skip
-        s = _spoly(basis[i], basis[j], order, field)
-        remainder = normal_form(s, basis, order)
-        if remainder.is_zero:
+    width = _width_for(_max_degree(polys))
+    while True:
+        packing = _Packing(nvars, width)
+        run = _Buchberger(packing, field, pair_budget)
+        try:
+            basis = run.run(sorted(packing.packed(p).items(), reverse=True) for p in polys)
+        except _Repack:
+            width *= 2
             continue
-        remainder = _strip(remainder, order)
-        if remainder.is_constant:
-            return trivial
-        basis.append(remainder)
-        for k in range(len(basis) - 1):
-            push(k, len(basis) - 1)
-    return GroebnerBasis(tuple(_interreduce(basis, order, field)), order)
+        if basis is None:
+            return GroebnerBasis((Polynomial.one(nvars, field),), order, run.stats())
+        return GroebnerBasis(tuple(packing.unpacked(terms, field) for terms in basis),
+                             order, run.stats())
 
 
 def radical_membership(f, gens):
     """Whether f lies in the radical of the ideal the gens generate.
 
     Adjoins one variable t (ordered last) and asks whether 1 - t*f turns
-    the ideal into the whole ring; that happens exactly for members of
-    the radical.
+    the ideal into the whole ring, that is whether 1 reduces to zero
+    against the extended basis; that happens exactly for members of the
+    radical.
     """
     if f.is_zero:
         raise DomainError("radical membership of the zero polynomial is undefined")
     nvars, field = f.nvars, f.field
-    extended = []
-    for g in gens:
-        if g.nvars != nvars or g.field != field:
-            raise StructuralError("mixed variable counts or fields")
-        extended.append(Polynomial(nvars + 1,
-                                   {ev + (0,): c for ev, c in g.terms.items()},
-                                   field))
-    hook_terms = {(0,) * (nvars + 1): 1}
+    gens = list(gens)
+    _check_ring(gens, nvars, field)
+    extended = [Polynomial._raw(nvars + 1, {ev + (0,): c for ev, c in g.terms.items()},
+                                field)
+                for g in gens]
+    hook_terms = {(0,) * (nvars + 1): Fraction(1) if field is None else 1}
     for ev, c in f.terms.items():
-        at = ev + (1,)
-        hook_terms[at] = hook_terms.get(at, 0) - c
-    extended.append(Polynomial(nvars + 1, hook_terms, field))
-    return buchberger(extended, MonomialOrder(nvars + 1)).is_trivial
+        hook_terms[ev + (1,)] = -c if field is None else -c % field
+    extended.append(Polynomial._raw(nvars + 1, hook_terms, field))
+    basis = buchberger(extended, MonomialOrder(nvars + 1))
+    return normal_form(Polynomial.one(nvars + 1, field), basis).is_zero
 
 
 @dataclass(frozen=True)
@@ -436,6 +676,8 @@ def certify_witness(ideal, witness, field=None):
     system. Failures are collected, not raised; the certificate reports
     them.
     """
+    if field is not None:
+        require_prime(field)
     sums = witness.q if hasattr(witness, "q") else witness
     qs = [q.in_field(field) if field is not None else q for q in sums]
     subset_failure = None
@@ -446,8 +688,10 @@ def certify_witness(ideal, witness, field=None):
                 break
         if subset_failure:
             break
-    failing = tuple(u for u in ideal.gens
-                    if not radical_membership(Polynomial.from_monomial(u, field), qs))
+    one = Fraction(1) if field is None else 1
+    failing = tuple(
+        u for u in ideal.gens
+        if not radical_membership(Polynomial._raw(ideal.n, {u.exponents: one}, field), qs))
     return WitnessCertificate(
         passed=subset_failure is None and not failing,
         field=field,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .decomposition import associated_primes
 from .errors import DomainError, StructuralError
+from .fields import require_prime
 from .ideals import Monomial
 
 
@@ -94,10 +95,8 @@ def stanley_reisner(ideal):
 
 
 def _check_field(p):
-    if p is None:
-        return
-    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-        raise DomainError(f"field characteristic must be prime, got {p}")
+    if p is not None:
+        require_prime(p)
 
 
 def _rank_exact(rows):

@@ -1,6 +1,10 @@
 """Parsing grammar, command dispatch, report contents, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -86,6 +90,13 @@ class TestJsonInput:
                     '{"n": 2, "gens": [[1, -1]]}',
                     '{"n": "2", "gens": []}',
                     '{"n": 2, "gens": [[1, 1]'):
+            with pytest.raises(ParseError):
+                parse_ideal(bad)
+
+    def test_booleans_rejected(self):
+        for bad in ('{"n": true, "gens": [[true]]}',
+                    '{"n": 1, "gens": [[true]]}',
+                    '{"n": 2, "gens": [[1, false]]}'):
             with pytest.raises(ParseError):
                 parse_ideal(bad)
 
@@ -255,3 +266,47 @@ class TestOutputs:
         lines = [l for l in out.splitlines() if l[:4] in ("PASS", "FAIL", "SKIP")]
         assert len(lines) == 14
         assert not any(l.startswith("FAIL") for l in lines)
+
+
+class TestEdges:
+    def test_boolean_json_exits_one(self, capsys, tmp_path):
+        source = tmp_path / "ideal.json"
+        source.write_text('{"n": true, "gens": [[true]]}')
+        code, out, err = run(capsys, "analyze", str(source))
+        assert code == 1
+        assert "parse error" in err and out == ""
+
+    def test_large_prime_field_certifies(self, capsys, tmp_path):
+        source = tmp_path / "ideal.txt"
+        source.write_text("x1*x2")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "certify", str(source),
+                             "--field", "gf:2305843009213693951", "--json")
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["certification"]["passed"] is True
+        assert payload["certification"]["field"] == "gf:2305843009213693951"
+
+    @pytest.mark.parametrize("p", [561, (2 ** 31 - 1) * (2 ** 61 - 1)])
+    def test_composite_and_oversized_fields_rejected(self, capsys, p):
+        with pytest.raises(SystemExit) as info:
+            main(["enumerate", "3", "2", "--field", f"gf:{p}"])
+        assert info.value.code == 1
+
+    def test_broken_pipe_is_quiet(self):
+        # the reader is gone before anything is written, as after `| head -1`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from matroidalkit.cli import main; sys.exit(main())",
+                 "enumerate", "3", "2"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == b""

@@ -1,16 +1,19 @@
 """The polynomial engine: Buchberger, normal forms, radical membership."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from matroidalkit import (DomainError, Monomial, PairBudgetExceeded,
-                          Polynomial, StructuralError, buchberger,
-                          certify_witness, normal_form, radical_membership,
-                          squarefree_veronese)
+from matroidalkit import (BuchbergerStats, DomainError, Monomial,
+                          PairBudgetExceeded, Polynomial, StructuralError,
+                          buchberger, certify_witness, groebner, normal_form,
+                          radical_membership, squarefree_veronese, transversal)
 from matroidalkit.groebner import MonomialOrder, _spoly
 from matroidalkit.schmitt_vogel import build_sv_witness
+
+import groebner_oracle as oracle
 
 
 def poly(nvars, terms, field=None):
@@ -258,3 +261,170 @@ class TestCertifyWitness:
         assert cert.subset_failure is not None
         j, monomial = cert.subset_failure
         assert j == 0 and str(monomial) == "x1"
+
+
+# ---------------------------------------------------------------------------
+# The packed engine against the original tuple-dict engine
+
+
+def to_oracle(p):
+    return oracle.Polynomial(p.nvars, p.terms, p.field)
+
+
+def term_maps(basis):
+    return [g.terms for g in basis.generators]
+
+
+def random_system(rng, field):
+    nvars = rng.choice((3, 4))
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            terms[tuple(rng.randint(0, 2) for _ in range(nvars))] = rng.randint(-3, 3)
+        gens.append(Polynomial(nvars, terms, field))
+    return gens
+
+
+class TestOracleAgreement:
+    @pytest.mark.parametrize("field", [None, 32003])
+    def test_same_reduced_basis(self, field):
+        rng = random.Random(101 if field is None else 103)
+        for trial in range(30):
+            gens = random_system(rng, field)
+            fast = buchberger(gens)
+            slow = oracle.buchberger([to_oracle(g) for g in gens])
+            assert term_maps(fast) == term_maps(slow), (trial, gens)
+
+    @pytest.mark.parametrize("field", [None, 32003])
+    def test_same_normal_forms(self, field):
+        rng = random.Random(107 if field is None else 109)
+        for trial in range(30):
+            gens = random_system(rng, field)
+            nvars = gens[0].nvars
+            f = random_poly(rng, nvars, field) * random_poly(rng, nvars, field)
+            if field is None:
+                f = f.scale(Fraction(5, 6))
+            slow_gens = [to_oracle(g) for g in gens]
+            # against the basis the remainder is unique; against the raw
+            # generators it depends on the division strategy, kept the same
+            assert normal_form(f, buchberger(gens)).terms == \
+                oracle.normal_form(to_oracle(f), oracle.buchberger(slow_gens)).terms
+            assert normal_form(f, gens).terms == \
+                oracle.normal_form(to_oracle(f), slow_gens).terms
+
+    @pytest.mark.parametrize("field", [None, 32003])
+    def test_truncated_witness_fails_the_same_generators(self, field):
+        for ideal in (transversal(4, [{1, 2}, {3, 4}]), squarefree_veronese(4, 2),
+                      squarefree_veronese(5, 3)):
+            witness = build_sv_witness(ideal)
+            for drop in range(len(witness.q)):
+                truncated = witness.q[:drop] + witness.q[drop + 1:]
+                fast = certify_witness(ideal, truncated, field)
+                slow = oracle.certify_witness(ideal, [to_oracle(q) for q in truncated],
+                                              field)
+                assert fast.failing_generators == slow.failing_generators
+                assert fast.passed == slow.passed
+
+    def test_order_key_agrees(self):
+        rng = random.Random(113)
+        fast, slow = MonomialOrder(4), oracle.MonomialOrder(4)
+        evs = [tuple(rng.randint(0, 40) for _ in range(4)) for _ in range(300)]
+        assert sorted(evs, key=fast.key) == sorted(evs, key=slow.key)
+
+
+class TestPackedWidth:
+    def test_huge_exponent_does_not_wrap(self):
+        big = 2 ** 20
+        x = poly(2, {(big, 0): 1, (0, 1): -1})  # x1^(2^20) - x2
+        assert normal_form(poly(2, {(big + 1, 3): 1}), [x]) == poly(2, {(1, 4): 1})
+        y = poly(2, {(0, 2): 1, (1, 0): -1})  # x2^2 - x1
+        basis = buchberger([x, y])
+        assert term_maps(basis) == term_maps(
+            oracle.buchberger([to_oracle(x), to_oracle(y)]))
+
+    def test_degree_growth_repacks(self, monkeypatch):
+        # both systems fit the narrowest packing, but Buchberger builds
+        # elements of higher degree than it admits; without a wider
+        # packing the second one comes out wrong
+        widths = []
+
+        class Recording(groebner._Packing):
+            def __init__(self, nvars, width):
+                widths.append(width)
+                super().__init__(nvars, width)
+
+        monkeypatch.setattr(groebner, "_Packing", Recording)
+        systems = [
+            [poly(3, {(63, 0, 0): 1, (0, 1, 1): -1}),     # x1^63 - x2*x3
+             poly(3, {(1, 62, 0): 1, (0, 0, 2): -1})],    # x1*x2^62 - x3^2
+            [poly(3, {(23, 35, 1): 1, (4, 1, 5): -1}),
+             poly(3, {(5, 29, 27): 1, (9, 1, 10): -1})],
+        ]
+        for gens in systems:
+            widths.clear()
+            basis = buchberger(gens)
+            assert term_maps(basis) == term_maps(
+                oracle.buchberger([to_oracle(g) for g in gens]))
+            assert widths[0] == groebner._MIN_WIDTH and widths[-1] > widths[0]
+
+
+def certify_with_stats(ideal, field=None):
+    """certify_witness, plus the stats of every basis its radical tests built."""
+    runs = []
+
+    def recording(*args, **kwargs):
+        basis = original(*args, **kwargs)
+        runs.append(basis.stats)
+        return basis
+
+    original = groebner.buchberger
+    groebner.buchberger = recording
+    try:
+        certificate = certify_witness(ideal, build_sv_witness(ideal), field)
+    finally:
+        groebner.buchberger = original
+    return certificate, runs
+
+
+class TestBuchbergerStats:
+    def test_counts_repeat_exactly(self):
+        gens = random_system(random.Random(127), None)
+        assert buchberger(gens).stats == buchberger(gens).stats
+        ideal = transversal(5, [{1, 2}, {3, 4, 5}])
+        assert certify_with_stats(ideal)[1] == certify_with_stats(ideal)[1]
+
+    def test_counts_are_consistent(self):
+        f = poly(2, {(2, 0): 1, (0, 1): -1})
+        g = poly(2, {(1, 1): 1, (1, 0): -1})
+        stats = buchberger([f, g]).stats
+        assert stats.reductions == stats.pairs_pushed - stats.skipped_bk
+        assert 0 < stats.zero_reductions <= stats.reductions
+        assert stats.peak_basis >= 2
+        assert buchberger([poly(2, {})]).stats == BuchbergerStats()
+
+    def test_k23_prunes_below_the_coprime_only_engine(self):
+        # the coprime-only engine reduces 622 S-pairs for K_{2,3}, 399 to zero
+        certificate, runs = certify_with_stats(transversal(5, [{1, 2}, {3, 4, 5}]))
+        assert certificate.passed
+        zero = sum(s.zero_reductions for s in runs)
+        total = sum(s.reductions for s in runs)
+        assert zero < 399 and total < 622
+        assert sum(s.skipped_chain + s.skipped_bk for s in runs) > 0
+
+    def test_stats_stay_out_of_equality(self):
+        gens = [poly(2, {(1, 0): 1}), poly(2, {(0, 1): 1})]
+        assert buchberger(gens) == groebner.GroebnerBasis(
+            buchberger(gens).generators, MonomialOrder(2))
+
+
+class TestTimedCertification:
+    @pytest.mark.parametrize("field", [None, 32003])
+    def test_k33_certifies_within_three_seconds(self, field):
+        ideal = transversal(6, [{1, 2, 3}, {4, 5, 6}])
+        witness = build_sv_witness(ideal)
+        start = time.perf_counter()
+        certificate = certify_witness(ideal, witness, field)
+        elapsed = time.perf_counter() - start
+        assert certificate.passed
+        assert elapsed < 3.0, f"K_{{3,3}} certification took {elapsed:.2f}s"

@@ -18,8 +18,8 @@ from .decomposition import (CriteriaReport, Partition, PrimeDecomposition,
                             associated_primes, criteria_check,
                             irreducible_decomposition, p1_classify,
                             partition_degree2)
-from .homology import (HomologyProfile, SimplicialComplex, pd_depth,
-                       reduced_homology_ranks, stanley_reisner)
+from .homology import (HomologyProfile, HomologyStats, SimplicialComplex,
+                       pd_depth, reduced_homology_ranks, stanley_reisner)
 from .groebner import (BuchbergerStats, GroebnerBasis, MonomialOrder, Polynomial,
                        WitnessCertificate, buchberger, certify_witness,
                        normal_form, radical_membership)
@@ -29,8 +29,9 @@ from .cli import parse_ideal
 
 __all__ = [
     "AraReport", "BuchbergerStats", "CriteriaReport", "DomainError",
-    "ExchangeCertificate", "GroebnerBasis", "HomologyProfile", "IdealSummary",
-    "Monomial", "MonomialIdeal", "MonomialOrder", "PairBudgetExceeded", "ParseError",
+    "ExchangeCertificate", "GroebnerBasis", "HomologyProfile", "HomologyStats",
+    "IdealSummary", "Monomial", "MonomialIdeal", "MonomialOrder", "PairBudgetExceeded",
+    "ParseError",
     "Partition", "Polynomial", "PrimeDecomposition", "SVWitness",
     "SimplicialComplex", "StructuralError", "TheoremViolationError",
     "WitnessCertificate", "ara_report", "associated_primes", "buchberger",

@@ -114,17 +114,16 @@ def _intersect_all(components):
 
 
 def _drop_redundant(components):
-    """Remove components containing the intersection of the rest."""
-    kept = list(components)
-    i = 0
-    while i < len(kept) and len(kept) > 1:
-        rest = kept[:i] + kept[i + 1:]
-        inter = _intersect_all(rest)
-        if all(kept[i].contains(g) for g in inter.gens):
-            kept.pop(i)
-        else:
-            i += 1
-    return kept
+    """Remove the components that contain another component.
+
+    For irreducible components this is exact: if Q contains the
+    intersection of J_1..J_k but none of them, pick u_j in J_j outside Q;
+    Q is generated by variable powers, so lcm(u_j), which lies in every
+    J_j, stays outside Q. Components must be distinct; order is kept.
+    """
+    return [q for q in components
+            if not any(j is not q and all(q.contains(g) for g in j.gens)
+                       for j in components)]
 
 
 def irreducible_decomposition(ideal):

@@ -2,21 +2,31 @@
 
 For a square-free ideal the graded Betti numbers of R/I are ranks of
 reduced homology of induced subcomplexes of its face complex, one
-subcomplex per square-free multidegree. All linear algebra is exact:
-fraction-free integer elimination for the rationals, modular elimination
-for a prime field. Dense matrices throughout; sizes here are tiny.
+subcomplex per square-free multidegree (Hochster's formula). Inside this
+module faces, supports and multidegrees are plain int bitmasks, bit k-1
+standing for x_k: a face f lies in the restriction to sigma when
+f & ~sigma == 0, and its boundary drops one bit at a time. Frozensets
+appear only at the API edge. Multidegrees that cannot carry homology are
+skipped (see pd_depth).
+
+All linear algebra is exact and goes through one sparse column
+reduction: modular arithmetic for a prime field, primitive integer
+columns for the rationals.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field as dataclass_field
+from types import MappingProxyType
 
 from .decomposition import associated_primes
 from .errors import DomainError, StructuralError
 from .fields import require_prime
-from .ideals import Monomial
+
+PD_CACHE_SIZE = 1024  # (ideal, field) pairs whose profiles pd_depth keeps
 
 
 @dataclass(frozen=True)
@@ -67,31 +77,70 @@ class SimplicialComplex:
 
 
 @dataclass(frozen=True)
+class HomologyStats:
+    """Work counters of one pd_depth run; equal input gives equal counts.
+
+    multidegrees_scanned counts the multidegrees whose restricted complex
+    was reduced and multidegrees_skipped those passed over as cones; the
+    two add up to 2^n. matrices_reduced counts the boundary maps between
+    nonempty face levels that went through elimination, and
+    largest_matrix is the (rows, columns) shape of the one with the most
+    entries.
+    """
+
+    multidegrees_scanned: int = 0
+    multidegrees_skipped: int = 0
+    matrices_reduced: int = 0
+    largest_matrix: tuple = (0, 0)
+
+
+@dataclass(frozen=True)
 class HomologyProfile:
     """pd, depth, and the Cohen-Macaulay verdict, with the Betti table.
 
     betti maps (homological degree i, multidegree as frozenset) to a
-    nonzero rank; absent keys are zero.
+    nonzero rank; absent keys are zero. It is a read-only view, so a
+    profile shared through the cache cannot be changed by its callers.
+    stats holds the work counters of the run that built it.
     """
 
     pd: int
     depth: int
     is_cm: bool
-    betti: dict = dataclass_field(compare=False)
+    betti: MappingProxyType = dataclass_field(compare=False)
+    stats: HomologyStats = dataclass_field(default=HomologyStats(), compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "betti", MappingProxyType(dict(self.betti)))
+
+
+def _members(mask):
+    """The face a bitmask stands for, as a frozenset of 1-based indices."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _mask(face):
+    return sum(1 << (v - 1) for v in face)
 
 
 def stanley_reisner(ideal):
-    """Face complex of a square-free ideal: faces are the I-free subsets."""
+    """Face complex of a square-free ideal: faces are the I-free subsets.
+
+    A subset m is a face when no generator support g lies inside it,
+    that is g & ~m != 0 for every generator mask g. The facets are the
+    faces no further vertex extends.
+    """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("face complex needs a proper nonzero ideal")
     if not ideal.is_squarefree:
         raise DomainError("face complex defined for square-free ideals only")
     n = ideal.n
-    free = [frozenset(s)
-            for k in range(n + 1)
-            for s in itertools.combinations(range(1, n + 1), k)
-            if not ideal.contains(Monomial.from_support(n, s))]
-    return SimplicialComplex.from_faces(n, free)
+    gens = [g.bitmask() for g in ideal.gens]
+    faces = {m for m in range(1 << n) if all(g & ~m for g in gens)}
+    vertices = [1 << v for v in range(n)]
+    facets = [m for m in faces if not any(m | b in faces for b in vertices if not m & b)]
+    ordered = sorted(map(_members, facets), key=lambda f: (len(f), sorted(f)))
+    return SimplicialComplex(n, tuple(ordered))
 
 
 def _check_field(p):
@@ -99,84 +148,125 @@ def _check_field(p):
         require_prime(p)
 
 
-def _rank_exact(rows):
-    """Rank over the rationals by fraction-free integer elimination."""
-    rows = [list(r) for r in rows]
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col]
-            for c in range(col, ncols):
-                rows[r][c] = (lead * rows[r][c] - factor * rows[rank][c]) // prev
-        prev = lead
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def _face_levels(facets):
+    """Faces by vertex count: levels[k] lists the k-vertex faces, ascending.
+
+    facets are masks; every face comes from a facet by dropping bits. An
+    empty list means the void complex.
+    """
+    if not facets:
+        return []
+    levels = [set() for _ in range(max(f.bit_count() for f in facets) + 1)]
+    for f in facets:
+        levels[f.bit_count()].add(f)
+    for k in range(len(levels) - 1, 0, -1):
+        below = levels[k - 1]
+        for f in levels[k]:
+            rest = f
+            while rest:
+                low = rest & -rest
+                below.add(f ^ low)
+                rest ^= low
+    return [sorted(level) for level in levels]
 
 
-def _rank_mod(rows, p):
-    rows = [[v % p for v in r] for r in rows]
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [v * inv % p for v in rows[rank]]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col]
-            if factor:
-                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def _boundaries(levels, field):
+    """Boundary column of every nonempty face, as {row face: entry}.
+
+    Dropping the t-th smallest vertex carries the sign (-1)^t, reduced
+    mod p over GF(p).
+    """
+    columns = {}
+    for level in levels[1:]:
+        for f in level:
+            column = {}
+            rest, sign = f, 1
+            while rest:
+                low = rest & -rest
+                column[f ^ low] = sign if field is None else sign % field
+                sign = -sign
+                rest ^= low
+            columns[f] = column
+    return columns
 
 
-def _boundary_matrix(lower, upper):
-    """Matrix of the boundary map from span(upper) to span(lower)."""
-    index = {f: r for r, f in enumerate(lower)}
-    matrix = [[0] * len(upper) for _ in lower]
-    for c, face in enumerate(upper):
-        members = sorted(face)
-        for t, v in enumerate(members):
-            matrix[index[frozenset(members) - {v}]][c] = (-1) ** t
-    return matrix
+def _reduce_columns(columns, field):
+    """Sparse column reduction; returns the reduced columns by pivot row.
+
+    A column's pivot is its largest row key. While that row already holds
+    a reduced column, the column is combined with it to clear the row;
+    a column that ends empty was dependent. Over GF(p) entries stay
+    reduced mod p and filed columns are scaled to pivot 1. Over the
+    rationals entries stay integers: each step takes b*col - a*other with
+    the filed column's positive pivot b, then divides by the gcd of the
+    entries, so no fraction is ever formed. The number of pivots is the
+    rank.
+    """
+    pivots = {}
+    for column in columns:
+        col = dict(column)
+        while col:
+            low = max(col)
+            other = pivots.get(low)
+            if other is None:
+                lead = col[low]
+                if field is None:
+                    if lead < 0:
+                        col = {r: -v for r, v in col.items()}
+                elif lead != 1:
+                    inv = pow(lead, -1, field)
+                    col = {r: v * inv % field for r, v in col.items()}
+                pivots[low] = col
+                break
+            a = col[low]
+            if field is None:
+                b = other[low]
+                if b != 1:
+                    col = {r: b * v for r, v in col.items()}
+                for r, v in other.items():
+                    x = col.get(r, 0) - a * v
+                    if x:
+                        col[r] = x
+                    else:
+                        del col[r]
+                g = math.gcd(*col.values())
+                if g > 1:
+                    col = {r: v // g for r, v in col.items()}
+            else:
+                for r, v in other.items():
+                    x = (col.get(r, 0) - a * v) % field
+                    if x:
+                        col[r] = x
+                    else:
+                        del col[r]
+    return pivots
 
 
-def _ranks_of_faces(faces, field):
-    """Reduced homology ranks of an explicit downward-closed face set."""
-    if not faces:
-        return {}
-    by_dim = {}
-    for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(f)
-    for k in by_dim:
-        by_dim[k].sort(key=sorted)
-    top = max(by_dim)
-    rank_of = _rank_exact if field is None else lambda m: _rank_mod(m, field)
-    boundary_rank = {}
-    for k in range(0, top + 1):
-        boundary_rank[k] = rank_of(_boundary_matrix(by_dim.get(k - 1, []),
-                                                    by_dim.get(k, [])))
-    return {k: (len(by_dim.get(k, []))
-                - boundary_rank.get(k, 0)
-                - boundary_rank.get(k + 1, 0))
-            for k in range(-1, top + 1)}
+def _reduced_ranks(levels, boundary, field, counts=None):
+    """Reduced homology ranks of a face set given by levels, per dimension.
+
+    The k-vertex faces sit in dimension k - 1. Boundary maps are reduced
+    from the top down so that each one can skip columns (clearing): if a
+    reduced column R of the map out of the (k+1)-vertex faces has pivot
+    row f, then R is a nonzero multiple of f plus faces below f and
+    dR = 0. Trading f for R in the basis of k-vertex chains is a
+    triangular change, so the next map keeps its rank while f's column
+    becomes zero; f is left out of that reduction over every field.
+    """
+    while levels and not levels[-1]:
+        levels = levels[:-1]
+    ranks = [0] * (len(levels) + 1)
+    cleared = {}
+    for k in range(len(levels) - 1, 0, -1):
+        cleared = _reduce_columns(
+            [boundary[f] for f in levels[k] if f not in cleared], field)
+        ranks[k] = len(cleared)
+        if counts is not None:
+            shape = (len(levels[k - 1]), len(levels[k]))
+            counts["matrices_reduced"] += 1
+            if shape[0] * shape[1] > math.prod(counts["largest_matrix"]):
+                counts["largest_matrix"] = shape
+    return {k - 1: len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(len(levels))}
 
 
 def reduced_homology_ranks(complex_, field=None):
@@ -187,12 +277,12 @@ def reduced_homology_ranks(complex_, field=None):
     has no homology at all.
     """
     _check_field(field)
-    return _ranks_of_faces(complex_.faces(), field)
+    levels = _face_levels([_mask(f) for f in complex_.facets])
+    return _reduced_ranks(levels, _boundaries(levels, field), field)
 
 
-@functools.lru_cache(maxsize=None)
 def pd_depth(ideal, field=None):
-    """Betti table of R/I over all square-free multidegrees, then pd and depth.
+    """Betti table of R/I over the square-free multidegrees, then pd and depth.
 
     beta_{i, sigma} is the reduced homology rank of the face complex
     restricted to sigma, in dimension |sigma| - i - 1. The base of the
@@ -200,19 +290,46 @@ def pd_depth(ideal, field=None):
     is the largest homological degree with a nonzero entry. depth comes
     out as n - pd, and Cohen-Macaulayness compares pd with the height.
 
-    No multidegree is skipped; every subset of [n] is inspected.
+    Only the multidegrees sigma that are unions of generator supports
+    (the lcm lattice, with the empty set) are inspected; every other
+    sigma carries no homology. Take a vertex v of sigma outside the union
+    of the generator supports inside sigma. A non-face inside sigma
+    contains a generator support inside sigma, which misses v, so adding
+    v to a face of the restriction gives a face again: the restriction is
+    a cone with apex v and is acyclic over every field. The table still
+    lists every nonzero entry; profile.stats counts both kinds of sigma.
+
+    One profile is computed per (ideal, field) and kept in a bounded
+    cache; pd_depth(I) and pd_depth(I, None) share it.
     """
+    return _pd_depth(ideal, field)
+
+
+@functools.lru_cache(maxsize=PD_CACHE_SIZE)
+def _pd_depth(ideal, field):
     _check_field(field)
-    faces = sorted(stanley_reisner(ideal).faces(), key=lambda f: (len(f), sorted(f)))
+    complex_ = stanley_reisner(ideal)
     n = ideal.n
+    levels = _face_levels([_mask(f) for f in complex_.facets])
+    boundary = _boundaries(levels, field)
+    lattice = {0}
+    for g in ideal.gens:
+        g = g.bitmask()
+        lattice |= {s | g for s in lattice}
+    counts = {"matrices_reduced": 0, "largest_matrix": (0, 0)}
     betti = {}
-    for mask in range(1 << n):
-        sigma = frozenset(i + 1 for i in range(n) if (mask >> i) & 1)
-        ranks = _ranks_of_faces([f for f in faces if f <= sigma], field)
-        for i in range(len(sigma) + 1):
-            value = ranks.get(len(sigma) - i - 1, 0)
+    for sigma in sorted(lattice):
+        size = sigma.bit_count()
+        inside = [[f for f in level if not f & ~sigma] for level in levels[:size + 1]]
+        ranks = _reduced_ranks(inside, boundary, field, counts)
+        members = _members(sigma)
+        for i in range(size + 1):
+            value = ranks.get(size - i - 1, 0)
             if value:
-                betti[(i, sigma)] = value
+                betti[(i, members)] = value
     pd = max(i for i, _ in betti)
     height = associated_primes(ideal).height
-    return HomologyProfile(pd=pd, depth=n - pd, is_cm=height == pd, betti=betti)
+    stats = HomologyStats(multidegrees_scanned=len(lattice),
+                          multidegrees_skipped=(1 << n) - len(lattice), **counts)
+    return HomologyProfile(pd=pd, depth=n - pd, is_cm=height == pd, betti=betti,
+                           stats=stats)

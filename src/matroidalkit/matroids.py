@@ -23,6 +23,7 @@ NO_EXCHANGE_INDEX = "no_exchange_index"
 
 # brute-force relabeling below walks all n! permutations
 ENUMERATION_MAX_N = 7
+ENUMERATION_CACHE_SIZE = 32  # (n, d, flag) results enumerate_matroidal keeps
 
 
 @dataclass(frozen=True)
@@ -160,15 +161,20 @@ def _collection_exchange(masks, members):
     return True
 
 
-@functools.lru_cache(maxsize=None)
 def enumerate_matroidal(n, d, full_support_only=True):
     """All matroidal ideals generated in degree d, in a fixed order.
 
     Walks every nonempty collection of square-free degree-d monomials by
     bitmask over the lex-ordered monomial list, keeping the collections
     whose supports satisfy basis exchange. The search space is 2^C(n,d),
-    hence the hard guard. Results are cached per (n, d, flag).
+    hence the hard guard. Results are kept in a bounded cache with one
+    entry per (n, d, flag), however the flag is passed.
     """
+    return _enumerate_matroidal(n, d, bool(full_support_only))
+
+
+@functools.lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
+def _enumerate_matroidal(n, d, full_support_only):
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise DomainError(f"enumeration limited to 1 <= n <= {ENUMERATION_MAX_N}, got n={n}")
     if not 1 <= d <= n:

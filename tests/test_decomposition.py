@@ -11,7 +11,10 @@ from matroidalkit import (DomainError, Monomial, MonomialIdeal, Partition,
                           StructuralError, associated_primes, criteria_check,
                           irreducible_decomposition, make_ideal, p1_classify,
                           partition_degree2, squarefree_veronese, veronese)
-from matroidalkit.decomposition import MATROIDAL, POWER_OF_M
+from matroidalkit.decomposition import (MATROIDAL, POWER_OF_M, _drop_redundant,
+                                        _split_leaves)
+
+import decomposition_oracle
 from matroidalkit.matroids import enumerate_matroidal
 
 
@@ -94,6 +97,27 @@ class TestIrreducibleDecomposition:
             for k in range(len(comps)):
                 rest = comps[:k] + comps[k + 1:]
                 assert not rest or intersect_all(rest) != ideal
+
+    def test_pairwise_pruning_matches_greedy_oracle(self):
+        # dropping components that contain another one keeps exactly what
+        # the greedy intersect-the-rest pass keeps, in the same order
+        rng = random.Random(59)
+        compared = 0
+        for _ in range(150):
+            n = rng.randint(2, 5)
+            gens = [tuple(rng.randint(0, 2) for _ in range(n))
+                    for _ in range(rng.randint(1, 5))]
+            ideal = make_ideal(n, gens)
+            if ideal.is_unit or ideal.is_zero or ideal.is_squarefree:
+                continue
+            leaves = []
+            _split_leaves(ideal, leaves)
+            unique = list(dict.fromkeys(leaves))
+            expected = decomposition_oracle.drop_redundant(unique)
+            assert _drop_redundant(unique) == expected
+            assert irreducible_decomposition(ideal) == tuple(expected)
+            compared += 1
+        assert compared > 75
 
 
 class TestAssociatedPrimes:

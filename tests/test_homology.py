@@ -1,15 +1,23 @@
 """Stanley-Reisner complexes, exact homology ranks, and pd/depth/CM."""
 
+import itertools
 import math
 import random
+import time
 
 import pytest
 
-from matroidalkit import (DomainError, MonomialIdeal, SimplicialComplex,
-                          StructuralError, associated_primes, make_ideal,
-                          pd_depth, reduced_homology_ranks, squarefree_veronese,
-                          stanley_reisner)
+from matroidalkit import (DomainError, HomologyStats, MonomialIdeal,
+                          SimplicialComplex, StructuralError, associated_primes,
+                          make_ideal, pd_depth, reduced_homology_ranks,
+                          squarefree_veronese, stanley_reisner, transversal)
+from matroidalkit import homology, matroids
+from matroidalkit.cli import Config, run_command
 from matroidalkit.matroids import enumerate_matroidal
+
+import homology_oracle
+
+FIELDS = (None, 2, 3, 32003)
 
 
 def complex_of(n, *facets):
@@ -181,3 +189,143 @@ class TestPdDepth:
     def test_rejects_bad_input(self, squared_pivot_n3):
         with pytest.raises(DomainError):
             pd_depth(squared_pivot_n3)
+
+
+def random_squarefree(rng, max_n):
+    while True:
+        n = rng.randint(1, max_n)
+        pool = [frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+                for _ in range(rng.randint(1, 6))]
+        ideal = MonomialIdeal.from_supports(n, pool)
+        if not ideal.is_unit:
+            return ideal
+
+
+def rp2_ideal():
+    """Stanley-Reisner ideal of the 6-vertex triangulation of RP^2."""
+    triangles = [{1, 2, 3}, {1, 3, 4}, {1, 4, 5}, {1, 5, 6}, {1, 2, 6},
+                 {2, 3, 5}, {2, 4, 5}, {2, 4, 6}, {3, 4, 6}, {3, 5, 6}]
+    # every edge is a face, so the minimal non-faces are the other triangles
+    missing = [set(t) for t in itertools.combinations(range(1, 7), 3)
+               if set(t) not in triangles]
+    return MonomialIdeal.from_supports(6, missing)
+
+
+def assert_matches_oracle(ideal, field):
+    profile = pd_depth(ideal, field)
+    pd, depth, is_cm, betti = homology_oracle.pd_depth(ideal, field)
+    assert (profile.pd, profile.depth, profile.is_cm) == (pd, depth, is_cm)
+    assert list(profile.betti.items()) == list(betti.items())
+
+
+class TestOracleAgreement:
+    """The bitmask kernel against the dense full-scan seed engine."""
+
+    def test_random_squarefree(self):
+        rng = random.Random(97)
+        for _ in range(40):
+            ideal = random_squarefree(rng, 8)
+            for field in FIELDS:
+                assert_matches_oracle(ideal, field)
+
+    def test_matroidal_census_n5(self):
+        for d in range(1, 6):
+            for ideal in enumerate_matroidal(5, d):
+                for field in FIELDS:
+                    assert_matches_oracle(ideal, field)
+
+    def test_homology_ranks(self):
+        rng = random.Random(101)
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            pool = [frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
+                    for _ in range(rng.randint(1, 6))]
+            cx = SimplicialComplex.from_faces(n, pool)
+            for field in FIELDS:
+                assert (reduced_homology_ranks(cx, field)
+                        == homology_oracle.reduced_homology_ranks(cx, field))
+
+    def test_rp2_torsion(self):
+        ideal = rp2_ideal()
+        everything = frozenset(range(1, 7))
+        for field, expected_pd in ((None, 3), (3, 3), (2, 4)):
+            assert_matches_oracle(ideal, field)
+            assert pd_depth(ideal, field).pd == expected_pd
+            assert homology_oracle.pd_depth(ideal, field)[0] == expected_pd
+        assert pd_depth(ideal, 2).betti[(4, everything)] == 1
+        assert (4, everything) not in pd_depth(ideal).betti
+        # H~_1(RP^2; Z) = Z/2 shows up only in characteristic 2
+        cx = stanley_reisner(ideal)
+        assert reduced_homology_ranks(cx)[1] == 0
+        assert reduced_homology_ranks(cx, 2)[1] == 1
+
+
+class TestCaches:
+    def test_betti_table_is_read_only(self, two_blocks_n4):
+        profile = pd_depth(two_blocks_n4)
+        original = dict(profile.betti)
+        with pytest.raises(AttributeError):
+            profile.betti.clear()
+        with pytest.raises(TypeError):
+            profile.betti[(0, frozenset())] = 7
+        with pytest.raises(TypeError):
+            del profile.betti[(0, frozenset())]
+        assert dict(pd_depth(two_blocks_n4).betti) == original
+        assert original == homology_oracle.betti_table(two_blocks_n4)
+
+    def test_source_dict_is_copied(self):
+        table = {(0, frozenset()): 1}
+        profile = homology.HomologyProfile(pd=0, depth=1, is_cm=True, betti=table)
+        table[(1, frozenset({1}))] = 1
+        assert dict(profile.betti) == {(0, frozenset()): 1}
+
+    def test_one_entry_per_ideal_and_field(self, two_blocks_n4):
+        assert pd_depth(two_blocks_n4) is pd_depth(two_blocks_n4, None)
+        assert pd_depth(two_blocks_n4, field=None) is pd_depth(two_blocks_n4)
+
+    def test_caches_are_bounded(self):
+        assert homology._pd_depth.cache_info().maxsize == homology.PD_CACHE_SIZE
+        info = matroids._enumerate_matroidal.cache_info()
+        assert info.maxsize == matroids.ENUMERATION_CACHE_SIZE
+        # a defaulted, positional or keyword flag reaches the same entry
+        assert enumerate_matroidal(3, 2) is enumerate_matroidal(3, 2, full_support_only=1)
+
+
+class TestStats:
+    def test_counts_repeat_and_cover_every_multidegree(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            ideal = random_squarefree(rng, 7)
+            for field in (None, 2):
+                first = homology._pd_depth.__wrapped__(ideal, field).stats
+                again = homology._pd_depth.__wrapped__(ideal, field).stats
+                assert first == again
+                assert first.multidegrees_scanned + first.multidegrees_skipped == 1 << ideal.n
+
+    def test_two_block_counts(self, two_blocks_n4):
+        # the lcm lattice of (x1, x2)(x3, x4): the empty set and every
+        # sigma meeting both blocks, 1 + 3 * 3 of the 16 multidegrees
+        stats = homology._pd_depth.__wrapped__(two_blocks_n4, None).stats
+        assert (stats.multidegrees_scanned, stats.multidegrees_skipped) == (10, 6)
+        assert stats.matrices_reduced > 0
+        # at sigma = [4]: the two edges {1,2}, {3,4} onto the four vertices
+        assert stats.largest_matrix == (4, 2)
+
+    def test_stats_do_not_change_equality_or_reports(self, two_blocks_n4):
+        profile = pd_depth(two_blocks_n4)
+        assert profile == homology.HomologyProfile(
+            pd=profile.pd, depth=profile.depth, is_cm=profile.is_cm,
+            betti={}, stats=HomologyStats())
+        payload = run_command("analyze", Config(certify=False), ideal=two_blocks_n4)
+        assert set(payload["homology"]) == {"pd", "depth", "is_cm"}
+
+
+class TestTimedHomology:
+    def test_three_block_transversal_n12(self):
+        # K_{4,4,4}: pd = n - d + 1 = 12 - 3 + 1
+        ideal = transversal(12, [set(range(1, 5)), set(range(5, 9)), set(range(9, 13))])
+        start = time.monotonic()
+        profile = homology._pd_depth.__wrapped__(ideal, None)
+        elapsed = time.monotonic() - start
+        assert (profile.pd, profile.depth) == (10, 2)
+        assert elapsed < 8.0, f"K_{{4,4,4}} over Q took {elapsed:.1f}s, budget 8s"

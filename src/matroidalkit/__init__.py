@@ -14,8 +14,8 @@ from .matroids import (ExchangeCertificate, dedupe_up_to_relabeling,
                        enumerate_matroidal, generate_family, is_matroidal,
                        is_polymatroidal, is_squarefree_veronese,
                        squarefree_veronese, transversal, veronese)
-from .decomposition import (CriteriaReport, Partition, PrimeDecomposition,
-                            associated_primes, criteria_check,
+from .decomposition import (CoverStats, CriteriaReport, Partition,
+                            PrimeDecomposition, associated_primes, criteria_check,
                             irreducible_decomposition, p1_classify,
                             partition_degree2)
 from .homology import (HomologyProfile, HomologyStats, SimplicialComplex,
@@ -25,10 +25,10 @@ from .groebner import (BuchbergerStats, GroebnerBasis, MonomialOrder, Polynomial
                        normal_form, radical_membership)
 from .schmitt_vogel import (AraReport, SVWitness, ara_report, build_sv_witness,
                             verify_sv_conditions)
-from .cli import parse_ideal
+from .parsing import parse_ideal
 
 __all__ = [
-    "AraReport", "BuchbergerStats", "CriteriaReport", "DomainError",
+    "AraReport", "BuchbergerStats", "CoverStats", "CriteriaReport", "DomainError",
     "ExchangeCertificate", "GroebnerBasis", "HomologyProfile", "HomologyStats",
     "IdealSummary", "Monomial", "MonomialIdeal", "MonomialOrder", "PairBudgetExceeded",
     "ParseError",

@@ -3,8 +3,12 @@
 Monomial primes are plain variable subsets here; nothing else occurs as an
 associated prime of a monomial ideal. The splitting recursion handles the
 general case. Square-free ideals take a faster route through minimal
-vertex covers of the generator supports, and the two routes are pitted
-against each other (and a brute-force cover scan) in the test suite.
+vertex covers of the generator supports: a depth-first transversal search
+on int masks (bit k-1 is x_k) that reaches every vertex set at most once
+and keeps a cover only when each of its vertices has a private edge
+(Murakami-Uno's MMCS). The two routes are pitted against each other, and
+the search against the old branch-on-every-vertex enumeration kept in
+tests/decomposition_oracle.py, in the test suite.
 
 Results that a proved statement guarantees are re-checked on the spot;
 a mismatch raises TheoremViolationError rather than returning quietly.
@@ -13,7 +17,7 @@ a mismatch raises TheoremViolationError rather than returning quietly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .errors import DomainError, TheoremViolationError
 from .ideals import Monomial, MonomialIdeal
@@ -24,11 +28,29 @@ POWER_OF_M = "power_of_m"
 
 
 @dataclass(frozen=True)
+class CoverStats:
+    """Work counters of one minimal-cover search; equal input gives equal counts.
+
+    nodes counts the vertex sets the search visited below the empty one.
+    leaves_kept counts the minimal covers it returned, so on square-free
+    input it equals |Ass|. leaves_rejected counts the sets it dropped
+    because a chosen vertex had lost its last private edge: no minimal
+    cover contains them.
+    """
+
+    nodes: int = 0
+    leaves_kept: int = 0
+    leaves_rejected: int = 0
+
+
+@dataclass(frozen=True)
 class PrimeDecomposition:
     """Associated primes of R/I with the derived height data.
 
     ass and minimal are frozensets of variable subsets. For square-free
     input ass equals minimal; embedded primes can appear otherwise.
+    stats holds the counters of the cover search on square-free input
+    (None otherwise) and takes no part in equality.
     """
 
     ass: frozenset
@@ -36,6 +58,7 @@ class PrimeDecomposition:
     height: int
     big_height: int
     is_unmixed: bool
+    stats: CoverStats | None = dataclass_field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -147,22 +170,51 @@ def irreducible_decomposition(ideal):
 
 
 def _minimal_covers(supports):
-    """Inclusion-minimal hitting sets of a list of variable subsets."""
-    candidates = set()
+    """Inclusion-minimal hitting sets of a list of variable subsets.
 
-    def extend(chosen):
-        uncovered = next((s for s in supports if not (s & chosen)), None)
-        if uncovered is None:
-            candidates.add(frozenset(chosen))
+    Returns the covers as a frozenset of 1-indexed frozensets, with the
+    CoverStats of the search. The supports become edge masks, and a
+    depth-first search runs on (chosen, forbidden): it picks an uncovered
+    edge with the fewest allowed vertices (those outside forbidden) and
+    branches on them in increasing order, branch j adding v_j and
+    forbidding v_1..v_{j-1}. A minimal cover C that avoids forbidden
+    meets that edge, so exactly one branch, the one for the first allowed
+    vertex in C, keeps chosen inside C and forbidden outside it: every
+    vertex set is visited at most once and every minimal cover is reached.
+
+    Each chosen vertex keeps its private edges: those that meet chosen in
+    that vertex alone. A cover is minimal exactly when each of its
+    vertices has one. Private edges only shrink as chosen grows, so a set
+    in which a vertex has lost its last one is dropped at once, cover or
+    not; no minimal cover C contains it, since an edge private to u in C
+    is private to u in every subset of C that holds u.
+    """
+    edges = sorted({sum(1 << (i - 1) for i in s) for s in supports})
+    found = []
+    counts = {"nodes": 0, "leaves_rejected": 0}
+
+    def search(chosen, private, uncovered, forbidden):
+        if not uncovered:
+            found.append(chosen)
             return
-        for v in sorted(uncovered):
-            chosen.add(v)
-            extend(chosen)
-            chosen.remove(v)
+        edge = min(uncovered, key=lambda e: (e & ~forbidden).bit_count())
+        allowed = edge & ~forbidden
+        while allowed:
+            v = allowed & -allowed
+            allowed ^= v
+            counts["nodes"] += 1
+            kept = [[e for e in own if not e & v] for own in private]
+            if all(kept):
+                kept.append([e for e in uncovered if e & v])
+                search(chosen | v, kept, [e for e in uncovered if not e & v], forbidden)
+            else:
+                counts["leaves_rejected"] += 1
+            forbidden |= v
 
-    extend(set())
-    return frozenset(c for c in candidates
-                     if not any(other < c for other in candidates))
+    search(0, [], edges, 0)
+    covers = frozenset(frozenset(k + 1 for k in range(m.bit_length()) if m >> k & 1)
+                       for m in found)
+    return covers, CoverStats(leaves_kept=len(found), **counts)
 
 
 def associated_primes(ideal):
@@ -174,8 +226,9 @@ def associated_primes(ideal):
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("associated primes need a proper nonzero ideal")
+    stats = None
     if ideal.is_squarefree:
-        ass = _minimal_covers([g.support for g in ideal.gens])
+        ass, stats = _minimal_covers([g.support for g in ideal.gens])
         minimal = ass
     else:
         ass = frozenset(comp.support for comp in irreducible_decomposition(ideal))
@@ -188,6 +241,7 @@ def associated_primes(ideal):
         height=height,
         big_height=big_height,
         is_unmixed=all(len(p) == height for p in ass),
+        stats=stats,
     )
 
 

@@ -86,15 +86,23 @@ class Monomial:
         return mask
 
     def divides(self, other):
+        if len(self.exponents) != len(other.exponents):
+            raise _length_mismatch(self, other)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
     def lcm(self, other):
+        if len(self.exponents) != len(other.exponents):
+            raise _length_mismatch(self, other)
         return Monomial(tuple(map(max, self.exponents, other.exponents)))
 
     def gcd(self, other):
+        if len(self.exponents) != len(other.exponents):
+            raise _length_mismatch(self, other)
         return Monomial(tuple(map(min, self.exponents, other.exponents)))
 
     def __mul__(self, other):
+        if len(self.exponents) != len(other.exponents):
+            raise _length_mismatch(self, other)
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def __truediv__(self, other):
@@ -115,6 +123,12 @@ class Monomial:
         return "*".join(parts)
 
 
+def _length_mismatch(a, b):
+    # zip would silently truncate the longer exponent vector
+    return StructuralError(
+        f"exponent vectors of lengths {a.n} and {b.n} in {a} and {b}")
+
+
 def squarefree_monomials(n, d):
     """All square-free degree-d monomials in n variables, supports in lex order."""
     return tuple(Monomial.from_support(n, c)
@@ -122,10 +136,20 @@ def squarefree_monomials(n, d):
 
 
 def _minimalize(monomials):
-    """Drop every monomial strictly divisible by another; dedupe."""
-    distinct = set(monomials)
-    kept = [m for m in distinct
-            if not any(g is not m and g != m and g.divides(m) for g in distinct)]
+    """Drop every monomial strictly divisible by another; dedupe.
+
+    Distinct monomials of one degree never divide each other, so each
+    degree is tested only against the monomials kept from lower degrees;
+    a dropped one is divisible by a kept one anyway.
+    """
+    by_degree = {}
+    for m in set(monomials):
+        by_degree.setdefault(m.degree, []).append(m)
+    kept = []
+    for degree in sorted(by_degree):
+        lower = tuple(kept)
+        kept.extend(m for m in by_degree[degree]
+                    if not any(g.divides(m) for g in lower))
     # descending lex on exponent vectors, so x1-dominant generators come first
     kept.sort(key=lambda m: m.exponents, reverse=True)
     return tuple(kept)
@@ -154,11 +178,12 @@ class MonomialIdeal:
         exps = [g.exponents for g in self.gens]
         if any(a <= b for a, b in zip(exps, exps[1:])):
             raise StructuralError("generators out of canonical order; use make_ideal")
-        # distinct same-degree monomials never divide one another, so the
-        # pairwise scan is only owed when degrees mix
-        if len({g.degree for g in self.gens}) > 1:
-            for a, b in itertools.combinations(self.gens, 2):
-                if a.divides(b) or b.divides(a):
+        # a monomial divides a distinct one only from a lower degree, so
+        # the pairwise scan is owed only across degrees, lower into higher
+        degrees = [g.degree for g in self.gens]
+        if len(set(degrees)) > 1:
+            for (a, da), (b, db) in itertools.combinations(zip(self.gens, degrees), 2):
+                if da < db and a.divides(b) or db < da and b.divides(a):
                     raise StructuralError(f"generators {a}, {b} are not minimal")
 
     @classmethod
@@ -247,9 +272,16 @@ class MonomialIdeal:
         return MonomialIdeal(self.n, tuple(kept))
 
     def squarefree_members(self, degree):
-        """Square-free degree-d monomials lying in the ideal, lex order."""
-        return tuple(m for m in squarefree_monomials(self.n, degree)
-                     if self.contains(m))
+        """Square-free degree-d monomials lying in the ideal, lex order.
+
+        Only square-free generators can divide a square-free monomial, so
+        membership is a mask test against theirs, whatever the ideal.
+        """
+        masks = [g.bitmask() for g in self.gens if g.is_squarefree]
+        bits = [1 << k for k in range(self.n)]
+        return tuple(Monomial.from_bitmask(self.n, m)
+                     for m in map(sum, itertools.combinations(bits, degree))
+                     if any(not g & ~m for g in masks))
 
     def summarize(self):
         degrees = {g.degree for g in self.gens}

@@ -1,9 +1,13 @@
-"""Slow oracle for irredundant irreducible decomposition.
+"""Slow oracles for irredundant irreducible decomposition and minimal covers.
 
-The original greedy pass: walk the components in order and drop one when
-it contains the intersection of all the others still kept. It forms
-O(k^2) intersections of monomial ideals and makes no use of the
-components being irreducible.
+drop_redundant is the original greedy pass: walk the components in order
+and drop one when it contains the intersection of all the others still
+kept. It forms O(k^2) intersections of monomial ideals and makes no use
+of the components being irreducible.
+
+minimal_covers is the original hitting-set recursion: it branches on every
+vertex of the first uncovered set, so it reaches a cover once per order of
+its vertices, and filters out the non-minimal covers at the end.
 """
 
 from __future__ import annotations
@@ -28,3 +32,22 @@ def drop_redundant(components):
         else:
             i += 1
     return kept
+
+
+def minimal_covers(supports):
+    """Inclusion-minimal hitting sets of a list of variable subsets."""
+    candidates = set()
+
+    def extend(chosen):
+        uncovered = next((s for s in supports if not (s & chosen)), None)
+        if uncovered is None:
+            candidates.add(frozenset(chosen))
+            return
+        for v in sorted(uncovered):
+            chosen.add(v)
+            extend(chosen)
+            chosen.remove(v)
+
+    extend(set())
+    return frozenset(c for c in candidates
+                     if not any(other < c for other in candidates))

@@ -310,3 +310,29 @@ class TestEdges:
             os.close(write_end)
         assert done.returncode == 1
         assert done.stderr == b""
+
+
+def run_python(*args, stdin=""):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], input=stdin, capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+class TestParserModule:
+    def test_import_loads_neither_cli_nor_argparse(self):
+        done = run_python("-c", "import sys, matroidalkit; "
+                          "print('matroidalkit.cli' in sys.modules, 'argparse' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "False"]
+
+    def test_module_run_prints_no_warning(self):
+        done = run_python("-m", "matroidalkit.cli", "analyze", "--json", "--no-certify",
+                          stdin="n=4; x1*x3, x1*x4, x2*x3, x2*x4")
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert json.loads(done.stdout)["decomposition"]["height"] == 2
+
+    def test_cli_binds_the_parsing_function(self):
+        from matroidalkit import cli, parsing
+        assert cli.parse_ideal is parsing.parse_ideal is parse_ideal

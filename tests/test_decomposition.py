@@ -1,7 +1,9 @@
 """Irreducible decomposition, associated primes, and the degree-2 criteria."""
 
+import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,10 @@ from hypothesis import strategies as st
 from matroidalkit import (DomainError, Monomial, MonomialIdeal, Partition,
                           StructuralError, associated_primes, criteria_check,
                           irreducible_decomposition, make_ideal, p1_classify,
-                          partition_degree2, squarefree_veronese, veronese)
-from matroidalkit.decomposition import (MATROIDAL, POWER_OF_M, _drop_redundant,
+                          partition_degree2, squarefree_veronese, transversal,
+                          veronese)
+from matroidalkit.decomposition import (MATROIDAL, POWER_OF_M, CoverStats,
+                                        _drop_redundant, _minimal_covers,
                                         _split_leaves)
 
 import decomposition_oracle
@@ -171,6 +175,97 @@ class TestAssociatedPrimes:
         for bad in (MonomialIdeal.zero(3), MonomialIdeal.unit(3)):
             with pytest.raises(DomainError):
                 associated_primes(bad)
+
+
+def random_hypergraph(rng, n):
+    """Up to eight edges on [n], with duplicate, nested and singleton edges."""
+    edges = []
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.random()
+        if edges and kind < 0.15:
+            edges.append(rng.choice(edges))
+        elif edges and kind < 0.3:
+            edges.append(rng.choice(edges) | {rng.randint(1, n)})
+        elif kind < 0.45:
+            edges.append(frozenset({rng.randint(1, n)}))
+        else:
+            edge = frozenset(v for v in range(1, n + 1) if rng.random() < 0.4)
+            edges.append(edge or frozenset({rng.randint(1, n)}))
+    return edges
+
+
+@st.composite
+def hypergraphs(draw):
+    n = draw(st.integers(1, 9))
+    edge = st.frozensets(st.integers(1, n), min_size=1, max_size=n)
+    return draw(st.lists(edge, max_size=8))
+
+
+class TestMinimalCovers:
+    def test_matches_oracle_on_random_hypergraphs(self):
+        rng = random.Random(113)
+        for _ in range(400):
+            edges = random_hypergraph(rng, rng.randint(1, 9))
+            covers, stats = _minimal_covers(edges)
+            assert covers == decomposition_oracle.minimal_covers(edges), edges
+            assert stats.leaves_kept == len(covers)
+
+    @settings(max_examples=150, deadline=None)
+    @given(hypergraphs())
+    def test_matches_oracle_hypothesis(self, edges):
+        covers, stats = _minimal_covers(edges)
+        assert covers == decomposition_oracle.minimal_covers(edges)
+        assert stats.leaves_kept == len(covers)
+
+    def test_degenerate_inputs(self):
+        # no edges: the empty set covers; an empty edge: nothing covers
+        assert _minimal_covers([])[0] == frozenset({frozenset()})
+        assert _minimal_covers([frozenset({1}), frozenset()])[0] == frozenset()
+        assert _minimal_covers([{1, 2}, {2}, {2}])[0] == frozenset({frozenset({2})})
+
+    def test_matches_oracle_on_matroidal_census(self):
+        for d in (2, 3):
+            for ideal in enumerate_matroidal(5, d):
+                supports = [g.support for g in ideal.gens]
+                covers, _ = _minimal_covers(supports)
+                assert covers == decomposition_oracle.minimal_covers(supports)
+
+    def test_stats_repeat_and_count_each_prime_once(self):
+        ideals = [squarefree_veronese(7, 3), transversal(6, [{1, 2}, {3, 4}, {5, 6}]),
+                  transversal(7, [{1, 2, 3}, {4, 5}, {6, 7}])]
+        rng = random.Random(131)
+        for _ in range(30):
+            n = rng.randint(3, 8)
+            ideals.append(MonomialIdeal.from_supports(
+                n, random_hypergraph(rng, n)))
+        for ideal in ideals:
+            dec = associated_primes(ideal)
+            assert dec.stats == associated_primes(ideal).stats
+            assert isinstance(dec.stats, CoverStats)
+            # a cover reached twice would count twice here
+            assert dec.stats.leaves_kept == len(dec.ass)
+            assert dec.stats.nodes >= dec.stats.leaves_kept + dec.stats.leaves_rejected
+
+    def test_stats_only_for_squarefree_and_outside_equality(self):
+        dec = associated_primes(make_ideal(3, [(2, 1, 0), (2, 0, 1)]))
+        assert dec.stats is None
+        dec = associated_primes(squarefree_veronese(5, 2))
+        assert dec.stats.leaves_kept == 5
+        assert dec == dataclasses.replace(dec, stats=CoverStats())
+
+    def test_veronese_12_6(self):
+        dec = associated_primes(squarefree_veronese(12, 6))
+        assert dec.ass == frozenset(frozenset(c) for c in
+                                    itertools.combinations(range(1, 13), 7))
+        assert len(dec.ass) == 792 and dec.is_unmixed
+
+    def test_criteria_on_veronese_11_5_is_fast(self):
+        start = time.perf_counter()
+        report = criteria_check(squarefree_veronese(11, 5))
+        elapsed = time.perf_counter() - start
+        assert report.is_unmixed and report.t2_condition
+        assert report.ass_count == 330
+        assert elapsed < 5.0, f"criteria_check(V(11,5)) took {elapsed:.2f} s"
 
 
 class TestPartition:

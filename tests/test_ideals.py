@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 
 from matroidalkit import (Monomial, MonomialIdeal, StructuralError, make_ideal,
                           squarefree_monomials)
+from matroidalkit.ideals import _minimalize
 from matroidalkit.matroids import enumerate_matroidal
+
+import ideals_oracle
 
 
 def mono(*exps):
@@ -54,6 +58,27 @@ class TestMonomial:
         assert u.lcm(v) == mono(1, 2, 1)
         assert u.gcd(v) == mono(0, 1, 0)
         assert u * v == mono(1, 3, 1)
+
+    # zip used to truncate: (x1) * x1*x3 in 2 and 3 variables gave x1^2
+    def test_mul_refuses_length_mismatch(self):
+        with pytest.raises(StructuralError, match="lengths 2 and 3"):
+            mono(1, 0) * mono(1, 0, 1)
+
+    def test_truediv_refuses_length_mismatch(self):
+        with pytest.raises(StructuralError, match="lengths 2 and 3"):
+            mono(1, 0, 1) / mono(1, 0)
+
+    def test_divides_refuses_length_mismatch(self):
+        with pytest.raises(StructuralError, match="lengths 2 and 3"):
+            mono(1, 0).divides(mono(1, 0, 1))
+
+    def test_lcm_refuses_length_mismatch(self):
+        with pytest.raises(StructuralError, match="lengths 3 and 2"):
+            mono(1, 0, 1).lcm(mono(1, 0))
+
+    def test_gcd_refuses_length_mismatch(self):
+        with pytest.raises(StructuralError, match="lengths 2 and 3"):
+            mono(1, 0).gcd(mono(1, 0, 1))
 
     def test_exact_division(self):
         assert mono(1, 2, 1) / mono(0, 1, 1) == mono(1, 1, 0)
@@ -115,6 +140,19 @@ class TestConstruction:
     def test_length_mismatch(self):
         with pytest.raises(StructuralError):
             make_ideal(3, [(1, 0)])
+
+    def test_minimalize_matches_pairwise_oracle(self):
+        # mixed degrees, repeats and non-square-free exponents; order included
+        rng = random.Random(71)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            pool = [mono(*(rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(n)))
+                    for _ in range(rng.randint(1, 12))]
+            pool += rng.sample(pool, rng.randint(0, len(pool)))
+            rng.shuffle(pool)
+            expected = ideals_oracle.minimalize(pool)
+            assert _minimalize(pool) == expected
+            assert make_ideal(n, pool).gens == expected
 
     def test_structural_equality(self):
         a = make_ideal(3, [(1, 1, 0), (0, 1, 1)])
@@ -292,6 +330,22 @@ class TestSummaryAndViews:
         assert len(two_blocks_n4.squarefree_members(3)) == 4
         assert two_blocks_n4.squarefree_members(4) == \
             (Monomial((1, 1, 1, 1)),)
+
+    def test_squarefree_members_match_contains_scan(self, two_blocks_n4, path_n4):
+        # every degree 0..n, on square-free and non-square-free ideals
+        rng = random.Random(83)
+        ideals = [two_blocks_n4, path_n4, MonomialIdeal.unit(3), MonomialIdeal.zero(3),
+                  make_ideal(4, [(2, 0, 0, 0), (0, 1, 1, 0), (1, 1, 0, 3)])]
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            ideals.append(make_ideal(n, [
+                tuple(rng.choice((0, 0, 1, 1, 2)) for _ in range(n))
+                for _ in range(rng.randint(1, 6))]))
+        assert any(not ideal.is_squarefree for ideal in ideals)
+        for ideal in ideals:
+            for degree in range(ideal.n + 1):
+                assert ideal.squarefree_members(degree) == \
+                    ideals_oracle.squarefree_members(ideal, degree)
 
     def test_display(self, two_blocks_n4):
         assert str(two_blocks_n4) == "(x1*x3, x1*x4, x2*x3, x2*x4)"

@@ -11,16 +11,16 @@ from .errors import (DomainError, PairBudgetExceeded, ParseError,
 from .ideals import (IdealSummary, Monomial, MonomialIdeal, make_ideal,
                      squarefree_monomials)
 from .matroids import (ExchangeCertificate, dedupe_up_to_relabeling,
-                       enumerate_matroidal, generate_family, is_matroidal,
-                       is_polymatroidal, is_squarefree_veronese,
-                       squarefree_veronese, transversal, veronese)
+                       enumerate_matroidal, is_matroidal, is_polymatroidal,
+                       is_squarefree_veronese, squarefree_veronese,
+                       transversal, veronese)
 from .decomposition import (CoverStats, CriteriaReport, Partition,
                             PrimeDecomposition, associated_primes, criteria_check,
                             irreducible_decomposition, p1_classify,
                             partition_degree2)
 from .homology import (HomologyProfile, HomologyStats, SimplicialComplex,
                        pd_depth, reduced_homology_ranks, stanley_reisner)
-from .groebner import (BuchbergerStats, GroebnerBasis, MonomialOrder, Polynomial,
+from .groebner import (BuchbergerStats, GroebnerBasis, Polynomial,
                        WitnessCertificate, buchberger, certify_witness,
                        normal_form, radical_membership)
 from .schmitt_vogel import (AraReport, SVWitness, ara_report, build_sv_witness,
@@ -30,13 +30,13 @@ from .parsing import parse_ideal
 __all__ = [
     "AraReport", "BuchbergerStats", "CoverStats", "CriteriaReport", "DomainError",
     "ExchangeCertificate", "GroebnerBasis", "HomologyProfile", "HomologyStats",
-    "IdealSummary", "Monomial", "MonomialIdeal", "MonomialOrder", "PairBudgetExceeded",
+    "IdealSummary", "Monomial", "MonomialIdeal", "PairBudgetExceeded",
     "ParseError",
     "Partition", "Polynomial", "PrimeDecomposition", "SVWitness",
     "SimplicialComplex", "StructuralError", "TheoremViolationError",
     "WitnessCertificate", "ara_report", "associated_primes", "buchberger",
     "build_sv_witness", "certify_witness", "criteria_check",
-    "dedupe_up_to_relabeling", "enumerate_matroidal", "generate_family",
+    "dedupe_up_to_relabeling", "enumerate_matroidal",
     "irreducible_decomposition", "is_matroidal", "is_polymatroidal",
     "is_squarefree_veronese", "make_ideal", "normal_form", "p1_classify",
     "parse_ideal", "partition_degree2", "pd_depth", "radical_membership",

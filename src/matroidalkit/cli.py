@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .checks import run_all
 from .decomposition import associated_primes, criteria_check, partition_degree2
@@ -25,21 +25,17 @@ from .groebner import DEFAULT_PRIME, certify_witness
 from .homology import pd_depth
 from .matroids import enumerate_matroidal, is_polymatroidal
 from .parsing import parse_ideal
-from .schmitt_vogel import ara_report, build_sv_witness
-
-THREADS_VAR = "MATROIDAL_KIT_THREADS"
+from .schmitt_vogel import ara_report
 
 
 @dataclass(frozen=True)
 class Config:
-    """Effective settings for one invocation."""
+    """Settings run_command reads, each set by the option of the same name."""
 
     field: int | None = None  # None means rationals
     max_n: int = 6
     max_d: int = 3
     certify: bool = True
-    as_json: bool = False
-    threads: int = 1
 
 
 def _ideal_payload(ideal):
@@ -291,19 +287,6 @@ def _parse_field(value):
     raise argparse.ArgumentTypeError(f"field must be q or gf:<prime>, got {value!r}")
 
 
-def _threads_from_env():
-    raw = os.environ.get(THREADS_VAR)
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ParseError(f"{THREADS_VAR} must be an integer, got {raw!r}")
-    if threads < 1:
-        raise ParseError(f"{THREADS_VAR} must be at least 1, got {threads}")
-    return threads
-
-
 class _Parser(argparse.ArgumentParser):
     # spec reserves exit status 2 for domain errors; usage trouble is 1
     def error(self, message):
@@ -311,54 +294,64 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# add_argument keywords of every option, by name
+_OPTIONS = {
+    "input": {"nargs": "?", "default": "-",
+              "help": "ideal file, or - for stdin (default)"},
+    "n": {"type": int},
+    "d": {"type": int},
+    "--json": {"action": "store_true", "dest": "as_json",
+               "help": "emit the report as JSON"},
+    "--field": {"type": _parse_field, "default": Config.field, "metavar": "q|gf:p",
+                "help": f"coefficient field (default q; try gf:{DEFAULT_PRIME})"},
+    "--no-certify": {"action": "store_false", "dest": "certify",
+                     "help": "skip the radical-membership certification"},
+    "--max-n": {"type": int, "default": Config.max_n, "metavar": "K",
+                "help": "cap on the ambient variable count for sweeps"},
+    "--max-d": {"type": int, "default": Config.max_d, "metavar": "K",
+                "help": "cap on the generating degree for sweeps"},
+}
+
+# each command's help text and the options it reads; it accepts no others
+COMMANDS = {
+    "analyze": ("full report on one ideal",
+                ("input", "--json", "--field", "--no-certify")),
+    "partition": ("block structure of a degree-2 ideal", ("input", "--json")),
+    "witness": ("layered sums bounding the arithmetical rank", ("input", "--json")),
+    "certify": ("verify the witness sums by radical membership",
+                ("input", "--json", "--field")),
+    "enumerate": ("census of matroidal ideals for one (n, d)",
+                  ("n", "d", "--json", "--field", "--max-n", "--max-d")),
+    "reproduce-paper": ("run the built-in example and theorem checks",
+                        ("--json", "--no-certify", "--max-n", "--max-d")),
+}
+
+
 def _build_parser():
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--field", type=_parse_field, default=None,
-                        metavar="q|gf:p",
-                        help=f"coefficient field (default q; try gf:{DEFAULT_PRIME})")
-    shared.add_argument("--json", action="store_true", dest="as_json",
-                        help="emit the report as JSON")
-    shared.add_argument("--no-certify", action="store_false", dest="certify",
-                        help="skip the radical-membership certification")
-    shared.add_argument("--max-n", type=int, default=6, metavar="K",
-                        help="cap on the ambient variable count for sweeps")
-    shared.add_argument("--max-d", type=int, default=3, metavar="K",
-                        help="cap on the generating degree for sweeps")
     parser = _Parser(
         prog="matroidalkit",
         description="Analyze matroidal monomial ideals: decomposition, "
                     "unmixedness, projective dimension, and certified "
-                    "arithmetical-rank witnesses.",
-        epilog=f"The env var {THREADS_VAR} caps worker parallelism "
-               "(the current engine is sequential).")
+                    "arithmetical-rank witnesses.")
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, text in [
-        ("analyze", "full report on one ideal"),
-        ("partition", "block structure of a degree-2 ideal"),
-        ("witness", "layered sums bounding the arithmetical rank"),
-        ("certify", "verify the witness sums by radical membership"),
-    ]:
-        sub = commands.add_parser(name, parents=[shared], help=text)
-        sub.add_argument("input", nargs="?", default="-",
-                         help="ideal file, or - for stdin (default)")
-    enum = commands.add_parser("enumerate", parents=[shared],
-                               help="census of matroidal ideals for one (n, d)")
-    enum.add_argument("n", type=int)
-    enum.add_argument("d", type=int)
-    commands.add_parser("reproduce-paper", parents=[shared],
-                        help="run the built-in example and theorem checks")
+    for name, (text, options) in COMMANDS.items():
+        sub = commands.add_parser(name, help=text)
+        for option in options:
+            sub.add_argument(option, **_OPTIONS[option])
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # a command's namespace holds only the options it accepts
+    config = Config(**{f.name: getattr(args, f.name)
+                       for f in fields(Config) if hasattr(args, f.name)})
     try:
-        config = Config(field=args.field, max_n=args.max_n, max_d=args.max_d,
-                        certify=args.certify, as_json=args.as_json,
-                        threads=_threads_from_env())
         ideal = None
-        if args.command in ("analyze", "partition", "witness", "certify"):
+        if "input" in COMMANDS[args.command][1]:
             if args.input == "-":
                 text = sys.stdin.read()
             else:
@@ -380,7 +373,7 @@ def main(argv=None):
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:
-        if config.as_json:
+        if args.as_json:
             print(json.dumps(payload, indent=2))
         else:
             _render_text(args.command, payload, sys.stdout)

@@ -48,16 +48,10 @@ def _pack(ev, width):
     return packed
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Degree-reverse-lexicographic order on exponent tuples."""
-
-    nvars: int
-
-    def key(self, ev):
-        """Sort key; larger key means larger monomial."""
-        degree = sum(ev)
-        return degree, _pack(ev, _width_for(degree))
+def _order_key(ev):
+    """Degrevlex sort key of an exponent tuple; larger key, larger monomial."""
+    degree = sum(ev)
+    return degree, _pack(ev, _width_for(degree))
 
 
 def _ev_lcm(a, b):
@@ -137,11 +131,11 @@ class Polynomial:
     def is_constant(self):
         return all(not any(ev) for ev in self.terms)
 
-    def leading(self, order):
+    def leading(self):
         """Leading (exponent tuple, coefficient) or None for zero."""
         if not self.terms:
             return None
-        ev = max(self.terms, key=order.key)
+        ev = max(self.terms, key=_order_key)
         return ev, self.terms[ev]
 
     def scale(self, c):
@@ -211,9 +205,8 @@ class Polynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        order = MonomialOrder(self.nvars)
         parts = []
-        for ev in sorted(self.terms, key=order.key, reverse=True):
+        for ev in sorted(self.terms, key=_order_key, reverse=True):
             c = self.terms[ev]
             m = str(Monomial(ev))
             if m == "1":
@@ -263,7 +256,6 @@ class GroebnerBasis:
     """
 
     generators: tuple
-    order: MonomialOrder
     stats: BuchbergerStats = dataclass_field(default=BuchbergerStats(), compare=False)
 
     @property
@@ -434,13 +426,12 @@ def _max_degree(polys):
     return max((sum(ev) for poly in polys for ev in poly.terms), default=0)
 
 
-def normal_form(f, basis, order=None):
+def normal_form(f, basis):
     """Remainder of f under multivariate division by the basis.
 
     Accepts a GroebnerBasis or any iterable of polynomials, tried in the
     given order; against a Groebner basis the remainder is zero exactly
-    for ideal members. order is accepted for symmetry with buchberger;
-    degrevlex is the only order there is.
+    for ideal members.
     """
     if isinstance(basis, GroebnerBasis):
         polys = basis.generators
@@ -463,8 +454,8 @@ def normal_form(f, basis, order=None):
     return packing.unpacked(remainder, f.field)
 
 
-def _spoly(f, g, order, field):
-    (fev, fc), (gev, gc) = f.leading(order), g.leading(order)
+def _spoly(f, g):
+    (fev, fc), (gev, gc), field = f.leading(), g.leading(), f.field
     lcm_ev = _ev_lcm(fev, gev)
     if field is None:
         return (f.times_term(1 / fc, _ev_sub(lcm_ev, fev))
@@ -595,7 +586,7 @@ class _Buchberger:
         return BuchbergerStats(**self.counts)
 
 
-def buchberger(gens, order=None, pair_budget=PAIR_BUDGET):
+def buchberger(gens, pair_budget=PAIR_BUDGET):
     """Reduced Groebner basis of the given generators.
 
     Pairs are processed lowest lcm first; the Gebauer-Moeller criteria
@@ -606,10 +597,9 @@ def buchberger(gens, order=None, pair_budget=PAIR_BUDGET):
     """
     polys = [g for g in gens if not g.is_zero]
     if not polys:
-        return GroebnerBasis((), order or MonomialOrder(1))
+        return GroebnerBasis(())
     nvars, field = polys[0].nvars, polys[0].field
     _check_ring(polys, nvars, field)
-    order = order or MonomialOrder(nvars)
     width = _width_for(_max_degree(polys))
     while True:
         packing = _Packing(nvars, width)
@@ -620,9 +610,9 @@ def buchberger(gens, order=None, pair_budget=PAIR_BUDGET):
             width *= 2
             continue
         if basis is None:
-            return GroebnerBasis((Polynomial.one(nvars, field),), order, run.stats())
+            return GroebnerBasis((Polynomial.one(nvars, field),), run.stats())
         return GroebnerBasis(tuple(packing.unpacked(terms, field) for terms in basis),
-                             order, run.stats())
+                             run.stats())
 
 
 def radical_membership(f, gens):
@@ -645,7 +635,7 @@ def radical_membership(f, gens):
     for ev, c in f.terms.items():
         hook_terms[ev + (1,)] = -c if field is None else -c % field
     extended.append(Polynomial._raw(nvars + 1, hook_terms, field))
-    basis = buchberger(extended, MonomialOrder(nvars + 1))
+    basis = buchberger(extended)
     return normal_form(Polynomial.one(nvars + 1, field), basis).is_zero
 
 
@@ -682,7 +672,7 @@ def certify_witness(ideal, witness, field=None):
     qs = [q.in_field(field) if field is not None else q for q in sums]
     subset_failure = None
     for j, q in enumerate(qs):
-        for ev in sorted(q.terms, key=MonomialOrder(ideal.n).key, reverse=True):
+        for ev in sorted(q.terms, key=_order_key, reverse=True):
             if not ideal.contains(Monomial(ev)):
                 subset_failure = (j, Monomial(ev))
                 break

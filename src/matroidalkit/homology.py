@@ -69,12 +69,6 @@ class SimplicialComplex:
                 out.update(map(frozenset, itertools.combinations(members, k)))
         return out
 
-    def restrict(self, vertices):
-        """Induced subcomplex on a vertex subset."""
-        vertices = frozenset(vertices)
-        inside = [f for f in self.faces() if f <= vertices]
-        return SimplicialComplex.from_faces(self.n, inside)
-
 
 @dataclass(frozen=True)
 class HomologyStats:

@@ -290,7 +290,7 @@ class MonomialIdeal:
             is_squarefree=self.is_squarefree,
             is_single_degree=single,
             degree=degrees.pop() if single else None,
-            is_full_supported=self.support == frozenset(range(1, self.n + 1)),
+            is_full_supported=len(self.support) == self.n,  # support lies in [n]
             mu=self.mu,
         )
 

@@ -23,6 +23,8 @@ NO_EXCHANGE_INDEX = "no_exchange_index"
 
 # brute-force relabeling below walks all n! permutations
 ENUMERATION_MAX_N = 7
+# enumeration scans all 2^C(n,d) collections; (6, 3) at 2^20 takes 20-30 s
+ENUMERATION_MAX_LAYER = 20
 ENUMERATION_CACHE_SIZE = 32  # (n, d, flag) results enumerate_matroidal keeps
 
 
@@ -116,17 +118,6 @@ def transversal(n, blocks):
     return result
 
 
-def generate_family(kind, n, params):
-    """Dispatch to one of the named constructions by kind string."""
-    if kind == "squarefree_veronese":
-        return squarefree_veronese(n, params)
-    if kind == "veronese":
-        return veronese(n, params)
-    if kind == "transversal":
-        return transversal(n, params)
-    raise DomainError(f"unknown family kind {kind!r}")
-
-
 def is_squarefree_veronese(ideal):
     """True iff the generators are all C(n,d) square-free degree-d monomials.
 
@@ -167,8 +158,9 @@ def enumerate_matroidal(n, d, full_support_only=True):
     Walks every nonempty collection of square-free degree-d monomials by
     bitmask over the lex-ordered monomial list, keeping the collections
     whose supports satisfy basis exchange. The search space is 2^C(n,d),
-    hence the hard guard. Results are kept in a bounded cache with one
-    entry per (n, d, flag), however the flag is passed.
+    hence the hard guards on n and on C(n,d). Results are kept in a
+    bounded cache with one entry per (n, d, flag), however the flag is
+    passed.
     """
     return _enumerate_matroidal(n, d, bool(full_support_only))
 
@@ -179,9 +171,12 @@ def _enumerate_matroidal(n, d, full_support_only):
         raise DomainError(f"enumeration limited to 1 <= n <= {ENUMERATION_MAX_N}, got n={n}")
     if not 1 <= d <= n:
         raise DomainError(f"enumeration needs 1 <= d <= n, got d={d}, n={n}")
+    count = math.comb(n, d)
+    if count > ENUMERATION_MAX_LAYER:
+        raise DomainError(f"enumeration for n={n}, d={d} would scan 2^{count} collections; "
+                          f"limited to 2^{ENUMERATION_MAX_LAYER}")
     layer = squarefree_monomials(n, d)
     layer_masks = [m.bitmask() for m in layer]
-    count = len(layer)
     full = (1 << n) - 1
     found = []
     for selector in range(1, 1 << count):

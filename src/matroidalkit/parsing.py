@@ -4,6 +4,8 @@ Text looks like "n=4; x1*x3, x2*x4": an optional declared variable count,
 then comma-separated products of x<i> or x<i>^<e>. JSON is
 {"n": ..., "gens": [[exponents], ...]} and is detected by a leading
 brace. Errors raise ParseError with a line and column where known.
+Variable counts above MAX_VARIABLES are refused before any exponent
+vector is allocated, so a short input cannot ask for gigabytes.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from .errors import ParseError
 from .ideals import make_ideal
 
 MAX_EXPONENT = 2 ** 63 - 1
+MAX_VARIABLES = 1024
 
 
 class _Scanner:
@@ -67,6 +70,8 @@ def _parse_factor(scanner):
     index = scanner.integer("variable index")
     if index == 0:
         scanner.error("variable index 0 (variables are x1, x2, ...)")
+    if index > MAX_VARIABLES:
+        scanner.error(f"variable x{index} exceeds the limit of {MAX_VARIABLES} variables")
     exponent = 1
     if scanner.peek() == "^":
         scanner.advance()
@@ -88,6 +93,8 @@ def _parse_text(text):
         declared = scanner.integer("variable count")
         if declared == 0:
             scanner.error("variable count must be positive")
+        if declared > MAX_VARIABLES:
+            scanner.error(f"variable count {declared} exceeds the limit {MAX_VARIABLES}")
         scanner.skip_space()
         scanner.take(";")
         scanner.skip_space()
@@ -140,6 +147,8 @@ def _parse_json(text):
     n = data["n"]
     if not _is_count(n) or n < 1:
         raise ParseError(f"n must be a positive integer, got {n!r}")
+    if n > MAX_VARIABLES:
+        raise ParseError(f"variable count {n} exceeds the limit {MAX_VARIABLES}")
     gens = data["gens"]
     if not isinstance(gens, list):
         raise ParseError("gens must be a list of exponent vectors")

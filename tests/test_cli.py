@@ -1,5 +1,6 @@
 """Parsing grammar, command dispatch, report contents, exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -10,7 +11,9 @@ import pytest
 
 from matroidalkit import (ParseError, make_ideal, parse_ideal, pd_depth,
                           transversal)
+from matroidalkit import cli
 from matroidalkit.cli import Config, main, run_command
+from matroidalkit.parsing import MAX_VARIABLES
 
 
 def run(capsys, *argv):
@@ -76,6 +79,16 @@ class TestTextGrammar:
             parse_ideal("n=3;\nx1 & x2")
         assert info.value.line == 2
 
+    def test_variable_count_limit(self):
+        assert MAX_VARIABLES == 1024
+        assert parse_ideal(f"n={MAX_VARIABLES};").n == MAX_VARIABLES
+        assert parse_ideal(f"x{MAX_VARIABLES}").n == MAX_VARIABLES
+        # each would otherwise build exponent vectors of length n
+        for bad in (f"n={MAX_VARIABLES + 1};", f"n={MAX_VARIABLES + 1}; x1",
+                    f"x{MAX_VARIABLES + 1}", "x5000000000", "n=1000000000;"):
+            with pytest.raises(ParseError, match="limit"):
+                parse_ideal(bad)
+
 
 class TestJsonInput:
     def test_round_trip(self, two_blocks_n4):
@@ -92,6 +105,12 @@ class TestJsonInput:
                     '{"n": 2, "gens": [[1, 1]'):
             with pytest.raises(ParseError):
                 parse_ideal(bad)
+
+    def test_variable_count_limit(self):
+        assert parse_ideal(json.dumps({"n": MAX_VARIABLES, "gens": []})).n == MAX_VARIABLES
+        for n in (MAX_VARIABLES + 1, 10 ** 9):
+            with pytest.raises(ParseError, match="limit"):
+                parse_ideal(json.dumps({"n": n, "gens": []}))
 
     def test_booleans_rejected(self):
         for bad in ('{"n": true, "gens": [[true]]}',
@@ -201,15 +220,16 @@ class TestMainExitCodes:
             main(["enumerate", "3", "2", "--field", "gf:4"])
         assert info.value.code == 1
 
-    def test_bad_threads_env_is_one(self, capsys, monkeypatch):
-        monkeypatch.setenv("MATROIDAL_KIT_THREADS", "zero")
-        code, out, err = run(capsys, "enumerate", "3", "2")
-        assert code == 1
+    def test_oversized_enumeration_is_two(self, capsys):
+        code, out, err = run(capsys, "enumerate", "7", "3", "--max-n", "7", "--max-d", "3")
+        assert code == 2
+        assert "2^35" in err and out == ""
 
-    def test_threads_env_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("MATROIDAL_KIT_THREADS", "4")
-        code, out, err = run(capsys, "enumerate", "3", "2")
-        assert code == 0
+    def test_huge_variable_count_is_one(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("n=1000000000;"))
+        code, out, err = run(capsys, "analyze")
+        assert code == 1
+        assert "parse error" in err and out == ""
 
 
 class TestOutputs:
@@ -336,3 +356,60 @@ class TestParserModule:
     def test_cli_binds_the_parsing_function(self):
         from matroidalkit import cli, parsing
         assert cli.parse_ideal is parsing.parse_ideal is parse_ideal
+
+
+# the options each command reads, from the command reference in the README
+READ_FLAGS = {
+    "analyze": {"--json", "--field", "--no-certify"},
+    "partition": {"--json"},
+    "witness": {"--json"},
+    "certify": {"--json", "--field"},
+    "enumerate": {"--json", "--field", "--max-n", "--max-d"},
+    "reproduce-paper": {"--json", "--no-certify", "--max-n", "--max-d"},
+}
+FLAG_VALUES = {"--json": [], "--field": ["gf:2"], "--no-certify": [],
+               "--max-n": ["3"], "--max-d": ["2"]}
+POSITIONALS = {"enumerate": ["3", "2"], "reproduce-paper": []}
+
+
+class TestOptionTable:
+    def test_table_lists_the_read_flags(self):
+        listed = {name: {o for o in options if o.startswith("--")}
+                  for name, (_, options) in cli.COMMANDS.items()}
+        assert listed == READ_FLAGS
+        assert sum(map(len, listed.values())) == 15
+
+    @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+    @pytest.mark.parametrize("command", sorted(READ_FLAGS))
+    def test_flag_accepted_iff_listed(self, capsys, command, flag):
+        argv = [command, *POSITIONALS.get(command, ["-"]), flag, *FLAG_VALUES[flag]]
+        if flag in READ_FLAGS[command]:
+            cli._PARSER.parse_args(argv)
+            return
+        with pytest.raises(SystemExit) as info:
+            main(argv)  # refused while parsing, before any work
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: matroidalkit") and "unrecognized arguments" in err
+
+    def test_back_to_back_field(self, capsys, monkeypatch):
+        configs = []
+
+        def recording(command, config, **kwargs):
+            configs.append(config)
+            return run_command(command, config, **kwargs)
+
+        monkeypatch.setattr(cli, "run_command", recording)
+        assert run(capsys, "enumerate", "3", "2", "--field", "gf:2", "--json")[0] == 0
+        code, out, _ = run(capsys, "enumerate", "3", "2", "--json")
+        assert code == 0
+        assert [c.field for c in configs] == [2, None]
+        assert json.loads(out) == run_command("enumerate", Config(), n=3, d=2)
+
+    def test_back_to_back_certify(self, capsys, tmp_path):
+        source = tmp_path / "ideal.txt"
+        source.write_text("n=3; x1*x2, x1*x3, x2*x3")
+        code, out, _ = run(capsys, "analyze", str(source), "--json", "--no-certify")
+        assert code == 0 and "skipped" in json.loads(out)["certification"]
+        code, out, _ = run(capsys, "analyze", str(source), "--json")
+        assert code == 0 and json.loads(out)["certification"]["passed"] is True

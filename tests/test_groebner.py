@@ -10,7 +10,7 @@ from matroidalkit import (BuchbergerStats, DomainError, Monomial,
                           PairBudgetExceeded, Polynomial, StructuralError,
                           buchberger, certify_witness, groebner, normal_form,
                           radical_membership, squarefree_veronese, transversal)
-from matroidalkit.groebner import MonomialOrder, _spoly
+from matroidalkit.groebner import _order_key, _spoly
 from matroidalkit.schmitt_vogel import build_sv_witness
 
 import groebner_oracle as oracle
@@ -105,16 +105,15 @@ class TestBuchberger:
         for trial in range(10):
             gens = [random_poly(rng, 3) for _ in range(3)]
             basis = buchberger(gens)
-            order = basis.order
-            leads = [g.leading(order)[0] for g in basis.generators]
+            leads = [g.leading()[0] for g in basis.generators]
             for k, g in enumerate(basis.generators):
                 # monic
-                assert g.leading(order)[1] == 1
+                assert g.leading()[1] == 1
                 # no leading term divides another's
                 for j, other_lead in enumerate(leads):
                     if j != k:
                         assert not all(a <= b for a, b in
-                                       zip(other_lead, g.leading(order)[0]))
+                                       zip(other_lead, g.leading()[0]))
                 # fully reduced: no term of g is divisible by another lead
                 for ev in g.terms:
                     for j, other_lead in enumerate(leads):
@@ -126,11 +125,9 @@ class TestBuchberger:
         for trial in range(8):
             gens = [random_poly(rng, 3) for _ in range(3)]
             basis = buchberger(gens)
-            order = basis.order
             for i in range(len(basis.generators)):
                 for j in range(i + 1, len(basis.generators)):
-                    s = _spoly(basis.generators[i], basis.generators[j],
-                               order, basis.generators[i].field)
+                    s = _spoly(basis.generators[i], basis.generators[j])
                     assert normal_form(s, basis).is_zero
 
     def test_input_membership(self):
@@ -328,9 +325,8 @@ class TestOracleAgreement:
 
     def test_order_key_agrees(self):
         rng = random.Random(113)
-        fast, slow = MonomialOrder(4), oracle.MonomialOrder(4)
         evs = [tuple(rng.randint(0, 40) for _ in range(4)) for _ in range(300)]
-        assert sorted(evs, key=fast.key) == sorted(evs, key=slow.key)
+        assert sorted(evs, key=_order_key) == sorted(evs, key=oracle.MonomialOrder(4).key)
 
 
 class TestPackedWidth:
@@ -414,8 +410,7 @@ class TestBuchbergerStats:
 
     def test_stats_stay_out_of_equality(self):
         gens = [poly(2, {(1, 0): 1}), poly(2, {(0, 1): 1})]
-        assert buchberger(gens) == groebner.GroebnerBasis(
-            buchberger(gens).generators, MonomialOrder(2))
+        assert buchberger(gens) == groebner.GroebnerBasis(buchberger(gens).generators)
 
 
 class TestTimedCertification:

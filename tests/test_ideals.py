@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -320,6 +321,17 @@ class TestSummaryAndViews:
         assert not s.is_single_degree
         assert s.degree is None
         assert not s.is_full_supported
+
+    def test_summary_allocates_nothing_per_variable(self):
+        # a set of [n] here would take about 200 MiB at n = 2*10^6
+        tracemalloc.start()
+        try:
+            s = MonomialIdeal.zero(2 * 10 ** 6).summarize()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not s.is_full_supported
+        assert peak < 2 ** 20
 
     def test_support(self, two_blocks_n5):
         assert two_blocks_n5.support == frozenset({1, 2, 3, 4, 5})

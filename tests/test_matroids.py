@@ -1,15 +1,17 @@
 """Exchange property, families, and the census of matroidal ideals."""
 
 import itertools
+import math
+import time
 
 import pytest
 
 from matroidalkit import (DomainError, MonomialIdeal, is_matroidal,
                           is_polymatroidal, is_squarefree_veronese, make_ideal,
                           squarefree_veronese, transversal, veronese)
-from matroidalkit.matroids import (ENUMERATION_MAX_N, NO_EXCHANGE_INDEX,
-                                   NOT_SINGLE_DEGREE, dedupe_up_to_relabeling,
-                                   enumerate_matroidal, generate_family)
+from matroidalkit.matroids import (ENUMERATION_MAX_LAYER, ENUMERATION_MAX_N,
+                                   NO_EXCHANGE_INDEX, NOT_SINGLE_DEGREE,
+                                   dedupe_up_to_relabeling, enumerate_matroidal)
 
 
 class TestExchange:
@@ -85,15 +87,6 @@ class TestFamilies:
         with pytest.raises(DomainError):
             transversal(3, [{1, 2}, set()])
 
-    def test_generate_family_dispatch(self):
-        assert generate_family("squarefree_veronese", 4, 2) == \
-            squarefree_veronese(4, 2)
-        assert generate_family("veronese", 3, 2) == veronese(3, 2)
-        assert generate_family("transversal", 4, [{1, 2}, {3, 4}]) == \
-            transversal(4, [{1, 2}, {3, 4}])
-        with pytest.raises(DomainError):
-            generate_family("unknown", 3, 2)
-
     def test_families_always_pass_exchange(self):
         for n in range(2, 6):
             for d in range(1, n + 1):
@@ -157,6 +150,19 @@ class TestEnumeration:
             enumerate_matroidal(ENUMERATION_MAX_N + 1, 2)
         with pytest.raises(DomainError):
             enumerate_matroidal(3, 4)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_oversized_scan_fails_fast(self, d):
+        # C(7,2) = 21 and C(7,3) = 35 square-free monomials: 2^21 and 2^35 collections
+        start = time.perf_counter()
+        with pytest.raises(DomainError) as info:
+            enumerate_matroidal(7, d)
+        assert time.perf_counter() - start < 1.0
+        assert f"2^{math.comb(7, d)}" in str(info.value)
+        assert f"2^{ENUMERATION_MAX_LAYER}" in str(info.value)
+
+    def test_small_layer_at_n7_enumerates(self):
+        assert enumerate_matroidal(7, 1) == (MonomialIdeal.maximal(7),)
 
     def test_relabeling_classes(self):
         # block-size shapes of partitions with >= 2 parts: 4 shapes at n=4,

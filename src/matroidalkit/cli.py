@@ -166,10 +166,8 @@ def _analyze(ideal, config):
     elif rank_report is None:
         report["certification"] = {"skipped": "no witness to certify"}
     else:
-        witness = (rank_report.witness if rank_report.witness is not None
-                   else rank_report.elements)
-        report["certification"] = _section(
-            lambda: _certificate_payload(certify_witness(ideal, witness, config.field)))
+        report["certification"] = _section(lambda: _certificate_payload(
+            certify_witness(ideal, rank_report.elements, config.field)))
     return report
 
 
@@ -209,8 +207,7 @@ def run_command(command, config, ideal=None, n=None, d=None):
         return {"input": _ideal_payload(ideal), "witness": _witness_payload(report)}
     if command == "certify":
         report = ara_report(ideal)
-        witness = report.witness if report.witness is not None else report.elements
-        certificate = certify_witness(ideal, witness, config.field)
+        certificate = certify_witness(ideal, report.elements, config.field)
         return {"input": _ideal_payload(ideal),
                 "witness": _witness_payload(report),
                 "certification": _certificate_payload(certificate)}
@@ -277,10 +274,9 @@ def _parse_field(value):
     if value.startswith("gf:"):
         try:
             p = int(value[3:])
+            require_prime(p)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad field {value!r}")
-        try:
-            require_prime(p)
         except DomainError as err:
             raise argparse.ArgumentTypeError(str(err))
         return p
@@ -338,14 +334,16 @@ def _build_parser():
         sub = commands.add_parser(name, help=text)
         for option in options:
             sub.add_argument(option, **_OPTIONS[option])
-    return parser
+    return parser, commands.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _SUBPARSERS = _build_parser()
 
 
 def main(argv=None):
-    args = _PARSER.parse_args(argv)
+    args, extra = _PARSER.parse_known_args(argv)
+    if extra:  # refused with the usage of the command they were given to
+        _SUBPARSERS[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     # a command's namespace holds only the options it accepts
     config = Config(**{f.name: getattr(args, f.name)
                        for f in fields(Config) if hasattr(args, f.name)})

@@ -4,11 +4,12 @@ Monomial primes are plain variable subsets here; nothing else occurs as an
 associated prime of a monomial ideal. The splitting recursion handles the
 general case. Square-free ideals take a faster route through minimal
 vertex covers of the generator supports: a depth-first transversal search
-on int masks (bit k-1 is x_k) that reaches every vertex set at most once
-and keeps a cover only when each of its vertices has a private edge
-(Murakami-Uno's MMCS). The two routes are pitted against each other, and
-the search against the old branch-on-every-vertex enumeration kept in
-tests/decomposition_oracle.py, in the test suite.
+on the int masks of ideals.support_to_mask that reaches every vertex set
+at most once and keeps a cover only when each of its vertices has a
+private edge (Murakami-Uno's MMCS). Their complements are the facets of
+the face complex (homology.stanley_reisner). The two routes are pitted
+against each other, and the search against the old branch-on-every-vertex
+enumeration kept in tests/decomposition_oracle.py, in the test suite.
 
 Results that a proved statement guarantees are re-checked on the spot;
 a mismatch raises TheoremViolationError rather than returning quietly.
@@ -20,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import DomainError, TheoremViolationError
-from .ideals import Monomial, MonomialIdeal
+from .ideals import Monomial, MonomialIdeal, mask_to_support, support_to_mask
 from .matroids import is_matroidal, is_polymatroidal, veronese
 
 MATROIDAL = "matroidal"
@@ -189,7 +190,7 @@ def _minimal_covers(supports):
     not; no minimal cover C contains it, since an edge private to u in C
     is private to u in every subset of C that holds u.
     """
-    edges = sorted({sum(1 << (i - 1) for i in s) for s in supports})
+    edges = sorted(set(map(support_to_mask, supports)))
     found = []
     counts = {"nodes": 0, "leaves_rejected": 0}
 
@@ -212,9 +213,7 @@ def _minimal_covers(supports):
             forbidden |= v
 
     search(0, [], edges, 0)
-    covers = frozenset(frozenset(k + 1 for k in range(m.bit_length()) if m >> k & 1)
-                       for m in found)
-    return covers, CoverStats(leaves_kept=len(found), **counts)
+    return frozenset(map(mask_to_support, found)), CoverStats(leaves_kept=len(found), **counts)
 
 
 def associated_primes(ideal):

@@ -1,4 +1,4 @@
-"""Coefficient fields: the one primality test behind every GF(p).
+"""Coefficient fields: one field check and one primality test for every GF(p).
 
 Miller-Rabin with the first 13 primes as bases is deterministic below
 MAX_CHARACTERISTIC (Sorenson and Webster 2015), so the test is exact on
@@ -43,8 +43,16 @@ def is_prime(n):
     return True
 
 
+def require_field(field):
+    """Raise DomainError unless field is None (the rationals) or a usable prime."""
+    if field is not None:
+        require_prime(field)
+
+
 def require_prime(p):
     """Raise DomainError unless p is a usable field characteristic."""
+    if isinstance(p, bool) or not isinstance(p, int):  # 2.0 and True would pass below
+        raise DomainError(f"field characteristic must be an int, got {p!r}")
     if p >= MAX_CHARACTERISTIC:
         raise DomainError(f"field characteristic {p} exceeds the limit "
                           f"{MAX_CHARACTERISTIC - 1}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .errors import DomainError, PairBudgetExceeded, StructuralError
-from .fields import require_prime
+from .fields import require_field, require_prime
 from .ideals import Monomial
 
 PAIR_BUDGET = 10 ** 6
@@ -76,8 +76,7 @@ class Polynomial:
     __slots__ = ("nvars", "field", "terms")
 
     def __init__(self, nvars, terms=None, field=None):
-        if field is not None:
-            require_prime(field)
+        require_field(field)
         self.nvars = nvars
         self.field = field
         clean = {}
@@ -666,8 +665,7 @@ def certify_witness(ideal, witness, field=None):
     system. Failures are collected, not raised; the certificate reports
     them.
     """
-    if field is not None:
-        require_prime(field)
+    require_field(field)
     sums = witness.q if hasattr(witness, "q") else witness
     qs = [q.in_field(field) if field is not None else q for q in sums]
     subset_failure = None

@@ -2,12 +2,12 @@
 
 For a square-free ideal the graded Betti numbers of R/I are ranks of
 reduced homology of induced subcomplexes of its face complex, one
-subcomplex per square-free multidegree (Hochster's formula). Inside this
-module faces, supports and multidegrees are plain int bitmasks, bit k-1
-standing for x_k: a face f lies in the restriction to sigma when
-f & ~sigma == 0, and its boundary drops one bit at a time. Frozensets
-appear only at the API edge. Multidegrees that cannot carry homology are
-skipped (see pd_depth).
+subcomplex per square-free multidegree (Hochster's formula). Its facets
+are the complements of the minimal primes of I. Faces, supports and
+multidegrees are int bitmasks in the layout of ideals.support_to_mask: a
+face f lies in the restriction to sigma when f & ~sigma == 0, and its
+boundary drops one bit at a time. Frozensets appear only at the API
+edge. Multidegrees that cannot carry homology are skipped (see pd_depth).
 
 All linear algebra is exact and goes through one sparse column
 reduction: modular arithmetic for a prime field, primitive integer
@@ -24,7 +24,8 @@ from types import MappingProxyType
 
 from .decomposition import associated_primes
 from .errors import DomainError, StructuralError
-from .fields import require_prime
+from .fields import require_field
+from .ideals import mask_to_support, support_to_mask
 
 PD_CACHE_SIZE = 1024  # (ideal, field) pairs whose profiles pd_depth keeps
 
@@ -108,38 +109,21 @@ class HomologyProfile:
         object.__setattr__(self, "betti", MappingProxyType(dict(self.betti)))
 
 
-def _members(mask):
-    """The face a bitmask stands for, as a frozenset of 1-based indices."""
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def _mask(face):
-    return sum(1 << (v - 1) for v in face)
-
-
 def stanley_reisner(ideal):
     """Face complex of a square-free ideal: faces are the I-free subsets.
 
-    A subset m is a face when no generator support g lies inside it,
-    that is g & ~m != 0 for every generator mask g. The facets are the
-    faces no further vertex extends.
+    A set is a face when its complement meets every generator support, so
+    the facets are the complements of the minimal vertex covers, which are
+    the minimal primes of I (Herzog-Hibi, Monomial Ideals, Lemma 1.5.4).
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("face complex needs a proper nonzero ideal")
     if not ideal.is_squarefree:
         raise DomainError("face complex defined for square-free ideals only")
-    n = ideal.n
-    gens = [g.bitmask() for g in ideal.gens]
-    faces = {m for m in range(1 << n) if all(g & ~m for g in gens)}
-    vertices = [1 << v for v in range(n)]
-    facets = [m for m in faces if not any(m | b in faces for b in vertices if not m & b)]
-    ordered = sorted(map(_members, facets), key=lambda f: (len(f), sorted(f)))
-    return SimplicialComplex(n, tuple(ordered))
-
-
-def _check_field(p):
-    if p is not None:
-        require_prime(p)
+    vertices = frozenset(range(1, ideal.n + 1))
+    facets = sorted((vertices - p for p in associated_primes(ideal).minimal),
+                    key=lambda f: (len(f), sorted(f)))
+    return SimplicialComplex(ideal.n, tuple(facets))
 
 
 def _face_levels(facets):
@@ -270,8 +254,8 @@ def reduced_homology_ranks(complex_, field=None):
     only face is empty has rank 1 in dimension -1 and the void complex
     has no homology at all.
     """
-    _check_field(field)
-    levels = _face_levels([_mask(f) for f in complex_.facets])
+    require_field(field)
+    levels = _face_levels([support_to_mask(f) for f in complex_.facets])
     return _reduced_ranks(levels, _boundaries(levels, field), field)
 
 
@@ -294,17 +278,18 @@ def pd_depth(ideal, field=None):
     lists every nonzero entry; profile.stats counts both kinds of sigma.
 
     One profile is computed per (ideal, field) and kept in a bounded
-    cache; pd_depth(I) and pd_depth(I, None) share it.
+    cache; pd_depth(I) and pd_depth(I, None) share it. The field is
+    checked first, since 5.0 would find the entry of 5 in the cache.
     """
+    require_field(field)
     return _pd_depth(ideal, field)
 
 
 @functools.lru_cache(maxsize=PD_CACHE_SIZE)
 def _pd_depth(ideal, field):
-    _check_field(field)
     complex_ = stanley_reisner(ideal)
     n = ideal.n
-    levels = _face_levels([_mask(f) for f in complex_.facets])
+    levels = _face_levels([support_to_mask(f) for f in complex_.facets])
     boundary = _boundaries(levels, field)
     lattice = {0}
     for g in ideal.gens:
@@ -316,13 +301,13 @@ def _pd_depth(ideal, field):
         size = sigma.bit_count()
         inside = [[f for f in level if not f & ~sigma] for level in levels[:size + 1]]
         ranks = _reduced_ranks(inside, boundary, field, counts)
-        members = _members(sigma)
+        members = mask_to_support(sigma)
         for i in range(size + 1):
             value = ranks.get(size - i - 1, 0)
             if value:
                 betti[(i, members)] = value
     pd = max(i for i, _ in betti)
-    height = associated_primes(ideal).height
+    height = n - complex_.dim - 1  # a largest facet misses a smallest prime
     stats = HomologyStats(multidegrees_scanned=len(lattice),
                           multidegrees_skipped=(1 << n) - len(lattice), **counts)
     return HomologyProfile(pd=pd, depth=n - pd, is_cm=height == pd, betti=betti,

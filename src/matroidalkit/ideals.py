@@ -4,6 +4,10 @@ Variables are 1-indexed as x1..xn. A monomial is an exponent vector; an
 ideal is its unique minimal generating set, stored in a canonical order so
 that equal ideals compare equal structurally. Everything here is immutable
 and field-free: no coefficients, no floats.
+
+The square-free bit layout lives here alone: a set of variable indices
+(a support, a face, a prime) is an int whose bit k-1 stands for x_k, and
+other modules convert with support_to_mask and mask_to_support.
 """
 
 from __future__ import annotations
@@ -12,6 +16,16 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import StructuralError
+
+
+def support_to_mask(support):
+    """Bitmask of a set of 1-based variable indices: bit k-1 stands for x_k."""
+    return sum(1 << (k - 1) for k in support)
+
+
+def mask_to_support(mask):
+    """The 1-based index set a bitmask stands for; inverse of support_to_mask."""
+    return frozenset(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 @dataclass(frozen=True)
@@ -80,10 +94,7 @@ class Monomial:
         """Bitmask view of a square-free monomial; inverse of from_bitmask."""
         if not self.is_squarefree:
             raise StructuralError(f"{self} is not square-free")
-        mask = 0
-        for k, e in enumerate(self.exponents):
-            mask |= e << k
-        return mask
+        return support_to_mask(self.support)
 
     def divides(self, other):
         if len(self.exponents) != len(other.exponents):

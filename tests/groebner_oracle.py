@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from matroidalkit.errors import DomainError, PairBudgetExceeded, StructuralError
+from matroidalkit.fields import require_field as _require_field
 from matroidalkit.fields import require_prime as _require_prime
 from matroidalkit.ideals import Monomial
 
@@ -65,8 +66,7 @@ class Polynomial:
     __slots__ = ("nvars", "field", "terms")
 
     def __init__(self, nvars, terms=None, field=None):
-        if field is not None:
-            _require_prime(field)
+        _require_field(field)
         self.nvars = nvars
         self.field = field
         clean = {}

@@ -4,7 +4,7 @@ Faces are frozensets, boundary matrices are dense lists of lists, ranks
 come from fraction-free integer elimination over the rationals and from
 row reduction mod p over GF(p), and pd_depth inspects every one of the
 2^n square-free multidegrees. Nothing here shares code with
-matroidalkit.homology beyond SimplicialComplex.faces, the primality test
+matroidalkit.homology beyond SimplicialComplex.faces, the field check
 and the ideal classes, so the bitmask kernel is checked against an
 independent route.
 """
@@ -15,7 +15,7 @@ import itertools
 
 from matroidalkit.decomposition import associated_primes
 from matroidalkit.errors import DomainError
-from matroidalkit.fields import require_prime
+from matroidalkit.fields import require_field
 from matroidalkit.ideals import Monomial
 
 
@@ -30,11 +30,6 @@ def face_set(ideal):
             for k in range(n + 1)
             for s in itertools.combinations(range(1, n + 1), k)
             if not ideal.contains(Monomial.from_support(n, s))}
-
-
-def _check_field(p):
-    if p is not None:
-        require_prime(p)
 
 
 def _rank_exact(rows):
@@ -119,7 +114,7 @@ def _ranks_of_faces(faces, field):
 
 def reduced_homology_ranks(complex_, field=None):
     """Ranks of reduced homology per dimension, from -1 up to dim."""
-    _check_field(field)
+    require_field(field)
     return _ranks_of_faces(complex_.faces(), field)
 
 
@@ -130,7 +125,7 @@ def betti_table(ideal, field=None):
     restricted to sigma, in dimension |sigma| - i - 1; absent keys are
     zero. No multidegree is skipped.
     """
-    _check_field(field)
+    require_field(field)
     faces = sorted(face_set(ideal), key=lambda f: (len(f), sorted(f)))
     n = ideal.n
     betti = {}

@@ -391,6 +391,7 @@ class TestOptionTable:
         assert info.value.code == 1
         err = capsys.readouterr().err
         assert err.startswith("usage: matroidalkit") and "unrecognized arguments" in err
+        assert err.startswith(f"usage: matroidalkit {command}")
 
     def test_back_to_back_field(self, capsys, monkeypatch):
         configs = []

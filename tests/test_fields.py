@@ -1,9 +1,12 @@
-"""The one primality routine behind every GF(p)."""
+"""The one primality routine and field check behind every GF(p)."""
 
 import pytest
 
-from matroidalkit import DomainError
-from matroidalkit.fields import MAX_CHARACTERISTIC, is_prime, require_prime
+from matroidalkit import (DomainError, Polynomial, ara_report, certify_witness,
+                          pd_depth, reduced_homology_ranks, stanley_reisner, transversal)
+from matroidalkit.fields import MAX_CHARACTERISTIC, is_prime, require_field, require_prime
+
+NOT_INTS = (3.0, 32003.0, True)
 
 
 def trial_division(n):
@@ -39,3 +42,31 @@ def test_refuses_past_the_limit():
     for p in ((2 ** 31 - 1) * (2 ** 61 - 1), 2 ** 89 - 1, MAX_CHARACTERISTIC):
         with pytest.raises(DomainError, match=str(MAX_CHARACTERISTIC - 1)):
             require_prime(p)
+
+
+def test_require_field():
+    require_field(None)
+    require_field(32003)
+    for field in (*NOT_INTS, 2.0, False, "3", 6, 1):
+        with pytest.raises(DomainError):
+            require_field(field)
+
+
+@pytest.mark.parametrize("field", NOT_INTS)
+def test_every_entry_point_refuses_non_int_fields(field):
+    ideal = transversal(4, [{1, 2}, {3, 4}])
+    sums = ara_report(ideal).elements
+    calls = (lambda: pd_depth(ideal, field),
+             lambda: reduced_homology_ranks(stanley_reisner(ideal), field),
+             lambda: Polynomial(2, {(1, 0): 1}, field=field),
+             lambda: certify_witness(ideal, sums, field))
+    for call in calls:
+        with pytest.raises(DomainError, match="must be an int"):
+            call()
+
+
+def test_cached_profile_is_not_served_for_an_equal_float():
+    ideal = transversal(4, [{1, 2}, {3, 4}])
+    assert pd_depth(ideal, 5).pd == 3
+    with pytest.raises(DomainError):
+        pd_depth(ideal, 5.0)

@@ -65,6 +65,25 @@ class TestStanleyReisner:
             inside = path_n4.contains(Monomial.from_bitmask(4, bits))
             assert (subset in faces) == (not inside)
 
+    def test_facets_are_the_maximal_faces(self):
+        # the facets come from the minimal primes; the oracle scans every subset
+        rng = random.Random(61)
+        ideals = [random_squarefree(rng, 9) for _ in range(300)] + [rp2_ideal()]
+        for ideal in ideals:
+            faces = homology_oracle.face_set(ideal)
+            maximal = sorted((f for f in faces if not any(f < g for g in faces)),
+                             key=lambda f: (len(f), sorted(f)))
+            assert stanley_reisner(ideal).facets == tuple(maximal), ideal
+
+    def test_many_variables_without_a_subset_scan(self):
+        ideal = MonomialIdeal.from_supports(40, [{1, 2}, {3, 4}])
+        start = time.monotonic()
+        cx = stanley_reisner(ideal)
+        elapsed = time.monotonic() - start
+        rest = frozenset(range(5, 41))
+        assert cx.facets == tuple(rest | {a, b} for a in (1, 2) for b in (3, 4))
+        assert elapsed < 1.0, f"n = 40 took {elapsed:.2f}s, budget 1s"
+
     def test_rejects_bad_input(self, squared_pivot_n3):
         with pytest.raises(DomainError):
             stanley_reisner(squared_pivot_n3)

@@ -2,8 +2,9 @@
 
 The package decides the exchange property, decomposes monomial ideals,
 checks the degree-2 block criteria for unmixedness, computes projective
-dimension through simplicial homology, and builds layered witness sums
-whose radical is certified against the ideal by a small Groebner engine.
+dimension by linear quotients or through simplicial homology, and builds
+layered witness sums whose radical is certified against the ideal by a
+small Groebner engine.
 """
 
 from .errors import (DomainError, PairBudgetExceeded, ParseError,

@@ -18,7 +18,8 @@ from .decomposition import (MATROIDAL, POWER_OF_M, associated_primes,
                             p1_classify, partition_degree2)
 from .errors import StructuralError
 from .groebner import certify_witness
-from .homology import pd_depth, reduced_homology_ranks, stanley_reisner
+from .homology import (_homology_profile, pd_depth, reduced_homology_ranks,
+                       stanley_reisner)
 from .ideals import Monomial, MonomialIdeal, make_ideal, squarefree_monomials
 from .matroids import (enumerate_matroidal, is_matroidal, is_polymatroidal,
                        is_squarefree_veronese, transversal, veronese)
@@ -196,6 +197,27 @@ def check_pd_formula_sweep(max_n=6, max_d=3):
                     problems.append(f"{ideal} over {label}: pd {profile.pd}")
             count += 1
     return _verdict(problems, f"pd = n-d+1 and depth = d-1 on {count} ideals, both fields")
+
+
+@_check("linear-quotient-sweep")
+def check_linear_quotient_sweep(max_n=6, max_d=3):
+    """pd_depth's linear-quotient table against the homology route's."""
+    problems = []
+    count = 0
+    for _, _, ideals in _full_support_family(max_n, range(1, max_d + 1)):
+        for ideal in ideals:
+            for field in (None, 2):
+                fast = pd_depth(ideal, field)
+                slow = _homology_profile(ideal, field)
+                label = "rationals" if field is None else f"GF({field})"
+                if fast.stats.route != "linear_quotients":
+                    problems.append(f"{ideal} over {label}: no linear quotients")
+                elif dict(fast.betti) != dict(slow.betti) or fast != slow:
+                    problems.append(f"{ideal} over {label}: the routes disagree")
+            count += 1
+    return _verdict(problems,
+                    f"linear quotients and homology give one Betti table on {count} "
+                    "ideals, both fields")
 
 
 @_check("block-identity-sweep")
@@ -450,5 +472,6 @@ def run_all(max_n=6, max_d=3, certify=True):
         check_oracle_minimal_primes(max_n=max_n),
         check_oracle_exchange(max_n=max_n, max_d=max_d),
         check_oracle_euler(max_n=max_n),
+        check_linear_quotient_sweep(max_n=max_n, max_d=max_d),
     ])
     return results

@@ -1,13 +1,27 @@
-"""Projective dimension and depth through simplicial combinatorics.
+"""Projective dimension and depth of square-free quotients, by two routes.
 
-For a square-free ideal the graded Betti numbers of R/I are ranks of
-reduced homology of induced subcomplexes of its face complex, one
-subcomplex per square-free multidegree (Hochster's formula). Its facets
-are the complements of the minimal primes of I. Faces, supports and
-multidegrees are int bitmasks in the layout of ideals.support_to_mask: a
-face f lies in the restriction to sigma when f & ~sigma == 0, and its
-boundary drops one bit at a time. Frozensets appear only at the API
-edge. Multidegrees that cannot carry homology are skipped (see pd_depth).
+pd_depth first tries linear quotients. Take the generators u_1, ..., u_m
+of a single-degree square-free ideal in descending lex order and let
+set(u_k) be the variables in the colon (u_1, ..., u_{k-1}) : u_k. When
+every such colon is generated by variables, the iterated mapping cone is
+a minimal free resolution (Herzog-Takayama 2002, "Resolutions by mapping
+cones"): the multigraded Betti table of R/I is beta_{0, empty} = 1 plus
+one entry at (|F| + 1, supp(u_k) | F) for every k and F within set(u_k).
+The table has no field in it, so it is the same over every field.
+Polymatroidal ideals have linear quotients in this order, but the route
+tests linearity on every input and assumes nothing.
+
+Every other square-free ideal goes to the homology route: the graded
+Betti numbers of R/I are ranks of reduced homology of induced
+subcomplexes of its face complex, one subcomplex per square-free
+multidegree (Hochster's formula). Its facets are the complements of the
+minimal primes of I. Faces, supports and multidegrees are int bitmasks
+in the layout of ideals.support_to_mask: a face f lies in the
+restriction to sigma when f & ~sigma == 0, and its boundary drops one
+bit at a time. Frozensets appear only at the API edge. Multidegrees that
+cannot carry homology are skipped (see pd_depth). Before any face is
+listed, the sum of 2^|facet| over the facets, which bounds the face
+count, is held against FACE_BUDGET.
 
 All linear algebra is exact and goes through one sparse column
 reduction: modular arithmetic for a prime field, primitive integer
@@ -16,6 +30,7 @@ columns for the rationals.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -28,6 +43,7 @@ from .fields import require_field
 from .ideals import mask_to_support, support_to_mask
 
 PD_CACHE_SIZE = 1024  # (ideal, field) pairs whose profiles pd_depth keeps
+FACE_BUDGET = 1 << 22  # faces the homology route may list, bounded by sum of 2^|facet|
 
 
 @dataclass(frozen=True)
@@ -42,12 +58,22 @@ class SimplicialComplex:
     facets: tuple
 
     def __post_init__(self):
-        for a, b in itertools.combinations(self.facets, 2):
-            if a <= b or b <= a:
-                raise StructuralError("facets must be inclusion-incomparable")
+        vertices = frozenset(range(1, self.n + 1))
         for f in self.facets:
-            if not f <= frozenset(range(1, self.n + 1)):
+            if not f <= vertices:
                 raise StructuralError(f"facet {sorted(f)} outside 1..{self.n}")
+        masks = {support_to_mask(f) for f in self.facets}
+        by_size = {}
+        for m in masks:
+            by_size.setdefault(m.bit_count(), []).append(m)
+        # distinct facets of one size never contain each other, so past
+        # the duplicate test only smaller facets are held against larger
+        sizes = sorted(by_size)
+        if len(masks) < len(self.facets) or any(
+                not a & ~b
+                for i, small in enumerate(sizes) for large in sizes[i + 1:]
+                for a in by_size[small] for b in by_size[large]):
+            raise StructuralError("facets must be inclusion-incomparable")
 
     @classmethod
     def from_faces(cls, n, faces):
@@ -75,18 +101,23 @@ class SimplicialComplex:
 class HomologyStats:
     """Work counters of one pd_depth run; equal input gives equal counts.
 
-    multidegrees_scanned counts the multidegrees whose restricted complex
-    was reduced and multidegrees_skipped those passed over as cones; the
-    two add up to 2^n. matrices_reduced counts the boundary maps between
-    nonempty face levels that went through elimination, and
-    largest_matrix is the (rows, columns) shape of the one with the most
-    entries.
+    route is "linear_quotients" or "homology", the route that built the
+    table. On the linear-quotient route largest_quotient_set is the
+    largest |set(u_k)| (pd - 1) and the other counters stay 0. On the
+    homology route multidegrees_scanned counts the multidegrees whose
+    restricted complex was reduced and multidegrees_skipped those passed
+    over as cones; the two add up to 2^n. matrices_reduced counts the
+    boundary maps between nonempty face levels that went through
+    elimination, and largest_matrix is the (rows, columns) shape of the
+    one with the most entries.
     """
 
     multidegrees_scanned: int = 0
     multidegrees_skipped: int = 0
     matrices_reduced: int = 0
     largest_matrix: tuple = (0, 0)
+    route: str = "homology"
+    largest_quotient_set: int = 0
 
 
 @dataclass(frozen=True)
@@ -130,10 +161,15 @@ def _face_levels(facets):
     """Faces by vertex count: levels[k] lists the k-vertex faces, ascending.
 
     facets are masks; every face comes from a facet by dropping bits. An
-    empty list means the void complex.
+    empty list means the void complex. Raises DomainError, before any
+    face is listed, when the sum of 2^|facet| exceeds FACE_BUDGET.
     """
     if not facets:
         return []
+    bound = sum(1 << f.bit_count() for f in facets)
+    if bound > FACE_BUDGET:
+        raise DomainError(f"homology stage: the face complex bounds {bound} faces "
+                          f"(sum of 2^|facet|), over the limit FACE_BUDGET = {FACE_BUDGET}")
     levels = [set() for _ in range(max(f.bit_count() for f in facets) + 1)]
     for f in facets:
         levels[f.bit_count()].add(f)
@@ -252,7 +288,8 @@ def reduced_homology_ranks(complex_, field=None):
 
     The empty face spans the degree -1 chain group, so the complex whose
     only face is empty has rank 1 in dimension -1 and the void complex
-    has no homology at all.
+    has no homology at all. A complex whose sum of 2^|facet| exceeds
+    FACE_BUDGET raises DomainError before any face is listed.
     """
     require_field(field)
     levels = _face_levels([support_to_mask(f) for f in complex_.facets])
@@ -262,24 +299,35 @@ def reduced_homology_ranks(complex_, field=None):
 def pd_depth(ideal, field=None):
     """Betti table of R/I over the square-free multidegrees, then pd and depth.
 
-    beta_{i, sigma} is the reduced homology rank of the face complex
-    restricted to sigma, in dimension |sigma| - i - 1. The base of the
-    resolution is the quotient, so beta_0 = 1 sits at sigma empty and pd
-    is the largest homological degree with a nonzero entry. depth comes
-    out as n - pd, and Cohen-Macaulayness compares pd with the height.
+    The base of the resolution is the quotient, so beta_0 = 1 sits at
+    sigma empty and pd is the largest homological degree with a nonzero
+    entry. depth comes out as n - pd, and Cohen-Macaulayness compares pd
+    with the height, read off the face complex on both routes.
 
-    Only the multidegrees sigma that are unions of generator supports
-    (the lcm lattice, with the empty set) are inspected; every other
-    sigma carries no homology. Take a vertex v of sigma outside the union
-    of the generator supports inside sigma. A non-face inside sigma
-    contains a generator support inside sigma, which misses v, so adding
-    v to a face of the restriction gives a face again: the restriction is
-    a cone with apex v and is acyclic over every field. The table still
-    lists every nonzero entry; profile.stats counts both kinds of sigma.
+    Single-degree square-free input with linear quotients in descending
+    lex order (every polymatroidal ideal) takes the linear-quotient
+    route: the table comes from the sets set(u_k) (see the module
+    docstring), pd = 1 + max |set(u_k)|, and the table is the same over
+    every field. Any other input, and any single colon that is not
+    generated by variables, goes to the homology route.
 
-    One profile is computed per (ideal, field) and kept in a bounded
-    cache; pd_depth(I) and pd_depth(I, None) share it. The field is
-    checked first, since 5.0 would find the entry of 5 in the cache.
+    There beta_{i, sigma} is the reduced homology rank of the face
+    complex restricted to sigma, in dimension |sigma| - i - 1. Only the
+    multidegrees sigma that are unions of generator supports (the lcm
+    lattice, with the empty set) are inspected; every other sigma carries
+    no homology. Take a vertex v of sigma outside the union of the
+    generator supports inside sigma. A non-face inside sigma contains a
+    generator support inside sigma, which misses v, so adding v to a
+    face of the restriction gives a face again: the restriction is a cone
+    with apex v and is acyclic over every field. The table still lists
+    every nonzero entry; profile.stats counts both kinds of sigma. A
+    face complex whose sum of 2^|facet| exceeds FACE_BUDGET raises
+    DomainError before any face is listed.
+
+    Both routes list the table by multidegree mask, then by homological
+    degree. One profile is computed per (ideal, field) and kept in a
+    bounded cache; pd_depth(I) and pd_depth(I, None) share it. The field
+    is checked first, since 5.0 would find the entry of 5 in the cache.
     """
     require_field(field)
     return _pd_depth(ideal, field)
@@ -287,6 +335,67 @@ def pd_depth(ideal, field=None):
 
 @functools.lru_cache(maxsize=PD_CACHE_SIZE)
 def _pd_depth(ideal, field):
+    quotients = _linear_quotients(ideal)
+    if quotients is None:
+        return _homology_profile(ideal, field)
+    complex_ = stanley_reisner(ideal)
+    n = ideal.n
+    # sigma = supp(u) | F for every F within set(u); as the degree d is
+    # fixed, |F| + 1 = |sigma| - d + 1 and sigma alone names the entry
+    tally = collections.Counter()
+    supports = {}
+    for u, linear in quotients:
+        masks, sets = [u], [mask_to_support(u)]
+        rest = linear
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            variable = mask_to_support(bit)
+            masks += [m | bit for m in masks]
+            sets += [f | variable for f in sets]
+        tally.update(masks)
+        supports.update(zip(masks, sets))
+    shift = ideal.gens[0].degree - 1
+    betti = {(0, frozenset()): 1}
+    for sigma in sorted(tally):
+        betti[(sigma.bit_count() - shift, supports[sigma])] = tally[sigma]
+    largest = max(linear.bit_count() for _, linear in quotients)
+    pd = largest + 1
+    height = n - complex_.dim - 1  # a largest facet misses a smallest prime
+    stats = HomologyStats(route="linear_quotients", largest_quotient_set=largest)
+    return HomologyProfile(pd=pd, depth=n - pd, is_cm=height == pd, betti=betti,
+                           stats=stats)
+
+
+def _linear_quotients(ideal):
+    """(mask of u_k, mask of set(u_k)) for every generator, or None.
+
+    None unless the ideal is square-free, proper, nonzero and of one
+    degree, and every colon (u_1, ..., u_{k-1}) : u_k, in the generators'
+    descending lex order, is generated by variables. That colon is
+    generated by the masks u_j & ~u_k, j < k; the one-bit ones among
+    them make up set(u_k), and the colon is linear iff every mask meets
+    set(u_k).
+    """
+    degrees = {g.degree for g in ideal.gens}
+    if not ideal.is_squarefree or len(degrees) != 1 or 0 in degrees:
+        return None
+    masks = [g.bitmask() for g in ideal.gens]
+    quotients = []
+    for k, u in enumerate(masks):
+        colon = [m & ~u for m in masks[:k]]
+        linear = 0
+        for c in colon:
+            if not c & (c - 1):
+                linear |= c
+        if any(not c & linear for c in colon):
+            return None
+        quotients.append((u, linear))
+    return quotients
+
+
+def _homology_profile(ideal, field):
+    """The profile by Hochster's formula; the route pd_depth falls back to."""
     complex_ = stanley_reisner(ideal)
     n = ideal.n
     levels = _face_levels([support_to_mask(f) for f in complex_.facets])

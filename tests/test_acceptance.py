@@ -1,4 +1,4 @@
-"""Acceptance gate: the eleven desk-scale verification criteria.
+"""Acceptance gate: the twelve desk-scale verification criteria.
 
 Each test runs the corresponding check at its full caps, records a
 single pass/fail line (printed in the terminal summary), and enforces
@@ -77,3 +77,8 @@ def test_criterion_11_oracle_suites():
                   lambda: checks.check_oracle_minimal_primes(max_n=6),
                   lambda: checks.check_oracle_exchange(max_n=6, max_d=3),
                   lambda: checks.check_oracle_euler(max_n=6))
+
+
+def test_criterion_12_linear_quotients_match_homology():
+    run_criterion(12, 120.0,
+                  lambda: checks.check_linear_quotient_sweep(max_n=6, max_d=3))

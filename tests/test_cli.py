@@ -284,7 +284,7 @@ class TestOutputs:
                              "--max-n", "3", "--max-d", "2")
         assert code == 0
         lines = [l for l in out.splitlines() if l[:4] in ("PASS", "FAIL", "SKIP")]
-        assert len(lines) == 14
+        assert len(lines) == 15
         assert not any(l.startswith("FAIL") for l in lines)
 
 

@@ -1,5 +1,6 @@
 """Stanley-Reisner complexes, exact homology ranks, and pd/depth/CM."""
 
+import io
 import itertools
 import math
 import random
@@ -28,6 +29,33 @@ class TestSimplicialComplex:
     def test_facets_must_be_incomparable(self):
         with pytest.raises(StructuralError):
             complex_of(3, {1, 2}, {1})
+
+    def test_duplicate_and_distant_comparable_facets(self):
+        # a repeated facet, and a pair two sizes apart past an unrelated size
+        with pytest.raises(StructuralError, match="incomparable"):
+            complex_of(3, {1, 2}, {1, 2})
+        with pytest.raises(StructuralError, match="incomparable"):
+            complex_of(5, {4, 5}, {1}, {1, 2, 3})
+        assert len(complex_of(4, {1, 2}, {1, 3}, {2, 3, 4}).facets) == 3
+
+    def test_verdicts_match_the_pairwise_scan(self):
+        rng = random.Random(43)
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            facets = [frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
+                      for _ in range(rng.randint(1, 6))]
+            comparable = any(a <= b or b <= a
+                             for a, b in itertools.combinations(facets, 2))
+            try:
+                SimplicialComplex(n, tuple(facets))
+                raised = False
+            except StructuralError:
+                raised = True
+            assert raised == comparable, facets
+
+    def test_facets_outside_the_vertex_range(self):
+        with pytest.raises(StructuralError, match="outside"):
+            complex_of(2, {1, 3})
 
     def test_from_faces_keeps_maximal(self):
         cx = SimplicialComplex.from_faces(
@@ -83,6 +111,15 @@ class TestStanleyReisner:
         rest = frozenset(range(5, 41))
         assert cx.facets == tuple(rest | {a, b} for a in (1, 2) for b in (3, 4))
         assert elapsed < 1.0, f"n = 40 took {elapsed:.2f}s, budget 1s"
+
+    def test_veronese_14_7_in_time(self):
+        # 3,003 facets of one size: only the duplicate test runs on them
+        ideal = squarefree_veronese(14, 7)
+        start = time.monotonic()
+        cx = stanley_reisner(ideal)
+        elapsed = time.monotonic() - start
+        assert len(cx.facets) == math.comb(14, 6)
+        assert elapsed < 0.6, f"V(14,7) took {elapsed:.2f}s, budget 0.6s"
 
     def test_rejects_bad_input(self, squared_pivot_n3):
         with pytest.raises(DomainError):
@@ -279,6 +316,130 @@ class TestOracleAgreement:
         assert reduced_homology_ranks(cx, 2)[1] == 1
 
 
+def assert_routes_agree(ideal, field):
+    profile = pd_depth(ideal, field)
+    assert profile.stats.route == "linear_quotients", ideal
+    reference = homology._homology_profile(ideal, field)
+    assert reference.stats.route == "homology"
+    assert (profile.pd, profile.depth, profile.is_cm) == (
+        reference.pd, reference.depth, reference.is_cm)
+    assert list(profile.betti.items()) == list(reference.betti.items()), ideal
+    assert profile.stats.largest_quotient_set == profile.pd - 1
+
+
+def disjoint_blocks(rng, n):
+    """Disjoint nonempty blocks inside [n], some variables left free."""
+    order = rng.sample(range(1, n + 1), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    return blocks[:rng.randint(1, len(blocks))]
+
+
+class TestLinearQuotients:
+    """The linear-quotient table against the homology engine, entry by entry."""
+
+    FIELDS = (None, 2, 3)
+
+    def test_matroidal_census_n5(self):
+        for n in range(1, 6):
+            for d in range(1, n + 1):
+                for ideal in enumerate_matroidal(n, d):
+                    for field in self.FIELDS:
+                        assert_routes_agree(ideal, field)
+
+    def test_transversal_families(self):
+        rng = random.Random(71)
+        for _ in range(40):
+            ideal = transversal(8, disjoint_blocks(rng, rng.randint(2, 8)))
+            for field in self.FIELDS:
+                assert_routes_agree(ideal, field)
+
+    def test_veronese_families(self):
+        for n in range(1, 8):
+            for d in range(1, n + 1):
+                for field in self.FIELDS:
+                    assert_routes_agree(squarefree_veronese(n, d), field)
+
+    def test_random_ideals_with_linear_quotients(self):
+        # the route tests linearity itself: some of these are not matroidal
+        rng = random.Random(89)
+        passed = non_matroidal = 0
+        for _ in range(600):
+            n = rng.randint(2, 7)
+            d = rng.randint(1, n - 1)
+            layer = list(itertools.combinations(range(1, n + 1), d))
+            ideal = MonomialIdeal.from_supports(
+                n, rng.sample(layer, rng.randint(1, min(len(layer), 8))))
+            if homology._linear_quotients(ideal) is None:
+                assert pd_depth(ideal).stats.route == "homology"
+                continue
+            passed += 1
+            non_matroidal += not matroids.is_matroidal(ideal)
+            for field in self.FIELDS:
+                assert_routes_agree(ideal, field)
+        assert passed >= 100 and non_matroidal >= 20, (passed, non_matroidal)
+
+    def test_non_linear_colon_falls_back(self):
+        # (x1*x2) : x3*x4 = (x1*x2) is not generated by variables
+        ideal = MonomialIdeal.from_supports(4, [{1, 2}, {3, 4}])
+        assert homology._linear_quotients(ideal) is None
+        for field in self.FIELDS:
+            profile = pd_depth(ideal, field)
+            assert profile.stats.route == "homology"
+            assert (profile.pd, profile.depth) == (2, 2)
+            assert profile.stats.largest_quotient_set == 0
+
+    def test_mixed_degrees_fall_back(self, path_n4):
+        ideal = MonomialIdeal.from_supports(4, [{1}, {2, 3}, {3, 4}])
+        assert pd_depth(ideal).stats.route == "homology"
+        assert_matches_oracle(ideal, None)
+        assert pd_depth(path_n4).stats.route == "linear_quotients"
+
+    def test_k88_in_time(self):
+        # K_{8,8}: 64 generators, sum of 2^|set(u)| = 65,025 table entries
+        ideal = transversal(16, [set(range(1, 9)), set(range(9, 17))])
+        for field in (None, 2):
+            start = time.monotonic()
+            profile = pd_depth(ideal, field)
+            elapsed = time.monotonic() - start
+            assert (profile.pd, profile.depth, profile.is_cm) == (15, 1, False)
+            assert profile.stats.route == "linear_quotients"
+            assert len(profile.betti) == 1 + 225 * 289
+            assert elapsed < 1.0, f"K_{{8,8}} over {field} took {elapsed:.2f}s, budget 1s"
+
+
+class TestFaceBudget:
+    def test_budget_is_checked_before_faces_are_listed(self):
+        # 4 facets of 38 vertices: about 10^12 faces
+        ideal = MonomialIdeal.from_supports(40, [{1, 2}, {3, 4}])
+        start = time.monotonic()
+        with pytest.raises(DomainError, match="homology stage.*FACE_BUDGET = 4194304"):
+            pd_depth(ideal)
+        with pytest.raises(DomainError, match=str(4 << 38)):
+            reduced_homology_ranks(stanley_reisner(ideal))
+        assert time.monotonic() - start < 1.0
+
+    def test_budget_bounds_the_sum_over_facets(self, monkeypatch):
+        monkeypatch.setattr(homology, "FACE_BUDGET", 12)
+        # 2^3 + 2^2 = 12 is at the limit, one more edge is over it
+        assert reduced_homology_ranks(complex_of(4, {1, 2, 3}, {3, 4}))[0] == 0
+        with pytest.raises(DomainError, match="16 faces"):
+            reduced_homology_ranks(complex_of(4, {1, 2, 3}, {2, 4}, {1, 4}))
+
+    def test_analyze_skips_homology_in_time(self, capsys, monkeypatch):
+        from matroidalkit.cli import main
+        monkeypatch.setattr("sys.stdin", io.StringIO("n = 40; x1*x2, x3*x4"))
+        start = time.monotonic()
+        code = main(["analyze"])
+        elapsed = time.monotonic() - start
+        out = capsys.readouterr().out
+        assert code == 0
+        block = out.split("homology:\n", 1)[1].split("\n", 1)[0]
+        assert block.startswith("  skipped: homology stage")
+        assert "FACE_BUDGET = 4194304" in block
+        assert elapsed < 1.0, f"analyze at n = 40 took {elapsed:.2f}s, budget 1s"
+
+
 class TestCaches:
     def test_betti_table_is_read_only(self, two_blocks_n4):
         profile = pd_depth(two_blocks_n4)
@@ -316,15 +477,15 @@ class TestStats:
         for _ in range(20):
             ideal = random_squarefree(rng, 7)
             for field in (None, 2):
-                first = homology._pd_depth.__wrapped__(ideal, field).stats
-                again = homology._pd_depth.__wrapped__(ideal, field).stats
+                first = homology._homology_profile(ideal, field).stats
+                again = homology._homology_profile(ideal, field).stats
                 assert first == again
                 assert first.multidegrees_scanned + first.multidegrees_skipped == 1 << ideal.n
 
     def test_two_block_counts(self, two_blocks_n4):
         # the lcm lattice of (x1, x2)(x3, x4): the empty set and every
         # sigma meeting both blocks, 1 + 3 * 3 of the 16 multidegrees
-        stats = homology._pd_depth.__wrapped__(two_blocks_n4, None).stats
+        stats = homology._homology_profile(two_blocks_n4, None).stats
         assert (stats.multidegrees_scanned, stats.multidegrees_skipped) == (10, 6)
         assert stats.matrices_reduced > 0
         # at sigma = [4]: the two edges {1,2}, {3,4} onto the four vertices
@@ -344,7 +505,7 @@ class TestTimedHomology:
         # K_{4,4,4}: pd = n - d + 1 = 12 - 3 + 1
         ideal = transversal(12, [set(range(1, 5)), set(range(5, 9)), set(range(9, 13))])
         start = time.monotonic()
-        profile = homology._pd_depth.__wrapped__(ideal, None)
+        profile = homology._homology_profile(ideal, None)
         elapsed = time.monotonic() - start
         assert (profile.pd, profile.depth) == (10, 2)
         assert elapsed < 8.0, f"K_{{4,4,4}} over Q took {elapsed:.1f}s, budget 8s"

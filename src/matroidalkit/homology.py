@@ -42,7 +42,7 @@ from .errors import DomainError, StructuralError
 from .fields import require_field
 from .ideals import mask_to_support, support_to_mask
 
-PD_CACHE_SIZE = 1024  # (ideal, field) pairs whose profiles pd_depth keeps
+PD_CACHE_SIZE = 1024  # entries in each of pd_depth's two caches
 FACE_BUDGET = 1 << 22  # faces the homology route may list, bounded by sum of 2^|facet|
 
 
@@ -325,19 +325,25 @@ def pd_depth(ideal, field=None):
     DomainError before any face is listed.
 
     Both routes list the table by multidegree mask, then by homological
-    degree. One profile is computed per (ideal, field) and kept in a
-    bounded cache; pd_depth(I) and pd_depth(I, None) share it. The field
-    is checked first, since 5.0 would find the entry of 5 in the cache.
+    degree. Each route keeps a bounded cache: the linear-quotient profile
+    (or its absence) per ideal, shared by every field, and the homology
+    profile per (ideal, field); pd_depth(I) and pd_depth(I, None) share
+    an entry. The field is checked before either cache, since 5.0 would
+    find the entry of 5.
     """
     require_field(field)
-    return _pd_depth(ideal, field)
+    profile = _linear_quotient_profile(ideal)
+    if profile is None:
+        profile = _homology_profile(ideal, field)
+    return profile
 
 
 @functools.lru_cache(maxsize=PD_CACHE_SIZE)
-def _pd_depth(ideal, field):
+def _linear_quotient_profile(ideal):
+    """The field-free profile of the linear-quotient route, or None."""
     quotients = _linear_quotients(ideal)
     if quotients is None:
-        return _homology_profile(ideal, field)
+        return None
     complex_ = stanley_reisner(ideal)
     n = ideal.n
     # sigma = supp(u) | F for every F within set(u); as the degree d is
@@ -394,6 +400,7 @@ def _linear_quotients(ideal):
     return quotients
 
 
+@functools.lru_cache(maxsize=PD_CACHE_SIZE)
 def _homology_profile(ideal, field):
     """The profile by Hochster's formula; the route pd_depth falls back to."""
     complex_ = stanley_reisner(ideal)

@@ -30,7 +30,12 @@ def mask_to_support(mask):
 
 @dataclass(frozen=True)
 class Monomial:
-    """A monomial x1^e1 * ... * xn^en as its exponent tuple."""
+    """A monomial x1^e1 * ... * xn^en as its exponent tuple.
+
+    The public constructor converts every exponent with int() and refuses
+    negatives. Monomials the package derives itself (products, quotients,
+    gcds, lcms, from_bitmask) come from _trusted, which skips both.
+    """
 
     exponents: tuple
 
@@ -39,6 +44,13 @@ class Monomial:
         if any(e < 0 for e in exps):
             raise StructuralError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)
+
+    @classmethod
+    def _trusted(cls, exponents):
+        """Monomial of a tuple of non-negative ints; no conversion, no scan."""
+        monomial = object.__new__(cls)
+        monomial.__dict__["exponents"] = exponents
+        return monomial
 
     @classmethod
     def one(cls, n):
@@ -64,7 +76,9 @@ class Monomial:
         """Square-free monomial from a bitmask (bit i-1 set means x_i occurs)."""
         if mask < 0 or mask >= 1 << n:
             raise StructuralError(f"bitmask {mask} outside [0, 2^{n})")
-        return cls(tuple((mask >> k) & 1 for k in range(n)))
+        monomial = cls._trusted(tuple((mask >> k) & 1 for k in range(n)))
+        monomial.__dict__["_mask"] = mask
+        return monomial
 
     @property
     def n(self):
@@ -91,10 +105,17 @@ class Monomial:
         return self.exponents[i - 1]
 
     def bitmask(self):
-        """Bitmask view of a square-free monomial; inverse of from_bitmask."""
-        if not self.is_squarefree:
-            raise StructuralError(f"{self} is not square-free")
-        return support_to_mask(self.support)
+        """Bitmask view of a square-free monomial; inverse of from_bitmask.
+
+        Computed once per instance and kept in the instance dict, outside
+        the dataclass fields, so equality, hashing and repr are untouched.
+        """
+        mask = self.__dict__.get("_mask")
+        if mask is None:
+            if not self.is_squarefree:
+                raise StructuralError(f"{self} is not square-free")
+            mask = self.__dict__["_mask"] = support_to_mask(self.support)
+        return mask
 
     def divides(self, other):
         if len(self.exponents) != len(other.exponents):
@@ -104,23 +125,23 @@ class Monomial:
     def lcm(self, other):
         if len(self.exponents) != len(other.exponents):
             raise _length_mismatch(self, other)
-        return Monomial(tuple(map(max, self.exponents, other.exponents)))
+        return Monomial._trusted(tuple(map(max, self.exponents, other.exponents)))
 
     def gcd(self, other):
         if len(self.exponents) != len(other.exponents):
             raise _length_mismatch(self, other)
-        return Monomial(tuple(map(min, self.exponents, other.exponents)))
+        return Monomial._trusted(tuple(map(min, self.exponents, other.exponents)))
 
     def __mul__(self, other):
         if len(self.exponents) != len(other.exponents):
             raise _length_mismatch(self, other)
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        return Monomial._trusted(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def __truediv__(self, other):
         """Exact quotient; the divisor must divide self."""
         if not other.divides(self):
             raise StructuralError(f"{other} does not divide {self}")
-        return Monomial(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
+        return Monomial._trusted(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
 
     def __str__(self):
         if self.is_one:

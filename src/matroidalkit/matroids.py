@@ -3,7 +3,13 @@
 The exchange check is the workhorse: an ideal generated in a single degree
 is polymatroidal when every ordered generator pair admits an exchange at
 every separating variable. Square-free plus polymatroidal is matroidal, and
-then generator supports form the bases of a matroid. Enumeration over all
+then generator supports form the bases of a matroid.
+
+is_polymatroidal computes one certificate per ideal object and keeps it on
+the instance. Square-free input runs on generator bitmasks through one
+kernel, _exchange_failure, which enumeration shares; other input runs on
+exponent tuples. Both routes report the first failure with u, then v, in
+generator order and the variable index ascending. Enumeration over all
 collections of square-free degree-d monomials runs on packed bitmasks; the
 survivors are rebuilt as ideals through the ordinary constructors.
 """
@@ -23,9 +29,10 @@ NO_EXCHANGE_INDEX = "no_exchange_index"
 
 # brute-force relabeling below walks all n! permutations
 ENUMERATION_MAX_N = 7
-# enumeration scans all 2^C(n,d) collections; (6, 3) at 2^20 takes 20-30 s
+# enumeration scans all 2^C(n,d) collections; (6, 3) at 2^20 takes 8-9 s
 ENUMERATION_MAX_LAYER = 20
 ENUMERATION_CACHE_SIZE = 32  # (n, d, flag) results enumerate_matroidal keeps
+_MEMO = "_exchange_certificate"  # instance-dict key of is_polymatroidal's memo
 
 
 @dataclass(frozen=True)
@@ -44,18 +51,52 @@ class ExchangeCertificate:
 
 
 def is_polymatroidal(ideal):
-    """Exchange check on the minimal generators.
+    """Exchange check on the minimal generators, run once per ideal object.
 
     Returns a certificate; on failure the witness pins down a concrete
-    ordered pair and variable index with no exchange partner. Membership
-    of the exchanged monomial reduces to a set lookup because it has the
-    same degree as every generator.
+    ordered pair and variable index with no exchange partner. The
+    certificate is kept on the ideal instance itself, outside its
+    dataclass fields, so a later call on the same object returns the
+    same certificate and equality, hashing and repr are untouched; the
+    zero ideal raises on every call.
+
+    Single-degree square-free input runs on generator masks
+    (_exchange_failure); every other single-degree input runs on
+    exponent tuples, where membership of the exchanged monomial is a set
+    lookup because it has the degree of every generator. Both routes
+    visit u, then v, in generator order and the index i in ascending
+    order, so failure_witness is the first failing (u, v, i) in that
+    order whichever route ran.
     """
     if ideal.is_zero:
         raise DomainError("exchange property undefined for the zero ideal")
-    degrees = {g.degree for g in ideal.gens}
-    if len(degrees) != 1:
+    certificate = ideal.__dict__.get(_MEMO)
+    if certificate is None:
+        certificate = _exchange_certificate(ideal)
+        ideal.__dict__[_MEMO] = certificate
+    return certificate
+
+
+def _exchange_certificate(ideal):
+    gens = ideal.gens
+    if len({g.degree for g in gens}) != 1:
         return ExchangeCertificate(holds=False, reason=NOT_SINGLE_DEGREE)
+    if ideal.is_squarefree:
+        failure = _exchange_failure([g.bitmask() for g in gens])
+        if failure is None:
+            return ExchangeCertificate(holds=True)
+        a, b, e = failure
+        witness = (gens[a], gens[b], e.bit_length())
+    else:
+        witness = _tuple_exchange_failure(ideal)
+        if witness is None:
+            return ExchangeCertificate(holds=True)
+    return ExchangeCertificate(holds=False, reason=NO_EXCHANGE_INDEX,
+                               failure_witness=witness)
+
+
+def _tuple_exchange_failure(ideal):
+    """First (u, v, i) with no exchange, on exponent tuples, or None."""
     gen_exps = {g.exponents for g in ideal.gens}
     for u, v in itertools.permutations(ideal.gens, 2):
         ue, ve = u.exponents, v.exponents
@@ -71,10 +112,47 @@ def is_polymatroidal(ideal):
                         break
                     lowered[j] -= 1
             else:
-                witness = (u, v, i + 1)
-                return ExchangeCertificate(holds=False, reason=NO_EXCHANGE_INDEX,
-                                           failure_witness=witness)
-    return ExchangeCertificate(holds=True)
+                return u, v, i + 1
+    return None
+
+
+def _exchange_failure(masks):
+    """First failing (a, b, e) of basis exchange on distinct equal-size masks.
+
+    a and b index masks, and e is the one-bit mask of a variable in
+    masks[a] but not in masks[b] such that no f in masks[b] outside
+    masks[a] makes masks[a] - e + f a member; None when every pair
+    exchanges. allowed maps e to the f's for which u - e + f is a member,
+    computed for the current u the first time some v asks for it, so
+    (u, v) fails at e iff e is not in v and allowed[e] & v == 0. The
+    order is a, then b, then e ascending.
+    """
+    members = set(masks)
+    union = 0
+    for m in masks:
+        union |= m
+    for a, u in enumerate(masks):
+        outside = union & ~u
+        allowed = {}
+        for b, v in enumerate(masks):
+            rest = u & ~v  # empty when b == a
+            while rest:
+                e = rest & -rest
+                swaps = allowed.get(e)
+                if swaps is None:
+                    base = u ^ e
+                    swaps = 0
+                    free = outside
+                    while free:
+                        f = free & -free
+                        if base | f in members:
+                            swaps |= f
+                        free ^= f
+                    allowed[e] = swaps
+                if not swaps & v:
+                    return a, b, e
+                rest ^= e
+    return None
 
 
 def is_matroidal(ideal):
@@ -131,27 +209,6 @@ def is_squarefree_veronese(ideal):
     return ideal.mu == math.comb(ideal.n, summary.degree)
 
 
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
-def _collection_exchange(masks, members):
-    """Basis exchange over support bitmasks; members is the set of masks."""
-    for b1 in masks:
-        for b2 in masks:
-            if b1 == b2:
-                continue
-            only2 = b2 & ~b1
-            for e in _bits(b1 & ~b2):
-                base = b1 ^ e
-                if not any(base | f in members for f in _bits(only2)):
-                    return False
-    return True
-
-
 def enumerate_matroidal(n, d, full_support_only=True):
     """All matroidal ideals generated in degree d, in a fixed order.
 
@@ -177,20 +234,29 @@ def _enumerate_matroidal(n, d, full_support_only):
                           f"limited to 2^{ENUMERATION_MAX_LAYER}")
     layer = squarefree_monomials(n, d)
     layer_masks = [m.bitmask() for m in layer]
+    # a selector's masks are those of its low half followed by its high half's
+    half = count // 2
+    low, high = _sublists(layer_masks[:half]), _sublists(layer_masks[half:])
+    low_bits = (1 << half) - 1
     full = (1 << n) - 1
     found = []
     for selector in range(1, 1 << count):
-        masks = [layer_masks[k] for k in range(count) if (selector >> k) & 1]
-        if full_support_only:
-            covered = 0
-            for m in masks:
-                covered |= m
-            if covered != full:
-                continue
-        if _collection_exchange(masks, set(masks)):
+        low_masks, low_union = low[selector & low_bits]
+        high_masks, high_union = high[selector >> half]
+        if full_support_only and low_union | high_union != full:
+            continue
+        if _exchange_failure(low_masks + high_masks) is None:
             found.append(make_ideal(n, [layer[k] for k in range(count)
                                         if (selector >> k) & 1]))
     return tuple(found)
+
+
+def _sublists(masks):
+    """(chosen masks in order, their union) for every selector over masks."""
+    table = [([], 0)]
+    for m in masks:
+        table += [(chosen + [m], union | m) for chosen, union in table]
+    return table
 
 
 def _occurrence_signature(ideal):

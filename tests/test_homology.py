@@ -463,8 +463,25 @@ class TestCaches:
         assert pd_depth(two_blocks_n4) is pd_depth(two_blocks_n4, None)
         assert pd_depth(two_blocks_n4, field=None) is pd_depth(two_blocks_n4)
 
+    def test_linear_quotient_profile_is_shared_by_fields(self, monkeypatch):
+        calls = []
+        original = homology._linear_quotients
+
+        def counting(ideal):
+            calls.append(ideal)
+            return original(ideal)
+        monkeypatch.setattr(homology, "_linear_quotients", counting)
+        homology._linear_quotient_profile.cache_clear()
+        ideal = transversal(16, [range(1, 9), range(9, 17)])
+        first = pd_depth(ideal)
+        assert first.stats.route == "linear_quotients"
+        assert pd_depth(ideal, 2) is first
+        assert pd_depth(ideal, 3) is first
+        assert len(calls) == 1
+
     def test_caches_are_bounded(self):
-        assert homology._pd_depth.cache_info().maxsize == homology.PD_CACHE_SIZE
+        for cache in (homology._linear_quotient_profile, homology._homology_profile):
+            assert cache.cache_info().maxsize == homology.PD_CACHE_SIZE
         info = matroids._enumerate_matroidal.cache_info()
         assert info.maxsize == matroids.ENUMERATION_CACHE_SIZE
         # a defaulted, positional or keyword flag reaches the same entry

@@ -52,6 +52,39 @@ class TestMonomial:
             assert u.support == frozenset(i + 1 for i in range(4) if bits >> i & 1)
         assert Monomial.from_support(4, {2, 4}) == mono(0, 1, 0, 1)
 
+    def test_public_constructor_keeps_its_checks(self):
+        with pytest.raises(StructuralError):
+            Monomial((-1, 0))
+        with pytest.raises(ValueError):
+            Monomial(("a",))
+        assert Monomial((True, 2.0)).exponents == (1, 2)
+
+    def test_derived_monomials_equal_public_ones(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            u = Monomial(tuple(rng.randint(0, 3) for _ in range(n)))
+            v = Monomial(tuple(rng.randint(0, 3) for _ in range(n)))
+            derived = [u * v, u.gcd(v), u.lcm(v), (u * v) / v,
+                       Monomial.from_bitmask(n, rng.randrange(1 << n))]
+            for m in derived:
+                public = Monomial(m.exponents)
+                assert m == public and hash(m) == hash(public)
+                assert type(m.exponents) is tuple
+                assert all(type(e) is int and e >= 0 for e in m.exponents)
+
+    def test_bitmask_is_computed_once(self, monkeypatch):
+        u = mono(1, 0, 1, 1)
+        assert u.bitmask() == 0b1101
+        monkeypatch.setattr("matroidalkit.ideals.support_to_mask", None)
+        assert u.bitmask() == 0b1101
+        assert u == mono(1, 0, 1, 1) and hash(u) == hash(mono(1, 0, 1, 1))
+        assert repr(u) == "Monomial(exponents=(1, 0, 1, 1))"
+        squared = mono(2, 0)
+        for _ in range(2):
+            with pytest.raises(StructuralError):
+                squared.bitmask()
+
     def test_divides_lcm_gcd(self):
         u, v = mono(1, 2, 0), mono(0, 1, 1)
         assert not u.divides(v)

@@ -1,17 +1,22 @@
 """Exchange property, families, and the census of matroidal ideals."""
 
+import dataclasses
 import itertools
 import math
+import random
 import time
 
 import pytest
 
 from matroidalkit import (DomainError, MonomialIdeal, is_matroidal,
                           is_polymatroidal, is_squarefree_veronese, make_ideal,
-                          squarefree_veronese, transversal, veronese)
+                          matroids, squarefree_monomials, squarefree_veronese,
+                          transversal, veronese)
 from matroidalkit.matroids import (ENUMERATION_MAX_LAYER, ENUMERATION_MAX_N,
                                    NO_EXCHANGE_INDEX, NOT_SINGLE_DEGREE,
                                    dedupe_up_to_relabeling, enumerate_matroidal)
+
+import matroids_oracle
 
 
 class TestExchange:
@@ -174,3 +179,138 @@ class TestEnumeration:
         census = enumerate_matroidal(4, 2)
         reps = dedupe_up_to_relabeling(census)
         assert set(reps) <= set(census)
+
+
+def layer_collections(n, d):
+    """Every nonempty collection of the lex layer, as ideals built directly."""
+    layer = squarefree_monomials(n, d)
+    for selector in range(1, 1 << len(layer)):
+        yield MonomialIdeal(n, tuple(m for k, m in enumerate(layer) if selector >> k & 1))
+
+
+def random_squarefree(rng, n):
+    """A single-degree square-free ideal, or now and then a mixed-degree one."""
+    d = rng.randint(1, n)
+    layer = squarefree_monomials(n, d)
+    chosen = rng.sample(layer, rng.randint(1, min(len(layer), 12)))
+    if rng.random() < 0.1:
+        chosen += rng.sample(squarefree_monomials(n, rng.randint(1, n)), 1)
+    return make_ideal(n, chosen)
+
+
+def assert_matches_oracle(ideal):
+    assert is_polymatroidal(ideal) == matroids_oracle.is_polymatroidal(ideal), str(ideal)
+
+
+class TestMaskRouteAgainstOracle:
+    """Full certificates, witness order included, against the tuple route."""
+
+    def test_every_small_collection(self):
+        compared = 0
+        for n in range(1, 11):
+            for d in range(1, n + 1):
+                if math.comb(n, d) > 10:
+                    continue
+                for ideal in layer_collections(n, d):
+                    assert_matches_oracle(ideal)
+                    compared += 1
+        assert compared > 5000
+
+    def test_random_squarefree(self):
+        rng = random.Random(8)
+        failed = 0
+        for _ in range(2400):
+            ideal = random_squarefree(rng, rng.randint(2, 9))
+            assert_matches_oracle(ideal)
+            failed += not is_polymatroidal(ideal).holds
+        assert 600 < failed < 2400  # both verdicts are exercised
+
+    def test_families(self):
+        rng = random.Random(9)
+        for n in range(1, 9):
+            for d in range(1, n + 1):
+                assert_matches_oracle(squarefree_veronese(n, d))
+        for _ in range(60):
+            n = rng.randint(2, 8)
+            blocks = [rng.sample(range(1, n + 1), rng.randint(1, n))
+                      for _ in range(rng.randint(1, 3))]
+            assert_matches_oracle(transversal(n, blocks))
+
+    def test_not_squarefree(self):
+        for n in range(1, 5):
+            for d in range(1, 4):
+                assert_matches_oracle(veronese(n, d))
+        powers = [transversal(5, [{1, 2}] * 2 + [{3, 4, 5}]),
+                  transversal(6, [{1, 2, 3}] * 3),
+                  transversal(6, [{1, 2}] * 2 + [{3, 4}, {5, 6}] * 2),
+                  make_ideal(3, [(2, 1, 0), (2, 0, 1)]),
+                  make_ideal(3, [(2, 1, 0), (0, 1, 2)]),
+                  make_ideal(4, [(2, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1)])]
+        for ideal in powers:
+            assert_matches_oracle(ideal)
+
+    def test_squarefree_input_takes_the_mask_route(self, monkeypatch):
+        def refuse(ideal):
+            raise AssertionError(f"tuple route on {ideal}")
+        monkeypatch.setattr(matroids, "_tuple_exchange_failure", refuse)
+        for ideal in layer_collections(4, 2):
+            is_polymatroidal(ideal)
+        with pytest.raises(AssertionError):
+            is_polymatroidal(veronese(3, 2))
+
+    def test_failure_is_the_first_in_pair_then_index_order(self):
+        # (x1*x2, x3*x4): both (u, v) = (x1x2, x3x4) indices fail; i = 1 first
+        masks = [0b0011, 0b1100]
+        assert matroids._exchange_failure(masks) == (0, 1, 0b0001)
+        assert matroids._exchange_failure([0b0011]) is None
+
+    def test_enumeration_matches_the_oracle_scan(self):
+        for n in range(1, ENUMERATION_MAX_N + 1):
+            for d in range(1, n + 1):
+                if math.comb(n, d) > 15:
+                    continue
+                for flag in (True, False):
+                    assert enumerate_matroidal(n, d, flag) == \
+                        matroids_oracle.enumerate_matroidal(n, d, flag), (n, d, flag)
+
+
+class TestMemo:
+    def test_second_call_returns_the_same_certificate(self, path_n4):
+        first = is_polymatroidal(path_n4)
+        assert is_polymatroidal(path_n4) is first
+        again = make_ideal(4, [g.exponents for g in path_n4.gens])
+        assert again is not path_n4
+        assert is_polymatroidal(again) == first
+
+    def test_memo_is_not_a_field(self, two_blocks_n4):
+        before = (hash(two_blocks_n4), repr(two_blocks_n4))
+        is_polymatroidal(two_blocks_n4)
+        assert [f.name for f in dataclasses.fields(MonomialIdeal)] == ["n", "gens"]
+        assert (hash(two_blocks_n4), repr(two_blocks_n4)) == before
+        fresh = transversal(4, [{1, 2}, {3, 4}])
+        assert fresh == two_blocks_n4 and hash(fresh) == hash(two_blocks_n4)
+
+    def test_zero_raises_on_every_call(self):
+        zero = MonomialIdeal.zero(3)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                is_polymatroidal(zero)
+
+    def test_is_matroidal_goes_through_the_module_global(self, monkeypatch, two_blocks_n4):
+        seen = []
+        original = matroids.is_polymatroidal
+
+        def counting(ideal):
+            seen.append(ideal)
+            return original(ideal)
+        monkeypatch.setattr(matroids, "is_polymatroidal", counting)
+        assert is_matroidal(two_blocks_n4)
+        assert seen == [two_blocks_n4]
+
+    def test_veronese_10_5_in_time(self):
+        ideal = squarefree_veronese(10, 5)
+        start = time.perf_counter()
+        certificate = is_polymatroidal(ideal)
+        elapsed = time.perf_counter() - start
+        assert certificate.holds
+        assert elapsed < 0.15, f"V(10,5) took {elapsed:.3f}s, budget 0.15s"

@@ -334,7 +334,7 @@ def pd_depth(ideal, field=None):
     require_field(field)
     profile = _linear_quotient_profile(ideal)
     if profile is None:
-        profile = _homology_profile(ideal, field)
+        profile = _homology_fallback(ideal, field)
     return profile
 
 
@@ -401,6 +401,11 @@ def _linear_quotients(ideal):
 
 
 @functools.lru_cache(maxsize=PD_CACHE_SIZE)
+def _homology_fallback(ideal, field):
+    """pd_depth's cache of the homology profile; the engine stays uncached."""
+    return _homology_profile(ideal, field)
+
+
 def _homology_profile(ideal, field):
     """The profile by Hochster's formula; the route pd_depth falls back to."""
     complex_ = stanley_reisner(ideal)

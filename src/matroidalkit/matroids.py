@@ -29,7 +29,7 @@ NO_EXCHANGE_INDEX = "no_exchange_index"
 
 # brute-force relabeling below walks all n! permutations
 ENUMERATION_MAX_N = 7
-# enumeration scans all 2^C(n,d) collections; (6, 3) at 2^20 takes 8-9 s
+# enumeration scans all 2^C(n,d) collections; (6, 3) at 2^20 takes 8-10 s
 ENUMERATION_MAX_LAYER = 20
 ENUMERATION_CACHE_SIZE = 32  # (n, d, flag) results enumerate_matroidal keeps
 _MEMO = "_exchange_certificate"  # instance-dict key of is_polymatroidal's memo
@@ -234,29 +234,20 @@ def _enumerate_matroidal(n, d, full_support_only):
                           f"limited to 2^{ENUMERATION_MAX_LAYER}")
     layer = squarefree_monomials(n, d)
     layer_masks = [m.bitmask() for m in layer]
-    # a selector's masks are those of its low half followed by its high half's
-    half = count // 2
-    low, high = _sublists(layer_masks[:half]), _sublists(layer_masks[half:])
-    low_bits = (1 << half) - 1
     full = (1 << n) - 1
     found = []
     for selector in range(1, 1 << count):
-        low_masks, low_union = low[selector & low_bits]
-        high_masks, high_union = high[selector >> half]
-        if full_support_only and low_union | high_union != full:
-            continue
-        if _exchange_failure(low_masks + high_masks) is None:
+        masks = [layer_masks[k] for k in range(count) if (selector >> k) & 1]
+        if full_support_only:
+            covered = 0
+            for m in masks:
+                covered |= m
+            if covered != full:
+                continue
+        if _exchange_failure(masks) is None:
             found.append(make_ideal(n, [layer[k] for k in range(count)
                                         if (selector >> k) & 1]))
     return tuple(found)
-
-
-def _sublists(masks):
-    """(chosen masks in order, their union) for every selector over masks."""
-    table = [([], 0)]
-    for m in masks:
-        table += [(chosen + [m], union | m) for chosen, union in table]
-    return table
 
 
 def _occurrence_signature(ideal):

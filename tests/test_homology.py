@@ -479,8 +479,29 @@ class TestCaches:
         assert pd_depth(ideal, 3) is first
         assert len(calls) == 1
 
+    def test_homology_fallback_is_cached_per_field(self, monkeypatch):
+        calls = []
+        original = homology._homology_profile
+
+        def counting(ideal, field):
+            calls.append(field)
+            return original(ideal, field)
+        monkeypatch.setattr(homology, "_homology_profile", counting)
+        homology._homology_fallback.cache_clear()
+        # (x1 x2, x3 x4) has no linear quotients, so pd_depth falls back
+        ideal = MonomialIdeal.from_supports(4, [{1, 2}, {3, 4}])
+        over_q = pd_depth(ideal)
+        assert over_q.stats.route != "linear_quotients"
+        assert pd_depth(ideal) is over_q
+        assert pd_depth(ideal, 2) is pd_depth(ideal, 2)
+        assert calls == [None, 2]
+
+    def test_homology_engine_is_uncached(self):
+        # the engine tests below call it directly and must compute each time
+        assert not hasattr(homology._homology_profile, "cache_info")
+
     def test_caches_are_bounded(self):
-        for cache in (homology._linear_quotient_profile, homology._homology_profile):
+        for cache in (homology._linear_quotient_profile, homology._homology_fallback):
             assert cache.cache_info().maxsize == homology.PD_CACHE_SIZE
         info = matroids._enumerate_matroidal.cache_info()
         assert info.maxsize == matroids.ENUMERATION_CACHE_SIZE

@@ -23,7 +23,7 @@ from .errors import (DomainError, ParseError, StructuralError,
 from .fields import require_prime
 from .groebner import DEFAULT_PRIME, certify_witness
 from .homology import pd_depth
-from .matroids import enumerate_matroidal, is_polymatroidal
+from .matroids import enumerate_matroidal, is_matroidal, is_polymatroidal
 from .parsing import parse_ideal
 from .schmitt_vogel import ara_report
 
@@ -139,7 +139,7 @@ def _analyze(ideal, config):
         certificate = is_polymatroidal(ideal)
         payload = {
             "is_polymatroidal": certificate.holds,
-            "is_matroidal": certificate.holds and ideal.is_squarefree,
+            "is_matroidal": is_matroidal(ideal),
             "reason": certificate.reason,
         }
         if certificate.failure_witness is not None:

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import DomainError, TheoremViolationError
-from .ideals import Monomial, MonomialIdeal, mask_to_support, support_to_mask
+from .ideals import Monomial, MonomialIdeal, mask_to_support
 from .matroids import is_matroidal, is_polymatroidal, veronese
 
 MATROIDAL = "matroidal"
@@ -170,11 +170,11 @@ def irreducible_decomposition(ideal):
     return tuple(components)
 
 
-def _minimal_covers(supports):
-    """Inclusion-minimal hitting sets of a list of variable subsets.
+def _minimal_covers(edges):
+    """Inclusion-minimal hitting sets of a list of edges, as vertex masks.
 
     Returns the covers as a frozenset of 1-indexed frozensets, with the
-    CoverStats of the search. The supports become edge masks, and a
+    CoverStats of the search. Repeated edges count once, and a
     depth-first search runs on (chosen, forbidden): it picks an uncovered
     edge with the fewest allowed vertices (those outside forbidden) and
     branches on them in increasing order, branch j adding v_j and
@@ -190,7 +190,7 @@ def _minimal_covers(supports):
     not; no minimal cover C contains it, since an edge private to u in C
     is private to u in every subset of C that holds u.
     """
-    edges = sorted(set(map(support_to_mask, supports)))
+    edges = sorted(set(edges))
     found = []
     counts = {"nodes": 0, "leaves_rejected": 0}
 
@@ -227,7 +227,7 @@ def associated_primes(ideal):
         raise DomainError("associated primes need a proper nonzero ideal")
     stats = None
     if ideal.is_squarefree:
-        ass, stats = _minimal_covers([g.support for g in ideal.gens])
+        ass, stats = _minimal_covers(ideal.masks)
         minimal = ass
     else:
         ass = frozenset(comp.support for comp in irreducible_decomposition(ideal))

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import DomainError, PairBudgetExceeded, StructuralError
 from .fields import require_field, require_prime
-from .ideals import Monomial
+from .ideals import Monomial, exponent_vector
 
 PAIR_BUDGET = 10 ** 6
 DEFAULT_PRIME = 32003
@@ -54,14 +54,6 @@ def _order_key(ev):
     return degree, _pack(ev, _width_for(degree))
 
 
-def _ev_lcm(a, b):
-    return tuple(map(max, a, b))
-
-
-def _ev_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def _ev_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
@@ -81,11 +73,9 @@ class Polynomial:
         self.field = field
         clean = {}
         for ev, c in (terms or {}).items():
-            ev = tuple(int(e) for e in ev)
+            ev = exponent_vector(ev)
             if len(ev) != nvars:
                 raise StructuralError(f"term {ev} has {len(ev)} exponents, expected {nvars}")
-            if any(e < 0 for e in ev):
-                raise StructuralError(f"negative exponent in term {ev}")
             c = Fraction(c) if field is None else int(c) % field
             if c:
                 clean[ev] = c
@@ -451,16 +441,6 @@ def normal_form(f, basis):
         work = dict(zip(work, ints))
     remainder = _reduce(work, reducers, packing, f.field, scale)
     return packing.unpacked(remainder, f.field)
-
-
-def _spoly(f, g):
-    (fev, fc), (gev, gc), field = f.leading(), g.leading(), f.field
-    lcm_ev = _ev_lcm(fev, gev)
-    if field is None:
-        return (f.times_term(1 / fc, _ev_sub(lcm_ev, fev))
-                - g.times_term(1 / gc, _ev_sub(lcm_ev, gev)))
-    return (f.times_term(pow(fc, -1, field), _ev_sub(lcm_ev, fev))
-            - g.times_term(pow(gc, -1, field), _ev_sub(lcm_ev, gev)))
 
 
 class _Buchberger:

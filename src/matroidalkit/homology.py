@@ -9,7 +9,9 @@ cones"): the multigraded Betti table of R/I is beta_{0, empty} = 1 plus
 one entry at (|F| + 1, supp(u_k) | F) for every k and F within set(u_k).
 The table has no field in it, so it is the same over every field.
 Polymatroidal ideals have linear quotients in this order, but the route
-tests linearity on every input and assumes nothing.
+tests linearity on every input and assumes nothing. The table holds the
+sum of 2^|set(u_k)| entries, which is held against FACE_BUDGET before
+it is built.
 
 Every other square-free ideal goes to the homology route: the graded
 Betti numbers of R/I are ranks of reduced homology of induced
@@ -31,7 +33,6 @@ columns for the rationals.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -42,8 +43,9 @@ from .errors import DomainError, StructuralError
 from .fields import require_field
 from .ideals import mask_to_support, support_to_mask
 
-PD_CACHE_SIZE = 1024  # entries in each of pd_depth's two caches
-FACE_BUDGET = 1 << 22  # faces the homology route may list, bounded by sum of 2^|facet|
+# faces the homology route may list (bounded by sum of 2^|facet|), and
+# entries the linear-quotient route may tabulate (sum of 2^|set(u_k)|)
+FACE_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,7 @@ class HomologyProfile:
 
     betti maps (homological degree i, multidegree as frozenset) to a
     nonzero rank; absent keys are zero. It is a read-only view, so a
-    profile shared through the cache cannot be changed by its callers.
+    profile shared through the memo cannot be changed by its callers.
     stats holds the work counters of the run that built it.
     """
 
@@ -325,25 +327,27 @@ def pd_depth(ideal, field=None):
     DomainError before any face is listed.
 
     Both routes list the table by multidegree mask, then by homological
-    degree. Each route keeps a bounded cache: the linear-quotient profile
-    (or its absence) per ideal, shared by every field, and the homology
-    profile per (ideal, field); pd_depth(I) and pd_depth(I, None) share
-    an entry. The field is checked before either cache, since 5.0 would
-    find the entry of 5.
+    degree. The ideal's memo keeps the linear-quotient profile, or its
+    absence, for every field and the homology profile per field. A
+    linear-quotient table of more than FACE_BUDGET entries raises
+    DomainError before it is built.
     """
     require_field(field)
-    profile = _linear_quotient_profile(ideal)
+    profile = ideal._memo("_linear_quotient_profile", _linear_quotient_profile)
     if profile is None:
-        profile = _homology_fallback(ideal, field)
+        profile = ideal._memo(f"_homology_profile_{field}", _homology_profile, field)
     return profile
 
 
-@functools.lru_cache(maxsize=PD_CACHE_SIZE)
 def _linear_quotient_profile(ideal):
     """The field-free profile of the linear-quotient route, or None."""
     quotients = _linear_quotients(ideal)
     if quotients is None:
         return None
+    bound = sum(1 << linear.bit_count() for _, linear in quotients)
+    if bound > FACE_BUDGET:
+        raise DomainError(f"linear-quotient stage: the Betti table has {bound} entries "
+                          f"(sum of 2^|set(u)|), over the limit FACE_BUDGET = {FACE_BUDGET}")
     complex_ = stanley_reisner(ideal)
     n = ideal.n
     # sigma = supp(u) | F for every F within set(u); as the degree d is
@@ -361,7 +365,7 @@ def _linear_quotient_profile(ideal):
             sets += [f | variable for f in sets]
         tally.update(masks)
         supports.update(zip(masks, sets))
-    shift = ideal.gens[0].degree - 1
+    shift = ideal.degree - 1
     betti = {(0, frozenset()): 1}
     for sigma in sorted(tally):
         betti[(sigma.bit_count() - shift, supports[sigma])] = tally[sigma]
@@ -383,10 +387,9 @@ def _linear_quotients(ideal):
     them make up set(u_k), and the colon is linear iff every mask meets
     set(u_k).
     """
-    degrees = {g.degree for g in ideal.gens}
-    if not ideal.is_squarefree or len(degrees) != 1 or 0 in degrees:
+    masks = ideal.masks
+    if masks is None or not ideal.degree:  # mixed degrees, zero or unit ideal
         return None
-    masks = [g.bitmask() for g in ideal.gens]
     quotients = []
     for k, u in enumerate(masks):
         colon = [m & ~u for m in masks[:k]]
@@ -400,12 +403,6 @@ def _linear_quotients(ideal):
     return quotients
 
 
-@functools.lru_cache(maxsize=PD_CACHE_SIZE)
-def _homology_fallback(ideal, field):
-    """pd_depth's cache of the homology profile; the engine stays uncached."""
-    return _homology_profile(ideal, field)
-
-
 def _homology_profile(ideal, field):
     """The profile by Hochster's formula; the route pd_depth falls back to."""
     complex_ = stanley_reisner(ideal)
@@ -413,8 +410,7 @@ def _homology_profile(ideal, field):
     levels = _face_levels([support_to_mask(f) for f in complex_.facets])
     boundary = _boundaries(levels, field)
     lattice = {0}
-    for g in ideal.gens:
-        g = g.bitmask()
+    for g in ideal.masks:
         lattice |= {s | g for s in lattice}
     counts = {"matrices_reduced": 0, "largest_matrix": (0, 0)}
     betti = {}

@@ -8,6 +8,9 @@ and field-free: no coefficients, no floats.
 The square-free bit layout lives here alone: a set of variable indices
 (a support, a face, a prime) is an int whose bit k-1 stands for x_k, and
 other modules convert with support_to_mask and mask_to_support.
+
+An ideal keeps its derived data (degree, and in its memo the generator masks
+and what other modules compute on it) outside the dataclass fields.
 """
 
 from __future__ import annotations
@@ -16,6 +19,21 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import StructuralError
+
+
+def exponent_vector(values):
+    """The exponents as a tuple of ints; refuses negative and non-integral ones.
+
+    int() alone would truncate 1.5 to 1, so each value must equal its
+    int(): integral floats and bools pass, 0.9 and Fraction(1, 2) do not.
+    """
+    values = tuple(values)
+    exps = tuple(map(int, values))
+    if min(exps, default=0) < 0:
+        raise StructuralError(f"negative exponent in {values}")
+    if exps != values:
+        raise StructuralError(f"non-integral exponent in {values}")
+    return exps
 
 
 def support_to_mask(support):
@@ -33,17 +51,15 @@ class Monomial:
     """A monomial x1^e1 * ... * xn^en as its exponent tuple.
 
     The public constructor converts every exponent with int() and refuses
-    negatives. Monomials the package derives itself (products, quotients,
-    gcds, lcms, from_bitmask) come from _trusted, which skips both.
+    negative and non-integral ones. Monomials the package derives itself
+    (products, quotients, gcds, lcms, from_bitmask) come from _trusted,
+    which skips both.
     """
 
     exponents: tuple
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
-        if any(e < 0 for e in exps):
-            raise StructuralError(f"negative exponent in {exps}")
-        object.__setattr__(self, "exponents", exps)
+        object.__setattr__(self, "exponents", exponent_vector(self.exponents))
 
     @classmethod
     def _trusted(cls, exponents):
@@ -213,7 +229,8 @@ class MonomialIdeal:
         # a monomial divides a distinct one only from a lower degree, so
         # the pairwise scan is owed only across degrees, lower into higher
         degrees = [g.degree for g in self.gens]
-        if len(set(degrees)) > 1:
+        self.__dict__["degree"] = degrees[0] if len(set(degrees)) == 1 else None
+        if self.degree is None:
             for (a, da), (b, db) in itertools.combinations(zip(self.gens, degrees), 2):
                 if da < db and a.divides(b) or db < da and b.divides(a):
                     raise StructuralError(f"generators {a}, {b} are not minimal")
@@ -254,8 +271,19 @@ class MonomialIdeal:
         return frozenset().union(*(g.support for g in self.gens)) if self.gens else frozenset()
 
     @property
+    def masks(self):
+        """Generator bitmasks in generator order; None unless all are square-free."""
+        return self._memo("_masks", _generator_masks)
+
+    @property
     def is_squarefree(self):
-        return all(g.is_squarefree for g in self.gens)
+        return self.masks is not None
+
+    def _memo(self, key, compute, *args):
+        """compute(self, *args), worked out once per instance and key."""
+        if key not in self.__dict__:
+            self.__dict__[key] = compute(self, *args)
+        return self.__dict__[key]
 
     def contains(self, u):
         """Monomial membership: some minimal generator divides u."""
@@ -316,15 +344,17 @@ class MonomialIdeal:
                      if any(not g & ~m for g in masks))
 
     def summarize(self):
-        degrees = {g.degree for g in self.gens}
-        single = len(degrees) == 1
         return IdealSummary(
             is_squarefree=self.is_squarefree,
-            is_single_degree=single,
-            degree=degrees.pop() if single else None,
+            is_single_degree=self.degree is not None,
+            degree=self.degree,
             is_full_supported=len(self.support) == self.n,  # support lies in [n]
             mu=self.mu,
         )
+
+    def __reduce__(self):
+        # rebuild from the fields: the memo may hold tables that cannot be pickled
+        return MonomialIdeal, (self.n, self.gens)
 
     def _check_ambient(self, other):
         if other.n != self.n:
@@ -334,6 +364,13 @@ class MonomialIdeal:
         if self.is_zero:
             return "(0)"
         return "(" + ", ".join(str(g) for g in self.gens) + ")"
+
+
+def _generator_masks(ideal):
+    try:
+        return tuple(g.bitmask() for g in ideal.gens)
+    except StructuralError:  # bitmask() refuses a generator that is not square-free
+        return None
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ is polymatroidal when every ordered generator pair admits an exchange at
 every separating variable. Square-free plus polymatroidal is matroidal, and
 then generator supports form the bases of a matroid.
 
-is_polymatroidal computes one certificate per ideal object and keeps it on
-the instance. Square-free input runs on generator bitmasks through one
+is_polymatroidal computes one certificate per ideal object and keeps it in
+the ideal's memo. Square-free input runs on generator bitmasks through one
 kernel, _exchange_failure, which enumeration shares; other input runs on
 exponent tuples. Both routes report the first failure with u, then v, in
 generator order and the variable index ascending. Enumeration over all
@@ -32,7 +32,6 @@ ENUMERATION_MAX_N = 7
 # enumeration scans all 2^C(n,d) collections; (6, 3) at 2^20 takes 8-10 s
 ENUMERATION_MAX_LAYER = 20
 ENUMERATION_CACHE_SIZE = 32  # (n, d, flag) results enumerate_matroidal keeps
-_MEMO = "_exchange_certificate"  # instance-dict key of is_polymatroidal's memo
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,8 @@ def is_polymatroidal(ideal):
 
     Returns a certificate; on failure the witness pins down a concrete
     ordered pair and variable index with no exchange partner. The
-    certificate is kept on the ideal instance itself, outside its
-    dataclass fields, so a later call on the same object returns the
-    same certificate and equality, hashing and repr are untouched; the
-    zero ideal raises on every call.
+    certificate is kept in the ideal's memo, so later calls on the same
+    object return it; the zero ideal raises on every call.
 
     Single-degree square-free input runs on generator masks
     (_exchange_failure); every other single-degree input runs on
@@ -70,23 +67,18 @@ def is_polymatroidal(ideal):
     """
     if ideal.is_zero:
         raise DomainError("exchange property undefined for the zero ideal")
-    certificate = ideal.__dict__.get(_MEMO)
-    if certificate is None:
-        certificate = _exchange_certificate(ideal)
-        ideal.__dict__[_MEMO] = certificate
-    return certificate
+    return ideal._memo("_exchange_certificate", _exchange_certificate)
 
 
 def _exchange_certificate(ideal):
-    gens = ideal.gens
-    if len({g.degree for g in gens}) != 1:
+    if ideal.degree is None:
         return ExchangeCertificate(holds=False, reason=NOT_SINGLE_DEGREE)
     if ideal.is_squarefree:
-        failure = _exchange_failure([g.bitmask() for g in gens])
+        failure = _exchange_failure(ideal.masks)
         if failure is None:
             return ExchangeCertificate(holds=True)
         a, b, e = failure
-        witness = (gens[a], gens[b], e.bit_length())
+        witness = (ideal.gens[a], ideal.gens[b], e.bit_length())
     else:
         witness = _tuple_exchange_failure(ideal)
         if witness is None:
@@ -156,9 +148,7 @@ def _exchange_failure(masks):
 
 
 def is_matroidal(ideal):
-    """Square-free and polymatroidal."""
-    if ideal.is_zero:
-        raise DomainError("exchange property undefined for the zero ideal")
+    """Square-free and polymatroidal; the zero ideal raises as in is_polymatroidal."""
     return ideal.is_squarefree and is_polymatroidal(ideal).holds
 
 
@@ -203,10 +193,9 @@ def is_squarefree_veronese(ideal):
     a subset of the full degree-d layer, so equal cardinality means equal
     sets. The unit ideal passes as the degenerate d=0 layer.
     """
-    summary = ideal.summarize()
-    if not (summary.is_squarefree and summary.is_single_degree):
+    if not ideal.is_squarefree or ideal.degree is None:
         return False
-    return ideal.mu == math.comb(ideal.n, summary.degree)
+    return ideal.mu == math.comb(ideal.n, ideal.degree)
 
 
 def enumerate_matroidal(n, d, full_support_only=True):

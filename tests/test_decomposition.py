@@ -19,7 +19,13 @@ from matroidalkit.decomposition import (MATROIDAL, POWER_OF_M, CoverStats,
                                         _split_leaves)
 
 import decomposition_oracle
+from matroidalkit.ideals import support_to_mask
 from matroidalkit.matroids import enumerate_matroidal
+
+
+def minimal_covers(edges):
+    """The cover search on edges given as variable sets."""
+    return _minimal_covers([support_to_mask(e) for e in edges])
 
 
 def intersect_all(ideals):
@@ -206,28 +212,28 @@ class TestMinimalCovers:
         rng = random.Random(113)
         for _ in range(400):
             edges = random_hypergraph(rng, rng.randint(1, 9))
-            covers, stats = _minimal_covers(edges)
+            covers, stats = minimal_covers(edges)
             assert covers == decomposition_oracle.minimal_covers(edges), edges
             assert stats.leaves_kept == len(covers)
 
     @settings(max_examples=150, deadline=None)
     @given(hypergraphs())
     def test_matches_oracle_hypothesis(self, edges):
-        covers, stats = _minimal_covers(edges)
+        covers, stats = minimal_covers(edges)
         assert covers == decomposition_oracle.minimal_covers(edges)
         assert stats.leaves_kept == len(covers)
 
     def test_degenerate_inputs(self):
         # no edges: the empty set covers; an empty edge: nothing covers
-        assert _minimal_covers([])[0] == frozenset({frozenset()})
-        assert _minimal_covers([frozenset({1}), frozenset()])[0] == frozenset()
-        assert _minimal_covers([{1, 2}, {2}, {2}])[0] == frozenset({frozenset({2})})
+        assert minimal_covers([])[0] == frozenset({frozenset()})
+        assert minimal_covers([frozenset({1}), frozenset()])[0] == frozenset()
+        assert minimal_covers([{1, 2}, {2}, {2}])[0] == frozenset({frozenset({2})})
 
     def test_matches_oracle_on_matroidal_census(self):
         for d in (2, 3):
             for ideal in enumerate_matroidal(5, d):
                 supports = [g.support for g in ideal.gens]
-                covers, _ = _minimal_covers(supports)
+                covers, _ = _minimal_covers(ideal.masks)
                 assert covers == decomposition_oracle.minimal_covers(supports)
 
     def test_stats_repeat_and_count_each_prime_once(self):

@@ -1,10 +1,12 @@
 """Stanley-Reisner complexes, exact homology ranks, and pd/depth/CM."""
 
+import gc
 import io
 import itertools
 import math
 import random
 import time
+import weakref
 
 import pytest
 
@@ -426,6 +428,36 @@ class TestFaceBudget:
         with pytest.raises(DomainError, match="16 faces"):
             reduced_homology_ranks(complex_of(4, {1, 2, 3}, {2, 4}, {1, 4}))
 
+    def test_linear_quotient_table_is_held_against_the_budget(self, monkeypatch):
+        # (x1, ..., x30): set(u_k) has k - 1 variables, 2^30 - 1 entries
+        start = time.monotonic()
+        with pytest.raises(DomainError, match="linear-quotient stage.*1073741823 entries"
+                                              ".*FACE_BUDGET = 4194304"):
+            pd_depth(MonomialIdeal.maximal(30))
+        assert time.monotonic() - start < 1.0
+        # (x1, ..., x4) tabulates 1 + 2 + 4 + 8 = 15 entries
+        monkeypatch.setattr(homology, "FACE_BUDGET", 15)
+        assert pd_depth(MonomialIdeal.maximal(4)).pd == 4
+        monkeypatch.setattr(homology, "FACE_BUDGET", 14)
+        with pytest.raises(DomainError, match="15 entries"):
+            pd_depth(MonomialIdeal.maximal(4))
+
+    def test_analyze_skips_homology_and_rank_on_the_maximal_ideal(self, capsys,
+                                                                 monkeypatch):
+        from matroidalkit.cli import main
+        text = "n = 30; " + ", ".join(f"x{i}" for i in range(1, 31))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        start = time.monotonic()
+        code = main(["analyze"])
+        elapsed = time.monotonic() - start
+        out = capsys.readouterr().out
+        assert code == 0
+        for section in ("homology", "rank"):
+            block = out.split(f"\n{section}:\n", 1)[1].split("\n", 1)[0]
+            assert block.startswith("  skipped: linear-quotient stage"), block
+        # measured at about 0.003 s on a 2-vCPU VM
+        assert elapsed < 1.0, f"analyze on x1..x30 took {elapsed:.2f}s, budget 1s"
+
     def test_analyze_skips_homology_in_time(self, capsys, monkeypatch):
         from matroidalkit.cli import main
         monkeypatch.setattr("sys.stdin", io.StringIO("n = 40; x1*x2, x3*x4"))
@@ -471,8 +503,7 @@ class TestCaches:
             calls.append(ideal)
             return original(ideal)
         monkeypatch.setattr(homology, "_linear_quotients", counting)
-        homology._linear_quotient_profile.cache_clear()
-        ideal = transversal(16, [range(1, 9), range(9, 17)])
+        ideal = transversal(16, [range(1, 9), range(9, 17)])  # a fresh instance
         first = pd_depth(ideal)
         assert first.stats.route == "linear_quotients"
         assert pd_depth(ideal, 2) is first
@@ -487,8 +518,8 @@ class TestCaches:
             calls.append(field)
             return original(ideal, field)
         monkeypatch.setattr(homology, "_homology_profile", counting)
-        homology._homology_fallback.cache_clear()
-        # (x1 x2, x3 x4) has no linear quotients, so pd_depth falls back
+        # (x1 x2, x3 x4) has no linear quotients, so pd_depth falls back;
+        # the instance is fresh, so its memo starts empty
         ideal = MonomialIdeal.from_supports(4, [{1, 2}, {3, 4}])
         over_q = pd_depth(ideal)
         assert over_q.stats.route != "linear_quotients"
@@ -501,8 +532,15 @@ class TestCaches:
         assert not hasattr(homology._homology_profile, "cache_info")
 
     def test_caches_are_bounded(self):
-        for cache in (homology._linear_quotient_profile, homology._homology_fallback):
-            assert cache.cache_info().maxsize == homology.PD_CACHE_SIZE
+        # pd_depth's profiles live in the ideal's memo and go with it
+        ideal = MonomialIdeal.from_supports(4, [{1, 2}, {3, 4}])
+        profiles = [weakref.ref(pd_depth(ideal, field)) for field in (None, 2)]
+        lq_ideal = transversal(6, [{1, 2}, {3, 4}, {5, 6}])
+        profiles.append(weakref.ref(pd_depth(lq_ideal)))
+        assert all(ref() is not None for ref in profiles)
+        del ideal, lq_ideal
+        gc.collect()
+        assert all(ref() is None for ref in profiles)
         info = matroids._enumerate_matroidal.cache_info()
         assert info.maxsize == matroids.ENUMERATION_CACHE_SIZE
         # a defaulted, positional or keyword flag reaches the same entry

@@ -1,16 +1,21 @@
 """Monomial and ideal arithmetic, with brute-force membership oracles."""
 
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matroidalkit import (Monomial, MonomialIdeal, StructuralError, make_ideal,
-                          squarefree_monomials)
+from matroidalkit import (Monomial, MonomialIdeal, Polynomial, StructuralError,
+                          associated_primes, is_matroidal, is_polymatroidal,
+                          make_ideal, pd_depth, squarefree_monomials, transversal)
 from matroidalkit.ideals import _minimalize
 from matroidalkit.matroids import enumerate_matroidal
 
@@ -58,6 +63,18 @@ class TestMonomial:
         with pytest.raises(ValueError):
             Monomial(("a",))
         assert Monomial((True, 2.0)).exponents == (1, 2)
+
+    @pytest.mark.parametrize("bad", [1.5, 0.9, -0.5, Fraction(1, 2)], ids=str)
+    def test_non_integral_exponents_are_refused(self, bad):
+        # int() alone would truncate each of these to a wrong exponent
+        with pytest.raises(StructuralError):
+            Monomial((bad, 0))
+        with pytest.raises(StructuralError):
+            make_ideal(2, [(bad, 1)])
+        with pytest.raises(StructuralError):
+            Polynomial(2, {(bad, 0): 1})
+        assert Monomial((Fraction(2, 1), 1.0)).exponents == (2, 1)
+        assert Polynomial(2, {(1.0, True): 1}).terms == {(1, 1): 1}
 
     def test_derived_monomials_equal_public_ones(self):
         rng = random.Random(5)
@@ -394,3 +411,80 @@ class TestSummaryAndViews:
 
     def test_display(self, two_blocks_n4):
         assert str(two_blocks_n4) == "(x1*x3, x1*x4, x2*x3, x2*x4)"
+
+
+def independent_masks(ideal):
+    if any(e > 1 for g in ideal.gens for e in g.exponents):
+        return None
+    return tuple(sum(1 << i for i, e in enumerate(g.exponents) if e) for g in ideal.gens)
+
+
+def independent_degree(ideal):
+    degrees = {sum(g.exponents) for g in ideal.gens}
+    return degrees.pop() if len(degrees) == 1 else None
+
+
+class TestDerivedData:
+    def test_views_match_an_independent_computation(self):
+        rng = random.Random(211)
+        ideals = [MonomialIdeal.zero(3), MonomialIdeal.unit(3)]
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            top = rng.choice((1, 2))  # square-free, or not
+            d = rng.randint(1, n)
+            shapes = [tuple(rng.randint(0, top) for _ in range(n))  # mixed degrees
+                      for _ in range(rng.randint(1, 6))]
+            shapes += [tuple(e * top for e in m.exponents)  # one degree
+                       for m in rng.sample(squarefree_monomials(n, d),
+                                           rng.randint(1, math.comb(n, d)))]
+            ideals.append(make_ideal(n, shapes[:rng.randint(1, len(shapes))]))
+            ideals.append(make_ideal(n, shapes[-rng.randint(1, 3):]))
+        kinds = {(ideal.masks is None, ideal.degree is None) for ideal in ideals}
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+        for ideal in ideals:
+            assert ideal.masks == independent_masks(ideal), ideal
+            assert ideal.degree == independent_degree(ideal), ideal
+            assert ideal.is_squarefree == (ideal.masks is not None)
+            assert ideal.masks is ideal.masks  # computed once per instance
+        assert MonomialIdeal.zero(3).masks == () and MonomialIdeal.unit(3).masks == (0,)
+        assert MonomialIdeal.unit(3).degree == 0
+
+    def test_memo_stays_outside_the_fields(self):
+        linear = transversal(4, [{1, 2}, {3, 4}])
+        fallback = MonomialIdeal.from_supports(4, [{1, 2}, {3, 4}])
+        for ideal in (linear, fallback):
+            before = (hash(ideal), repr(ideal))
+            twin = make_ideal(ideal.n, [g.exponents for g in ideal.gens])
+            ideal.masks, is_polymatroidal(ideal), pd_depth(ideal), pd_depth(ideal, 2)
+            assert len(vars(ideal)) > len(vars(twin))  # the memo is filled
+            assert [f.name for f in dataclasses.fields(MonomialIdeal)] == ["n", "gens"]
+            assert (hash(ideal), repr(ideal)) == before
+            assert ideal == twin and hash(ideal) == hash(twin)
+            assert dataclasses.astuple(ideal) == dataclasses.astuple(twin)
+            # a profile's read-only Betti table cannot be pickled, so copies
+            # and pickles carry the fields alone
+            for copied in (pickle.loads(pickle.dumps(ideal)), copy.deepcopy(ideal)):
+                assert copied == ideal and vars(copied).keys() == vars(twin).keys()
+
+    def test_squarefree_scan_runs_once_per_generator(self, monkeypatch):
+        calls = []
+        scan = Monomial.is_squarefree.fget
+
+        def counting(monomial):
+            calls.append(monomial)
+            return scan(monomial)
+        # fresh generators, none of which has its bitmask yet
+        ideals = [transversal(6, [{1, 2}, {3, 4}, {5, 6}]),
+                  MonomialIdeal.from_supports(5, [{1, 2}, {2, 3}, {4, 5}, {1, 3, 5}]),
+                  make_ideal(3, [(1, 1, 0), (0, 2, 1)])]
+        monkeypatch.setattr(Monomial, "is_squarefree", property(counting))
+        for ideal in ideals:
+            calls.clear()
+            is_matroidal(ideal)
+            if ideal.is_squarefree:
+                pd_depth(ideal)
+            associated_primes(ideal)
+            ideal.summarize()
+            assert len(calls) == len(set(map(id, calls))) <= ideal.mu
+            if ideal.is_squarefree:
+                assert len(calls) == ideal.mu

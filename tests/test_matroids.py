@@ -295,6 +295,8 @@ class TestMemo:
         for _ in range(2):
             with pytest.raises(DomainError):
                 is_polymatroidal(zero)
+            with pytest.raises(DomainError, match="zero ideal"):
+                is_matroidal(zero)
 
     def test_is_matroidal_goes_through_the_module_global(self, monkeypatch, two_blocks_n4):
         seen = []

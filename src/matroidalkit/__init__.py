@@ -21,7 +21,7 @@ from .decomposition import (CoverStats, CriteriaReport, Partition,
                             partition_degree2)
 from .homology import (HomologyProfile, HomologyStats, SimplicialComplex,
                        pd_depth, reduced_homology_ranks, stanley_reisner)
-from .groebner import (BuchbergerStats, GroebnerBasis, Polynomial,
+from .groebner import (BuchbergerStats, CertifyStats, GroebnerBasis, Polynomial,
                        WitnessCertificate, buchberger, certify_witness,
                        normal_form, radical_membership)
 from .schmitt_vogel import (AraReport, SVWitness, ara_report, build_sv_witness,
@@ -29,7 +29,8 @@ from .schmitt_vogel import (AraReport, SVWitness, ara_report, build_sv_witness,
 from .parsing import parse_ideal
 
 __all__ = [
-    "AraReport", "BuchbergerStats", "CoverStats", "CriteriaReport", "DomainError",
+    "AraReport", "BuchbergerStats", "CertifyStats", "CoverStats", "CriteriaReport",
+    "DomainError",
     "ExchangeCertificate", "GroebnerBasis", "HomologyProfile", "HomologyStats",
     "IdealSummary", "Monomial", "MonomialIdeal", "PairBudgetExceeded",
     "ParseError",

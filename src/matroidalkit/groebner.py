@@ -21,6 +21,7 @@ Gebauer-Moeller criteria (1988), and runs under a hard pair budget.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
@@ -619,19 +620,77 @@ def radical_membership(f, gens):
 
 
 @dataclass(frozen=True)
+class CertifyStats:
+    """Work counters of one certification; equal input gives equal counts.
+
+    transpositions counts the variable swaps (i j) that move some
+    generator and were found to fix both the generator set and every
+    witness sum; radical_tests counts the radical-membership tests run,
+    one per orbit of generators.
+    """
+
+    transpositions: int = 0
+    radical_tests: int = 0
+
+
+@dataclass(frozen=True)
 class WitnessCertificate:
     """Outcome of certifying one layered witness against its ideal.
 
     subset_failure, when set, is (layer sum index, offending monomial)
     showing a witness term outside the ideal. failing_generators lists
-    generators the radical test could not absorb. passed means both
-    directions went through.
+    generators the radical test could not absorb, in generator order.
+    passed means both directions went through. stats holds the work
+    counters and takes no part in equality.
     """
 
     passed: bool
     field: int | None
     subset_failure: tuple | None
     failing_generators: tuple
+    stats: CertifyStats = dataclass_field(default=CertifyStats(), compare=False)
+
+
+def _swapped(ev, i, j):
+    """The exponent tuple with entries i and j exchanged."""
+    out = list(ev)
+    out[i], out[j] = ev[j], ev[i]
+    return tuple(out)
+
+
+def _generator_orbits(ideal, qs):
+    """Transpositions fixing the generators and every q_j; orbit roots.
+
+    A swap (i j) is kept when it maps the generator exponent tuples onto
+    themselves and every sum in qs onto itself, coefficients included,
+    checked on the polynomials as given. roots[k] is the first generator,
+    in generator order, of generator k's orbit under the group the kept
+    swaps generate, joined by union-find over generator indices.
+    """
+    gens = [u.exponents for u in ideal.gens]
+    index = {ev: k for k, ev in enumerate(gens)}
+    roots = list(range(len(gens)))
+
+    def root(k):
+        while roots[k] != k:
+            roots[k] = roots[roots[k]]
+            k = roots[k]
+        return k
+
+    kept = 0
+    for i, j in itertools.combinations(range(ideal.n), 2):
+        images = [index.get(_swapped(ev, i, j)) for ev in gens]
+        if None in images or all(k == image for k, image in enumerate(images)):
+            continue
+        if any(q.terms.get(_swapped(ev, i, j)) != c
+               for q in qs for ev, c in q.terms.items()):
+            continue
+        kept += 1
+        for k, image in enumerate(images):
+            a, b = root(k), root(image)
+            if a != b:
+                roots[max(a, b)] = min(a, b)
+    return kept, [root(k) for k in range(len(gens))]
 
 
 def certify_witness(ideal, witness, field=None):
@@ -641,9 +700,20 @@ def certify_witness(ideal, witness, field=None):
     or a bare sequence of polynomials (useful for deliberately truncated
     or otherwise adversarial systems). One direction is monomial
     bookkeeping: every term of every q_j must lie in the ideal. The
-    other runs one radical-membership test per generator against the q_j
-    system. Failures are collected, not raised; the certificate reports
-    them.
+    other asks, for every generator u, whether u lies in rad J, where J
+    is the ideal of the q_j. Failures are collected, not raised; the
+    certificate reports them, with its work counters in stats.
+
+    That direction runs one radical-membership test per orbit of
+    generators. Let sigma swap two variables, map the generator set onto
+    itself and fix every q_j term for term (checked on the polynomials
+    themselves, never assumed, since truncated or adversarial witnesses
+    reach this function). Then sigma(J) = J, so sigma(rad J) = rad J and
+    u lies in rad J exactly when sigma(u) does, over Q and over every
+    GF(p). The same holds for every product of such swaps, so one test
+    on the first generator of each orbit of the group they generate
+    decides the whole orbit. The verdicts are expanded back in generator
+    order, so failing_generators is what one test per generator gives.
     """
     require_field(field)
     sums = witness.q if hasattr(witness, "q") else witness
@@ -656,13 +726,22 @@ def certify_witness(ideal, witness, field=None):
                 break
         if subset_failure:
             break
+    transpositions, roots = 0, []
+    if ideal.gens:
+        _check_ring(qs, ideal.n, field)
+        transpositions, roots = _generator_orbits(ideal, qs)
     one = Fraction(1) if field is None else 1
-    failing = tuple(
-        u for u in ideal.gens
-        if not radical_membership(Polynomial._raw(ideal.n, {u.exponents: one}, field), qs))
+    verdicts = {}
+    for k in roots:
+        if k not in verdicts:
+            u = ideal.gens[k]
+            verdicts[k] = radical_membership(
+                Polynomial._raw(ideal.n, {u.exponents: one}, field), qs)
+    failing = tuple(u for u, k in zip(ideal.gens, roots) if not verdicts[k])
     return WitnessCertificate(
         passed=subset_failure is None and not failing,
         field=field,
         subset_failure=subset_failure,
         failing_generators=failing,
+        stats=CertifyStats(transpositions=transpositions, radical_tests=len(verdicts)),
     )

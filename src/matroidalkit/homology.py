@@ -10,8 +10,8 @@ one entry at (|F| + 1, supp(u_k) | F) for every k and F within set(u_k).
 The table has no field in it, so it is the same over every field.
 Polymatroidal ideals have linear quotients in this order, but the route
 tests linearity on every input and assumes nothing. The table holds the
-sum of 2^|set(u_k)| entries, which is held against FACE_BUDGET before
-it is built.
+sum of 2^|set(u_k)| entries, which is held against
+LINEAR_QUOTIENT_BUDGET before it is built.
 
 Every other square-free ideal goes to the homology route: the graded
 Betti numbers of R/I are ranks of reduced homology of induced
@@ -43,9 +43,12 @@ from .errors import DomainError, StructuralError
 from .fields import require_field
 from .ideals import mask_to_support, support_to_mask
 
-# faces the homology route may list (bounded by sum of 2^|facet|), and
-# entries the linear-quotient route may tabulate (sum of 2^|set(u_k)|)
+# faces the homology route may list (bounded by sum of 2^|facet|)
 FACE_BUDGET = 1 << 22
+# entries the linear-quotient route may tabulate (sum of 2^|set(u_k)|);
+# an entry, keyed by a frozenset, costs about 870 bytes, so the table at
+# this limit takes about 0.9 GiB (K_{10,10}, 1,046,529 entries, fits)
+LINEAR_QUOTIENT_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -329,8 +332,8 @@ def pd_depth(ideal, field=None):
     Both routes list the table by multidegree mask, then by homological
     degree. The ideal's memo keeps the linear-quotient profile, or its
     absence, for every field and the homology profile per field. A
-    linear-quotient table of more than FACE_BUDGET entries raises
-    DomainError before it is built.
+    linear-quotient table of more than LINEAR_QUOTIENT_BUDGET entries
+    raises DomainError before it is built.
     """
     require_field(field)
     profile = ideal._memo("_linear_quotient_profile", _linear_quotient_profile)
@@ -345,9 +348,10 @@ def _linear_quotient_profile(ideal):
     if quotients is None:
         return None
     bound = sum(1 << linear.bit_count() for _, linear in quotients)
-    if bound > FACE_BUDGET:
+    if bound > LINEAR_QUOTIENT_BUDGET:
         raise DomainError(f"linear-quotient stage: the Betti table has {bound} entries "
-                          f"(sum of 2^|set(u)|), over the limit FACE_BUDGET = {FACE_BUDGET}")
+                          f"(sum of 2^|set(u)|), over the limit "
+                          f"LINEAR_QUOTIENT_BUDGET = {LINEAR_QUOTIENT_BUDGET}")
     complex_ = stanley_reisner(ideal)
     n = ideal.n
     # sigma = supp(u) | F for every F within set(u); as the degree d is

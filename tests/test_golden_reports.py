@@ -1,0 +1,75 @@
+"""CLI reports compared byte for byte with a committed expected output.
+
+Each case runs `main` in process on a fixed input and compares its exit
+code and stdout with tests/golden_reports.json. A change that alters a
+report, even by one byte, fails here; a deliberate change regenerates the
+file with
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+
+and shows the new reports in the diff.
+"""
+
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from matroidalkit.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_reports.json")
+
+K222 = "n=6; " + ", ".join(f"x{a}*x{b}*x{c}" for a in (1, 2) for b in (3, 4) for c in (5, 6))
+V64 = "n=6; " + ", ".join(
+    "*".join(f"x{i}" for i in range(1, 7) if i not in (a, b))
+    for a in range(1, 7) for b in range(a + 1, 7))
+K23 = "n=5; x1*x3, x1*x4, x1*x5, x2*x3, x2*x4, x2*x5"
+
+# name: (argv, stdin)
+CASES = {
+    "certify_k222_q": (["certify", "--json", "-"], K222),
+    "certify_v64_gf32003": (["certify", "--json", "--field", "gf:32003", "-"], V64),
+    "analyze_k23_text": (["analyze", "-"], K23),
+    "analyze_k23_json": (["analyze", "--json", "-"], K23),
+    "witness_k23_json": (["witness", "--json", "-"], K23),
+    "enumerate_4_2": (["enumerate", "4", "2"], ""),
+}
+
+
+def run_case(argv, stdin, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code = main(list(argv))
+    return {"exit": code, "stdout": capsys.readouterr().out}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_is_byte_identical(name, capsys, monkeypatch):
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
+    argv, stdin = CASES[name]
+    assert expected["argv"] == argv and expected["stdin"] == stdin
+    got = run_case(argv, stdin, capsys, monkeypatch)
+    assert got["exit"] == expected["exit"]
+    assert got["stdout"] == expected["stdout"]
+
+
+def test_every_case_has_an_expected_report():
+    assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(CASES)
+
+
+def _regenerate():
+    golden = {}
+    for name, (argv, stdin) in sorted(CASES.items()):
+        out, sys.stdin, sys.stdout = sys.stdout, io.StringIO(stdin), io.StringIO()
+        try:
+            code = main(list(argv))
+            stdout = sys.stdout.getvalue()
+        finally:
+            sys.stdout, sys.stdin = out, sys.__stdin__
+        golden[name] = {"argv": argv, "stdin": stdin, "exit": code, "stdout": stdout}
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _regenerate()

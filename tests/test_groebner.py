@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from matroidalkit import (BuchbergerStats, DomainError, Monomial,
+from matroidalkit import (BuchbergerStats, CertifyStats, DomainError, Monomial,
                           PairBudgetExceeded, Polynomial, StructuralError,
-                          buchberger, certify_witness, groebner, normal_form,
+                          ara_report, buchberger, certify_witness,
+                          enumerate_matroidal, groebner, make_ideal, normal_form,
                           radical_membership, squarefree_veronese, transversal)
 from matroidalkit.groebner import _order_key
 from matroidalkit.schmitt_vogel import build_sv_witness
@@ -330,6 +331,7 @@ class TestOracleAgreement:
                                               field)
                 assert fast.failing_generators == slow.failing_generators
                 assert fast.passed == slow.passed
+                assert fast == certify_per_generator(ideal, truncated, field)
 
     def test_order_key_agrees(self):
         rng = random.Random(113)
@@ -373,8 +375,37 @@ class TestPackedWidth:
             assert widths[0] == groebner._MIN_WIDTH and widths[-1] > widths[0]
 
 
+def squares(poly):
+    """The polynomial with every variable x_i replaced by x_i^2."""
+    return Polynomial(poly.nvars, {tuple(2 * e for e in ev): c
+                                   for ev, c in poly.terms.items()}, poly.field)
+
+
+def certify_per_generator(ideal, witness, field=None):
+    """One radical test per generator: the route certify_witness took before
+    it tested one generator per symmetry orbit, kept as its oracle."""
+    sums = witness.q if hasattr(witness, "q") else witness
+    qs = [q.in_field(field) if field is not None else q for q in sums]
+    subset_failure = None
+    for j, q in enumerate(qs):
+        for ev in sorted(q.terms, key=_order_key, reverse=True):
+            if not ideal.contains(Monomial(ev)):
+                subset_failure = (j, Monomial(ev))
+                break
+        if subset_failure:
+            break
+    failing = tuple(u for u in ideal.gens
+                    if not radical_membership(Polynomial.from_monomial(u, field), qs))
+    return groebner.WitnessCertificate(
+        passed=subset_failure is None and not failing,
+        field=field,
+        subset_failure=subset_failure,
+        failing_generators=failing,
+    )
+
+
 def certify_with_stats(ideal, field=None):
-    """certify_witness, plus the stats of every basis its radical tests built."""
+    """One radical test per generator, plus the stats of every basis they built."""
     runs = []
 
     def recording(*args, **kwargs):
@@ -385,7 +416,7 @@ def certify_with_stats(ideal, field=None):
     original = groebner.buchberger
     groebner.buchberger = recording
     try:
-        certificate = certify_witness(ideal, build_sv_witness(ideal), field)
+        certificate = certify_per_generator(ideal, build_sv_witness(ideal), field)
     finally:
         groebner.buchberger = original
     return certificate, runs
@@ -408,9 +439,11 @@ class TestBuchbergerStats:
         assert buchberger([poly(2, {})]).stats == BuchbergerStats()
 
     def test_k23_prunes_below_the_coprime_only_engine(self):
-        # the coprime-only engine reduces 622 S-pairs for K_{2,3}, 399 to zero
+        # the coprime-only engine reduces 622 S-pairs for K_{2,3}, 399 to
+        # zero, over the six radical tests of one test per generator
         certificate, runs = certify_with_stats(transversal(5, [{1, 2}, {3, 4, 5}]))
         assert certificate.passed
+        assert len(runs) == 6
         zero = sum(s.zero_reductions for s in runs)
         total = sum(s.reductions for s in runs)
         assert zero < 399 and total < 622
@@ -419,6 +452,69 @@ class TestBuchbergerStats:
     def test_stats_stay_out_of_equality(self):
         gens = [poly(2, {(1, 0): 1}), poly(2, {(0, 1): 1})]
         assert buchberger(gens) == groebner.GroebnerBasis(buchberger(gens).generators)
+
+
+class TestOrbitRoute:
+    """certify_witness tests one generator per symmetry orbit; one test per
+    generator must give the same certificate, failing generators in order."""
+
+    def assert_same(self, ideal, witness, field):
+        fast = certify_witness(ideal, witness, field)
+        slow = certify_per_generator(ideal, witness, field)
+        assert fast == slow, (str(ideal), field)
+        assert fast.failing_generators == slow.failing_generators
+        return fast
+
+    @pytest.mark.parametrize("field", [None, 32003])
+    def test_full_support_census(self, field):
+        census = [ideal for n in range(1, 6) for d in range(1, n + 1)
+                  for ideal in enumerate_matroidal(n, d, True)]
+        assert len(census) == 221
+        for ideal in census:
+            self.assert_same(ideal, ara_report(ideal).elements, field)
+
+    @pytest.mark.parametrize("field", [None, 32003])
+    def test_six_variable_examples(self, field):
+        for ideal in (transversal(6, [{1, 2}, {3, 4}, {5, 6}]), squarefree_veronese(6, 4)):
+            certificate = self.assert_same(ideal, build_sv_witness(ideal), field)
+            assert certificate.passed
+            assert certificate.stats.radical_tests == 1
+
+    @pytest.mark.parametrize("field", [None, 32003])
+    def test_block_power_with_squared_witness(self, field):
+        # I = (x1, x2)^2 (x3, x4) has the radical of K_{2,2}; squaring every
+        # variable in K_{2,2}'s witness keeps its radical and puts every
+        # term inside I. The swaps (1 2) and (3 4) fix both.
+        ideal = make_ideal(4, [(2, 0, 1, 0), (2, 0, 0, 1), (1, 1, 1, 0), (1, 1, 0, 1),
+                               (0, 2, 1, 0), (0, 2, 0, 1)])
+        sums = [squares(q) for q in build_sv_witness(transversal(4, [{1, 2}, {3, 4}])).q]
+        certificate = self.assert_same(ideal, sums, field)
+        assert certificate.passed
+        assert certificate.stats == CertifyStats(transpositions=2, radical_tests=2)
+        for drop in range(len(sums)):
+            self.assert_same(ideal, sums[:drop] + sums[drop + 1:], field)
+
+    @pytest.mark.parametrize("field", [None, 32003])
+    def test_symmetric_ideal_with_asymmetric_witness(self, field):
+        # (1 2) and (3 4) fix K_{2,2}, but (1 2) moves both sums and (3 4)
+        # swaps them, so neither may be used; with (1 2) every generator
+        # would share the passing verdict of x1*x3
+        ideal = transversal(4, [{1, 2}, {3, 4}])
+        sums = [Polynomial.sum_of([Monomial((1, 0, 1, 0))]),
+                Polynomial.sum_of([Monomial((1, 0, 0, 1))])]
+        certificate = self.assert_same(ideal, sums, field)
+        assert not certificate.passed
+        assert [str(u) for u in certificate.failing_generators] == ["x2*x3", "x2*x4"]
+        assert certificate.stats == CertifyStats(transpositions=0, radical_tests=4)
+
+    def test_stats_repeat_and_stay_out_of_equality(self):
+        ideal = transversal(5, [{1, 2}, {3, 4, 5}])
+        witness = build_sv_witness(ideal)
+        first, second = certify_witness(ideal, witness), certify_witness(ideal, witness)
+        assert first.stats == second.stats == CertifyStats(transpositions=4,
+                                                           radical_tests=1)
+        assert first == certify_per_generator(ideal, witness)
+        assert certify_per_generator(ideal, witness).stats == CertifyStats()
 
 
 class TestTimedCertification:
@@ -431,3 +527,16 @@ class TestTimedCertification:
         elapsed = time.perf_counter() - start
         assert certificate.passed
         assert elapsed < 3.0, f"K_{{3,3}} certification took {elapsed:.2f}s"
+
+    @pytest.mark.parametrize("field", [None, 32003])
+    def test_k44_certifies_within_three_seconds(self, field):
+        # one radical test covers all 16 generators; about 1.3-1.5 s on a
+        # 2-vCPU VM, against about 22 s for one test per generator
+        ideal = transversal(8, [{1, 2, 3, 4}, {5, 6, 7, 8}])
+        witness = build_sv_witness(ideal)
+        start = time.perf_counter()
+        certificate = certify_witness(ideal, witness, field)
+        elapsed = time.perf_counter() - start
+        assert certificate.passed
+        assert certificate.stats.radical_tests == 1
+        assert elapsed < 3.0, f"K_{{4,4}} certification took {elapsed:.2f}s"

@@ -432,31 +432,65 @@ class TestFaceBudget:
         # (x1, ..., x30): set(u_k) has k - 1 variables, 2^30 - 1 entries
         start = time.monotonic()
         with pytest.raises(DomainError, match="linear-quotient stage.*1073741823 entries"
-                                              ".*FACE_BUDGET = 4194304"):
+                                              ".*LINEAR_QUOTIENT_BUDGET = 1048576"):
             pd_depth(MonomialIdeal.maximal(30))
         assert time.monotonic() - start < 1.0
         # (x1, ..., x4) tabulates 1 + 2 + 4 + 8 = 15 entries
-        monkeypatch.setattr(homology, "FACE_BUDGET", 15)
+        monkeypatch.setattr(homology, "LINEAR_QUOTIENT_BUDGET", 15)
         assert pd_depth(MonomialIdeal.maximal(4)).pd == 4
-        monkeypatch.setattr(homology, "FACE_BUDGET", 14)
+        monkeypatch.setattr(homology, "LINEAR_QUOTIENT_BUDGET", 14)
         with pytest.raises(DomainError, match="15 entries"):
             pd_depth(MonomialIdeal.maximal(4))
 
-    def test_analyze_skips_homology_and_rank_on_the_maximal_ideal(self, capsys,
-                                                                 monkeypatch):
+    def test_linear_quotient_budget_is_its_own_bound(self, monkeypatch):
+        # the table's bound, not the face bound, decides the route's refusal
+        monkeypatch.setattr(homology, "FACE_BUDGET", 14)
+        assert pd_depth(MonomialIdeal.maximal(4)).pd == 4
+        # K_{10,10}'s table, the largest of the transversal family, still fits
+        k1010 = transversal(20, [set(range(1, 11)), set(range(11, 21))])
+        entries = sum(1 << linear.bit_count()
+                      for _, linear in homology._linear_quotients(k1010))
+        assert entries == 1046529 <= homology.LINEAR_QUOTIENT_BUDGET == 1 << 20
+
+    def test_table_past_the_budget_fails_fast(self):
+        # (x1, ..., x21) would tabulate 2^21 - 1 entries, about 1.7 GiB;
+        # K_{10,10}, at 1,046,529 entries, is the largest transversal that fits
+        start = time.monotonic()
+        with pytest.raises(DomainError, match="linear-quotient stage.*2097151 entries"
+                                              ".*LINEAR_QUOTIENT_BUDGET = 1048576"):
+            pd_depth(MonomialIdeal.maximal(21))
+        assert time.monotonic() - start < 1.0
+
+    def analyze_maximal(self, n, capsys, monkeypatch):
+        """Exit code, wall time and the homology and rank lines of analyze."""
         from matroidalkit.cli import main
-        text = "n = 30; " + ", ".join(f"x{i}" for i in range(1, 31))
+        text = f"n = {n}; " + ", ".join(f"x{i}" for i in range(1, n + 1))
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         start = time.monotonic()
         code = main(["analyze"])
         elapsed = time.monotonic() - start
         out = capsys.readouterr().out
+        blocks = [out.split(f"\n{section}:\n", 1)[1].split("\n", 1)[0]
+                  for section in ("homology", "rank")]
+        return code, elapsed, blocks
+
+    def test_analyze_skips_homology_and_rank_on_the_maximal_ideal(self, capsys,
+                                                                 monkeypatch):
+        code, elapsed, blocks = self.analyze_maximal(30, capsys, monkeypatch)
         assert code == 0
-        for section in ("homology", "rank"):
-            block = out.split(f"\n{section}:\n", 1)[1].split("\n", 1)[0]
+        for block in blocks:
             assert block.startswith("  skipped: linear-quotient stage"), block
         # measured at about 0.003 s on a 2-vCPU VM
         assert elapsed < 1.0, f"analyze on x1..x30 took {elapsed:.2f}s, budget 1s"
+
+    def test_analyze_skips_a_table_just_past_the_budget(self, capsys, monkeypatch):
+        code, elapsed, blocks = self.analyze_maximal(21, capsys, monkeypatch)
+        assert code == 0
+        for block in blocks:
+            assert block.startswith("  skipped: linear-quotient stage: the Betti table "
+                                    "has 2097151 entries"), block
+            assert block.endswith("LINEAR_QUOTIENT_BUDGET = 1048576"), block
+        assert elapsed < 1.0, f"analyze on x1..x21 took {elapsed:.2f}s, budget 1s"
 
     def test_analyze_skips_homology_in_time(self, capsys, monkeypatch):
         from matroidalkit.cli import main

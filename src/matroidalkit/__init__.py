@@ -7,7 +7,7 @@ layered witness sums whose radical is certified against the ideal by a
 small Groebner engine.
 """
 
-from .errors import (DomainError, PairBudgetExceeded, ParseError,
+from .errors import (BudgetExceeded, DomainError, PairBudgetExceeded, ParseError,
                      StructuralError, TheoremViolationError)
 from .ideals import (IdealSummary, Monomial, MonomialIdeal, make_ideal,
                      squarefree_monomials)
@@ -29,8 +29,8 @@ from .schmitt_vogel import (AraReport, SVWitness, ara_report, build_sv_witness,
 from .parsing import parse_ideal
 
 __all__ = [
-    "AraReport", "BuchbergerStats", "CertifyStats", "CoverStats", "CriteriaReport",
-    "DomainError",
+    "AraReport", "BudgetExceeded", "BuchbergerStats", "CertifyStats", "CoverStats",
+    "CriteriaReport", "DomainError",
     "ExchangeCertificate", "GroebnerBasis", "HomologyProfile", "HomologyStats",
     "IdealSummary", "Monomial", "MonomialIdeal", "PairBudgetExceeded",
     "ParseError",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .decomposition import (MATROIDAL, POWER_OF_M, associated_primes,
                             criteria_check, irreducible_decomposition,
                             p1_classify, partition_degree2)
-from .errors import StructuralError
+from .errors import BudgetExceeded, StructuralError
 from .groebner import certify_witness
 from .homology import (_homology_profile, pd_depth, reduced_homology_ranks,
                        stanley_reisner)
@@ -43,13 +43,17 @@ class _Skip(Exception):
 
 
 def _check(name):
-    """Wrap a check body into a CheckResult, catching package errors."""
+    """Wrap a check body into a CheckResult, catching package errors.
+
+    A work limit skips the check, naming the limit; any other package
+    error fails it.
+    """
     def wrap(fn):
         @functools.wraps(fn)
         def run(*args, **kwargs):
             try:
                 passed, detail = fn(*args, **kwargs)
-            except _Skip as reason:
+            except (_Skip, BudgetExceeded) as reason:
                 return CheckResult(name, False, str(reason), skipped=True)
             except StructuralError as err:
                 return CheckResult(name, False, f"{type(err).__name__}: {err}")
@@ -414,6 +418,7 @@ def check_oracle_exchange(max_n=6, max_d=3):
     compared = 0
     for n in range(2, max_n + 1):
         for d in range(1, min(max_d, n) + 1):
+            expected = enumerate_matroidal(n, d, False)  # refuses before the scan below
             layer = squarefree_monomials(n, d)
             survivors = []
             for selector in range(1, 1 << len(layer)):
@@ -427,7 +432,7 @@ def check_oracle_exchange(max_n=6, max_d=3):
                 if verdict:
                     survivors.append(ideal)
                 compared += 1
-            if tuple(survivors) != enumerate_matroidal(n, d, False):
+            if tuple(survivors) != expected:
                 problems.append(f"enumeration n={n} d={d} differs from direct scan")
     return _verdict(problems, f"exchange equals basis axiom on {compared} collections")
 

@@ -4,8 +4,8 @@ Input is an ideal in the plain text grammar ("n=4; x1*x3, x2*x4") or the
 JSON form {"n": ..., "gens": [[exponents], ...]}, read by
 matroidalkit.parsing. Reports come out as text or, with --json, as a JSON
 document carrying exactly the same numbers. Exit codes: 0 on success, 1
-for usage or parse trouble, 2 for domain preconditions, 3 when a
-mathematically guaranteed fact fails to verify.
+for usage or parse trouble, 2 for domain preconditions and work limits,
+3 when a mathematically guaranteed fact fails to verify.
 """
 
 from __future__ import annotations
@@ -172,10 +172,6 @@ def _analyze(ideal, config):
 
 
 def _enumerate_census(n, d, config):
-    if n > config.max_n:
-        raise DomainError(f"n={n} exceeds the cap {config.max_n} (raise with --max-n)")
-    if d > config.max_d:
-        raise DomainError(f"d={d} exceeds the cap {config.max_d} (raise with --max-d)")
     ideals = enumerate_matroidal(n, d, True)
     rows = []
     for ideal in ideals:
@@ -317,7 +313,7 @@ COMMANDS = {
     "certify": ("verify the witness sums by radical membership",
                 ("input", "--json", "--field")),
     "enumerate": ("census of matroidal ideals for one (n, d)",
-                  ("n", "d", "--json", "--field", "--max-n", "--max-d")),
+                  ("n", "d", "--json", "--field")),
     "reproduce-paper": ("run the built-in example and theorem checks",
                         ("--json", "--no-certify", "--max-n", "--max-d")),
 }
@@ -340,6 +336,19 @@ def _build_parser():
 _PARSER, _SUBPARSERS = _build_parser()
 
 
+def _read_input(path):
+    """The text of the input file, or of stdin for -."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as err:
+        raise ParseError(f"cannot read {path}: {err.strerror}")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({err.reason} at byte {err.start})")
+
+
 def main(argv=None):
     args, extra = _PARSER.parse_known_args(argv)
     if extra:  # refused with the usage of the command they were given to
@@ -350,15 +359,7 @@ def main(argv=None):
     try:
         ideal = None
         if "input" in COMMANDS[args.command][1]:
-            if args.input == "-":
-                text = sys.stdin.read()
-            else:
-                try:
-                    with open(args.input, encoding="utf-8") as handle:
-                        text = handle.read()
-                except OSError as err:
-                    raise ParseError(f"cannot read {args.input}: {err.strerror}")
-            ideal = parse_ideal(text)
+            ideal = parse_ideal(_read_input(args.input))
         payload = run_command(args.command, config, ideal=ideal,
                               n=getattr(args, "n", None), d=getattr(args, "d", None))
     except ParseError as err:

@@ -20,12 +20,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 
-from .errors import DomainError, TheoremViolationError
+from .errors import BudgetExceeded, DomainError, TheoremViolationError
 from .ideals import Monomial, MonomialIdeal, mask_to_support
 from .matroids import is_matroidal, is_polymatroidal, veronese
 
 MATROIDAL = "matroidal"
 POWER_OF_M = "power_of_m"
+
+# vertex sets the minimal-cover search may visit: 10x the 6,434 that
+# V(14,7) takes; the matching x1*x2, ..., x47*x48 would visit 2^25 - 2
+COVER_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -188,7 +192,8 @@ def _minimal_covers(edges):
     vertices has one. Private edges only shrink as chosen grows, so a set
     in which a vertex has lost its last one is dropped at once, cover or
     not; no minimal cover C contains it, since an edge private to u in C
-    is private to u in every subset of C that holds u.
+    is private to u in every subset of C that holds u. Visiting more
+    than COVER_BUDGET vertex sets raises BudgetExceeded.
     """
     edges = sorted(set(edges))
     found = []
@@ -204,6 +209,10 @@ def _minimal_covers(edges):
             v = allowed & -allowed
             allowed ^= v
             counts["nodes"] += 1
+            if counts["nodes"] > COVER_BUDGET:
+                raise BudgetExceeded("decomposition", "the minimal-cover search visits more "
+                                     f"than {COVER_BUDGET} vertex sets", "COVER_BUDGET",
+                                     COVER_BUDGET)
             kept = [[e for e in own if not e & v] for own in private]
             if all(kept):
                 kept.append([e for e in uncovered if e & v])
@@ -220,8 +229,9 @@ def associated_primes(ideal):
     """Ass(R/I) with height, big height, and the unmixedness verdict.
 
     Square-free ideals: the associated primes are exactly the minimal
-    vertex covers of the generator supports. Otherwise: radicals of an
-    irredundant irreducible decomposition.
+    vertex covers of the generator supports, found by a search that
+    raises BudgetExceeded past COVER_BUDGET vertex sets. Otherwise:
+    radicals of an irredundant irreducible decomposition.
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("associated primes need a proper nonzero ideal")

@@ -566,24 +566,24 @@ class _Buchberger:
         return BuchbergerStats(**self.counts)
 
 
-def buchberger(gens, pair_budget=PAIR_BUDGET):
+def buchberger(gens):
     """Reduced Groebner basis of the given generators.
 
     Pairs are processed lowest lcm first; the Gebauer-Moeller criteria
-    drop pairs that would reduce to zero. Exceeding the pair budget
-    raises instead of spinning forever. A unit discovered mid-run
-    short-circuits to the trivial basis. The basis carries the run's
-    work counters in stats.
+    drop pairs that would reduce to zero. More than PAIR_BUDGET pairs
+    (read once per call) raise PairBudgetExceeded. A unit discovered
+    mid-run short-circuits to the trivial basis. The basis carries the
+    run's work counters in stats.
     """
     polys = [g for g in gens if not g.is_zero]
     if not polys:
         return GroebnerBasis(())
     nvars, field = polys[0].nvars, polys[0].field
     _check_ring(polys, nvars, field)
-    width = _width_for(_max_degree(polys))
+    width, budget = _width_for(_max_degree(polys)), PAIR_BUDGET
     while True:
         packing = _Packing(nvars, width)
-        run = _Buchberger(packing, field, pair_budget)
+        run = _Buchberger(packing, field, budget)
         try:
             basis = run.run(sorted(packing.packed(p).items(), reverse=True) for p in polys)
         except _Repack:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dataclass_field
 from types import MappingProxyType
 
 from .decomposition import associated_primes
-from .errors import DomainError, StructuralError
+from .errors import BudgetExceeded, DomainError, StructuralError
 from .fields import require_field
 from .ideals import mask_to_support, support_to_mask
 
@@ -166,15 +166,14 @@ def _face_levels(facets):
     """Faces by vertex count: levels[k] lists the k-vertex faces, ascending.
 
     facets are masks; every face comes from a facet by dropping bits. An
-    empty list means the void complex. Raises DomainError, before any
-    face is listed, when the sum of 2^|facet| exceeds FACE_BUDGET.
+    empty list means the void complex.
     """
     if not facets:
         return []
     bound = sum(1 << f.bit_count() for f in facets)
     if bound > FACE_BUDGET:
-        raise DomainError(f"homology stage: the face complex bounds {bound} faces "
-                          f"(sum of 2^|facet|), over the limit FACE_BUDGET = {FACE_BUDGET}")
+        raise BudgetExceeded("homology", f"the face complex bounds {bound} faces "
+                             "(sum of 2^|facet|)", "FACE_BUDGET", FACE_BUDGET)
     levels = [set() for _ in range(max(f.bit_count() for f in facets) + 1)]
     for f in facets:
         levels[f.bit_count()].add(f)
@@ -294,7 +293,7 @@ def reduced_homology_ranks(complex_, field=None):
     The empty face spans the degree -1 chain group, so the complex whose
     only face is empty has rank 1 in dimension -1 and the void complex
     has no homology at all. A complex whose sum of 2^|facet| exceeds
-    FACE_BUDGET raises DomainError before any face is listed.
+    FACE_BUDGET raises BudgetExceeded before any face is listed.
     """
     require_field(field)
     levels = _face_levels([support_to_mask(f) for f in complex_.facets])
@@ -325,15 +324,11 @@ def pd_depth(ideal, field=None):
     generator support inside sigma, which misses v, so adding v to a
     face of the restriction gives a face again: the restriction is a cone
     with apex v and is acyclic over every field. The table still lists
-    every nonzero entry; profile.stats counts both kinds of sigma. A
-    face complex whose sum of 2^|facet| exceeds FACE_BUDGET raises
-    DomainError before any face is listed.
+    every nonzero entry; profile.stats counts both kinds of sigma.
 
     Both routes list the table by multidegree mask, then by homological
     degree. The ideal's memo keeps the linear-quotient profile, or its
-    absence, for every field and the homology profile per field. A
-    linear-quotient table of more than LINEAR_QUOTIENT_BUDGET entries
-    raises DomainError before it is built.
+    absence, for every field and the homology profile per field.
     """
     require_field(field)
     profile = ideal._memo("_linear_quotient_profile", _linear_quotient_profile)
@@ -349,9 +344,8 @@ def _linear_quotient_profile(ideal):
         return None
     bound = sum(1 << linear.bit_count() for _, linear in quotients)
     if bound > LINEAR_QUOTIENT_BUDGET:
-        raise DomainError(f"linear-quotient stage: the Betti table has {bound} entries "
-                          f"(sum of 2^|set(u)|), over the limit "
-                          f"LINEAR_QUOTIENT_BUDGET = {LINEAR_QUOTIENT_BUDGET}")
+        raise BudgetExceeded("linear-quotient", f"the Betti table has {bound} entries (sum of "
+                             "2^|set(u)|)", "LINEAR_QUOTIENT_BUDGET", LINEAR_QUOTIENT_BUDGET)
     complex_ = stanley_reisner(ideal)
     n = ideal.n
     # sigma = supp(u) | F for every F within set(u); as the degree d is

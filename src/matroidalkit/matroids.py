@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import BudgetExceeded, DomainError
 from .ideals import Monomial, MonomialIdeal, make_ideal, squarefree_monomials
 
 NOT_SINGLE_DEGREE = "not_single_degree"
@@ -29,9 +29,8 @@ NO_EXCHANGE_INDEX = "no_exchange_index"
 
 # brute-force relabeling below walks all n! permutations
 ENUMERATION_MAX_N = 7
-# enumeration scans all 2^C(n,d) collections; (6, 3) at 2^20 takes 8-10 s
+# enumeration scans all 2^C(n,d) collections; (6, 3) at 2^20 takes about 3 s
 ENUMERATION_MAX_LAYER = 20
-ENUMERATION_CACHE_SIZE = 32  # (n, d, flag) results enumerate_matroidal keeps
 
 
 @dataclass(frozen=True)
@@ -204,35 +203,34 @@ def enumerate_matroidal(n, d, full_support_only=True):
     Walks every nonempty collection of square-free degree-d monomials by
     bitmask over the lex-ordered monomial list, keeping the collections
     whose supports satisfy basis exchange. The search space is 2^C(n,d),
-    hence the hard guards on n and on C(n,d). Results are kept in a
-    bounded cache with one entry per (n, d, flag), however the flag is
-    passed.
+    hence the limits on n and on C(n,d). One scan per (n, d) is cached;
+    full_support_only keeps, in scan order, the ideals that use every
+    variable. n and d must be plain ints.
     """
-    return _enumerate_matroidal(n, d, bool(full_support_only))
+    if type(n) is not int or type(d) is not int:
+        raise DomainError(f"enumeration needs int n and d, got n={n!r}, d={d!r}")
+    census = _enumerate_matroidal(n, d)
+    if not full_support_only:
+        return census
+    return tuple(ideal for ideal in census if len(ideal.support) == n)
 
 
-@functools.lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
-def _enumerate_matroidal(n, d, full_support_only):
-    if not 1 <= n <= ENUMERATION_MAX_N:
-        raise DomainError(f"enumeration limited to 1 <= n <= {ENUMERATION_MAX_N}, got n={n}")
+@functools.cache
+def _enumerate_matroidal(n, d):
+    if n > ENUMERATION_MAX_N:
+        raise BudgetExceeded("enumeration", f"n={n}", "ENUMERATION_MAX_N", ENUMERATION_MAX_N)
     if not 1 <= d <= n:
         raise DomainError(f"enumeration needs 1 <= d <= n, got d={d}, n={n}")
     count = math.comb(n, d)
     if count > ENUMERATION_MAX_LAYER:
-        raise DomainError(f"enumeration for n={n}, d={d} would scan 2^{count} collections; "
-                          f"limited to 2^{ENUMERATION_MAX_LAYER}")
+        raise BudgetExceeded("enumeration", f"n={n}, d={d} would scan 2^{count} collections, "
+                             f"more than 2^{ENUMERATION_MAX_LAYER}", "ENUMERATION_MAX_LAYER",
+                             ENUMERATION_MAX_LAYER)
     layer = squarefree_monomials(n, d)
     layer_masks = [m.bitmask() for m in layer]
-    full = (1 << n) - 1
     found = []
     for selector in range(1, 1 << count):
         masks = [layer_masks[k] for k in range(count) if (selector >> k) & 1]
-        if full_support_only:
-            covered = 0
-            for m in masks:
-                covered |= m
-            if covered != full:
-                continue
         if _exchange_failure(masks) is None:
             found.append(make_ideal(n, [layer[k] for k in range(count)
                                         if (selector >> k) & 1]))
@@ -268,7 +266,8 @@ def dedupe_up_to_relabeling(ideals):
     seen = {}
     for ideal in ideals:
         if ideal.n > ENUMERATION_MAX_N:
-            raise DomainError(f"relabeling pass limited to n <= {ENUMERATION_MAX_N}")
+            raise BudgetExceeded("relabeling", f"n={ideal.n}", "ENUMERATION_MAX_N",
+                                 ENUMERATION_MAX_N)
         perms = itertools.permutations(range(1, ideal.n + 1))
         least = min(tuple(g.exponents for g in _relabel(ideal, p).gens) for p in perms)
         key = (_occurrence_signature(ideal), least)

@@ -1,6 +1,8 @@
+import functools
+
 import pytest
 
-from matroidalkit import MonomialIdeal, make_ideal, transversal
+from matroidalkit import MonomialIdeal, make_ideal, matroids, transversal
 
 # criterion results registered by tests/test_acceptance.py, printed at the end
 # of the run so every criterion gets exactly one visible pass/fail line
@@ -18,6 +20,13 @@ def pytest_terminal_summary(terminalreporter):
     for number, passed, detail in sorted(ACCEPTANCE_LINES):
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"{status} criterion {number}: {detail}")
+
+
+@pytest.fixture
+def fresh_enumeration_cache(monkeypatch):
+    """An empty enumeration cache for one test; the shared one is kept."""
+    monkeypatch.setattr(matroids, "_enumerate_matroidal",
+                        functools.cache(matroids._enumerate_matroidal.__wrapped__))
 
 
 @pytest.fixture

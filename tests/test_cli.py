@@ -159,13 +159,6 @@ class TestRunCommand:
         assert len(cm_rows) == 1
         assert cm_rows[0]["display"] == "(x1*x2, x1*x3, x2*x3)"
 
-    def test_enumerate_respects_caps(self):
-        from matroidalkit import DomainError
-        with pytest.raises(DomainError):
-            run_command("enumerate", Config(max_n=4), n=5, d=2)
-        with pytest.raises(DomainError):
-            run_command("enumerate", Config(max_d=2), n=4, d=3)
-
     def test_no_certify(self, two_blocks_n4):
         payload = run_command("analyze", Config(certify=False),
                               ideal=two_blocks_n4)
@@ -190,6 +183,13 @@ class TestMainExitCodes:
     def test_missing_file_is_one(self, capsys):
         code, out, err = run(capsys, "analyze", "/nonexistent/ideal.txt")
         assert code == 1
+
+    def test_file_that_is_not_utf8_is_one(self, capsys, tmp_path):
+        source = tmp_path / "bad.txt"
+        source.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "analyze", str(source))
+        assert code == 1 and out == ""
+        assert err.startswith(f"parse error: cannot read {source}: not UTF-8 text")
 
     def test_domain_error_is_two(self, capsys, tmp_path):
         source = tmp_path / "pair.txt"
@@ -221,9 +221,10 @@ class TestMainExitCodes:
         assert info.value.code == 1
 
     def test_oversized_enumeration_is_two(self, capsys):
-        code, out, err = run(capsys, "enumerate", "7", "3", "--max-n", "7", "--max-d", "3")
+        code, out, err = run(capsys, "enumerate", "7", "3")
         assert code == 2
         assert "2^35" in err and out == ""
+        assert "over the limit ENUMERATION_MAX_LAYER = 20" in err
 
     def test_huge_variable_count_is_one(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("n=1000000000;"))
@@ -364,7 +365,7 @@ READ_FLAGS = {
     "partition": {"--json"},
     "witness": {"--json"},
     "certify": {"--json", "--field"},
-    "enumerate": {"--json", "--field", "--max-n", "--max-d"},
+    "enumerate": {"--json", "--field"},
     "reproduce-paper": {"--json", "--no-certify", "--max-n", "--max-d"},
 }
 FLAG_VALUES = {"--json": [], "--field": ["gf:2"], "--no-certify": [],
@@ -377,7 +378,7 @@ class TestOptionTable:
         listed = {name: {o for o in options if o.startswith("--")}
                   for name, (_, options) in cli.COMMANDS.items()}
         assert listed == READ_FLAGS
-        assert sum(map(len, listed.values())) == 15
+        assert sum(map(len, listed.values())) == 13
 
     @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
     @pytest.mark.parametrize("command", sorted(READ_FLAGS))

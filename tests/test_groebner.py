@@ -156,11 +156,15 @@ class TestBuchberger:
             rng.shuffle(shuffled)
             assert buchberger(shuffled).generators == reference
 
-    def test_pair_budget(self):
+    def test_pair_budget(self, monkeypatch):
         f = poly(2, {(2, 0): 1, (0, 1): -1})
         g = poly(2, {(1, 1): 1, (1, 0): -1})
-        with pytest.raises(PairBudgetExceeded):
-            buchberger([f, g], pair_budget=0)
+        monkeypatch.setattr(groebner, "PAIR_BUDGET", 0)
+        with pytest.raises(PairBudgetExceeded) as info:
+            buchberger([f, g])
+        assert info.value.budget == 0
+        assert str(info.value) == ("groebner stage: Buchberger took 1 pairs, "
+                                   "over the limit PAIR_BUDGET = 0")
 
 
 class TestNormalForm:

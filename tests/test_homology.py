@@ -565,7 +565,7 @@ class TestCaches:
         # the engine tests below call it directly and must compute each time
         assert not hasattr(homology._homology_profile, "cache_info")
 
-    def test_caches_are_bounded(self):
+    def test_caches_are_bounded(self, fresh_enumeration_cache):
         # pd_depth's profiles live in the ideal's memo and go with it
         ideal = MonomialIdeal.from_supports(4, [{1, 2}, {3, 4}])
         profiles = [weakref.ref(pd_depth(ideal, field)) for field in (None, 2)]
@@ -575,10 +575,18 @@ class TestCaches:
         del ideal, lq_ideal
         gc.collect()
         assert all(ref() is None for ref in profiles)
-        info = matroids._enumerate_matroidal.cache_info()
-        assert info.maxsize == matroids.ENUMERATION_CACHE_SIZE
-        # a defaulted, positional or keyword flag reaches the same entry
-        assert enumerate_matroidal(3, 2) is enumerate_matroidal(3, 2, full_support_only=1)
+        # enumeration keeps one scan per (n, d), whichever flag asks for it
+        full = enumerate_matroidal(3, 2)
+        everything = enumerate_matroidal(3, 2, False)
+        assert full == enumerate_matroidal(3, 2, full_support_only=1)
+        assert full == tuple(i for i in everything if len(i.support) == 3) and len(full) == 4
+        assert enumerate_matroidal(3, 2, False) is everything
+        assert matroids._enumerate_matroidal.cache_info().currsize == 1
+        # a refused (n, d) leaves no entry behind
+        for n, d in ((True, 1), (4.0, 2), (7, 3), (8, 1), (3, 4)):
+            with pytest.raises(DomainError):
+                enumerate_matroidal(n, d)
+        assert matroids._enumerate_matroidal.cache_info().currsize == 1
 
 
 class TestStats:

@@ -1,0 +1,212 @@
+"""Work limits: one error, raised where the work is sized, and what each command does."""
+
+import io
+import re
+import time
+from pathlib import Path
+
+import pytest
+
+from matroidalkit import (BudgetExceeded, DomainError, MonomialIdeal, PairBudgetExceeded,
+                          ara_report, associated_primes, certify_witness,
+                          dedupe_up_to_relabeling, enumerate_matroidal, pd_depth,
+                          squarefree_veronese, transversal)
+from matroidalkit import decomposition, groebner, homology, matroids
+from matroidalkit.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+MATCHING_48 = "n=48; " + ", ".join(f"x{2 * i + 1}*x{2 * i + 2}" for i in range(24))
+
+
+def k23():
+    return transversal(5, [{1, 2}, {3, 4, 5}])
+
+
+def matching(n):
+    return MonomialIdeal.from_supports(n, [{i, i + 1} for i in range(1, n, 2)])
+
+
+def certify_k23():
+    ideal = k23()
+    return certify_witness(ideal, ara_report(ideal).elements)
+
+
+# (stage, module, limit, a library call that hits it at its shipped value,
+# or after the monkeypatch in LOWERED)
+LIMITS = [
+    ("groebner", groebner, "PAIR_BUDGET", certify_k23),
+    ("homology", homology, "FACE_BUDGET",
+     lambda: pd_depth(MonomialIdeal.from_supports(40, [{1, 2}, {3, 4}]))),
+    ("linear-quotient", homology, "LINEAR_QUOTIENT_BUDGET",
+     lambda: pd_depth(MonomialIdeal.maximal(21))),
+    ("decomposition", decomposition, "COVER_BUDGET", lambda: associated_primes(matching(48))),
+    ("enumeration", matroids, "ENUMERATION_MAX_LAYER", lambda: enumerate_matroidal(7, 3)),
+    ("enumeration", matroids, "ENUMERATION_MAX_N", lambda: enumerate_matroidal(8, 1)),
+    ("relabeling", matroids, "ENUMERATION_MAX_N",
+     lambda: dedupe_up_to_relabeling([MonomialIdeal.maximal(8)])),
+]
+# the pair budget is lowered: no quick input needs a million pairs
+LOWERED = {"PAIR_BUDGET": 1}
+
+
+class TestOneError:
+    @pytest.mark.parametrize("stage, module, limit, hit", LIMITS,
+                             ids=[f"{stage}-{limit}" for stage, _, limit, _ in LIMITS])
+    def test_each_limit_raises_budget_exceeded(self, stage, module, limit, hit,
+                                               monkeypatch):
+        if limit in LOWERED:
+            monkeypatch.setattr(module, limit, LOWERED[limit])
+        value = getattr(module, limit)
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded) as info:
+            hit()
+        assert time.monotonic() - start < 1.0
+        err = info.value
+        assert isinstance(err, DomainError)
+        assert (err.stage, err.limit, err.value) == (stage, limit, value)
+        assert re.fullmatch(rf"{stage} stage: .+, over the limit {limit} = {value}", str(err))
+
+    def test_pair_budget_error_keeps_its_shape(self):
+        err = PairBudgetExceeded(7)
+        assert isinstance(err, BudgetExceeded) and err.budget == 7
+        assert (err.stage, err.limit, err.value) == ("groebner", "PAIR_BUDGET", 7)
+
+    def test_domain_limits_stay_plain(self):
+        for n, d in ((0, 1), (3, 4)):
+            with pytest.raises(DomainError) as info:
+                enumerate_matroidal(n, d)
+            assert not isinstance(info.value, BudgetExceeded)
+
+
+class TestCoverBudget:
+    def test_budget_is_exact(self, monkeypatch):
+        # (x1*x2, ..., x7*x8) visits 2^5 - 2 = 30 vertex sets for its 16 primes
+        assert associated_primes(matching(8)).stats.nodes == 30
+        monkeypatch.setattr(decomposition, "COVER_BUDGET", 30)
+        assert len(associated_primes(matching(8)).ass) == 16
+        monkeypatch.setattr(decomposition, "COVER_BUDGET", 29)
+        with pytest.raises(BudgetExceeded, match="more than 29 vertex sets"):
+            associated_primes(matching(8))
+
+    def test_largest_search_of_the_suite_fits_tenfold(self):
+        # V(14,7) is the largest cover search the test suite runs
+        stats = associated_primes(squarefree_veronese(14, 7)).stats
+        assert stats.nodes == 6434 and 10 * stats.nodes <= decomposition.COVER_BUDGET
+
+    def test_matching_is_refused_in_time(self):
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded, match="COVER_BUDGET = 65536"):
+            associated_primes(matching(48))
+        # measured at about 0.25 s on a 2-vCPU VM
+        assert time.monotonic() - start < 1.0
+
+
+def run(capsys, monkeypatch, argv, stdin=""):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def sections(text):
+    """analyze's text report, split into its titled blocks."""
+    return dict(re.findall(r"^(\w+):\n((?:  .*\n)*)", text, flags=re.M))
+
+
+K23_TEXT = "n=5; x1*x3, x1*x4, x1*x5, x2*x3, x2*x4, x2*x5"
+
+
+class TestCommandsAtLimits:
+    def test_analyze_skips_only_certification_at_the_pair_budget(self, capsys, monkeypatch):
+        code, full, _ = run(capsys, monkeypatch, ["analyze"], K23_TEXT)
+        assert code == 0
+        monkeypatch.setattr(groebner, "PAIR_BUDGET", 1)
+        code, out, err = run(capsys, monkeypatch, ["analyze"], K23_TEXT)
+        assert code == 0 and err == ""
+        expected, got = sections(full), sections(out)
+        assert list(got) == list(expected)
+        assert got.pop("certification") == ("  skipped: groebner stage: Buchberger took "
+                                             "2 pairs, over the limit "
+                                             "PAIR_BUDGET = 1\n")
+        expected.pop("certification")
+        assert got == expected
+
+    def test_certify_exits_two_at_the_pair_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(groebner, "PAIR_BUDGET", 1)
+        code, out, err = run(capsys, monkeypatch, ["certify"], K23_TEXT)
+        assert code == 2 and out == ""
+        assert err.startswith("error: groebner stage") and "PAIR_BUDGET = 1" in err
+
+    def test_analyze_skips_the_cover_search_in_time(self, capsys, monkeypatch):
+        start = time.monotonic()
+        code, out, _ = run(capsys, monkeypatch, ["analyze"], MATCHING_48)
+        elapsed = time.monotonic() - start
+        assert code == 0
+        blocks = sections(out)
+        for title in ("decomposition", "homology"):
+            assert blocks[title].startswith("  skipped: decomposition stage: the "
+                                            "minimal-cover search"), title
+            assert blocks[title].endswith("over the limit COVER_BUDGET = 65536\n"), title
+        assert "is_polymatroidal: False" in blocks["matroidal"]
+        # two refused searches, measured at about 0.55 s on a 2-vCPU VM
+        assert elapsed < 1.0, f"analyze on the n = 48 matching took {elapsed:.2f}s"
+
+    def test_enumerate_has_no_caps_of_its_own(self, capsys, monkeypatch):
+        # C(6,4) = 15: a 2^15 scan, once refused by --max-d
+        code, out, _ = run(capsys, monkeypatch, ["enumerate", "6", "4"])
+        assert code == 0
+        assert out.startswith("matroidal ideals for n=6, d=4: 642\n")
+        assert len(out.splitlines()) == 643
+        code, out, _ = run(capsys, monkeypatch, ["enumerate", "7", "1"])
+        assert code == 0 and out.startswith("matroidal ideals for n=7, d=1: 1\n")
+
+    def test_enumerate_past_the_layer_limit_is_two(self, capsys, monkeypatch):
+        code, out, err = run(capsys, monkeypatch, ["enumerate", "7", "3"])
+        assert code == 2 and out == ""
+        assert err == ("error: enumeration stage: n=7, d=3 would scan 2^35 collections, "
+                       "more than 2^20, over the limit ENUMERATION_MAX_LAYER = 20\n")
+
+    def test_reproduce_paper_skips_the_checks_past_a_limit(self, capsys, monkeypatch,
+                                                           fresh_enumeration_cache):
+        # C(4,2) = 6 is over a layer limit of 5; every other layer fits
+        monkeypatch.setattr(matroids, "ENUMERATION_MAX_LAYER", 5)
+        code, out, _ = run(capsys, monkeypatch,
+                           ["reproduce-paper", "--max-n", "4", "--max-d", "2", "--no-certify"])
+        assert code == 0
+        rows = out.splitlines()[:-1]
+        refused = ("enumeration stage: n=4, d=2 would scan 2^6 collections, more than 2^5, "
+                   "over the limit ENUMERATION_MAX_LAYER = 5")
+        skipped = {row.split()[1].rstrip(":") for row in rows if row.endswith(refused)}
+        assert skipped == {"pd-formula-sweep", "block-identity-sweep", "colon-criterion-sweep",
+                           "sci-equivalence-sweep", "oracle-exchange",
+                           "linear-quotient-sweep"}
+        assert all(row.startswith("SKIP") for row in rows if row.endswith(refused))
+        assert not any(row.startswith("FAIL") for row in rows)
+
+
+def readme_limits():
+    """(module, name, value) of every row of the README's limits table."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Limits\n", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in (line for line in section.splitlines() if line.startswith("| `")):
+        cells = [c.strip() for c in line.strip("|").split(" | ")]
+        module, name = cells[0].strip("`").split(".")
+        rows.append((module, name, int(cells[1].split()[0])))
+    return rows
+
+
+class TestLimitsTable:
+    def test_each_row_holds_its_constant(self):
+        modules = {"groebner": groebner, "homology": homology,
+                   "decomposition": decomposition, "matroids": matroids}
+        rows = readme_limits()
+        assert [name for _, name, _ in rows] == [
+            "PAIR_BUDGET", "FACE_BUDGET", "LINEAR_QUOTIENT_BUDGET", "COVER_BUDGET",
+            "ENUMERATION_MAX_LAYER", "ENUMERATION_MAX_N"]
+        for module, name, value in rows:
+            assert getattr(modules[module], name) == value, name
+
+    def test_every_limit_has_a_row(self):
+        listed = {name for _, name, _ in readme_limits()}
+        assert listed == {limit for _, _, limit, _ in LIMITS}

@@ -102,11 +102,11 @@ def _witness_payload(report):
         "lower": report.lower,
         "upper": report.upper,
         "exact": report.exact,
-        "sums": [str(q) for q in report.elements],
     }
-    if report.witness is not None:
-        payload["layers"] = [[str(m) for m in layer]
-                             for layer in report.witness.layers]
+    if report.witness is None:
+        payload["sums"] = [str(q) for q in report.elements]
+    else:
+        payload["sums"], payload["layers"] = report.witness.text()
     return payload
 
 

@@ -30,6 +30,10 @@ POWER_OF_M = "power_of_m"
 # vertex sets the minimal-cover search may visit: 10x the 6,434 that
 # V(14,7) takes; the matching x1*x2, ..., x47*x48 would visit 2^25 - 2
 COVER_BUDGET = 1 << 16
+# leaves the splitting recursion may make: the benchmark's block powers
+# make at most 210; x1^2*x2, x3^2*x4, ... makes 2^k, and the pairwise
+# redundancy test over them took 2.3 s at 512 leaves and 9.8 s at 1024
+LEAF_BUDGET = 1 << 9
 
 
 @dataclass(frozen=True)
@@ -122,9 +126,16 @@ def _is_pure_power(m):
 
 
 def _split_leaves(ideal, out):
-    """Depth-first splitting; appends irreducible leaves to out in order."""
+    """Depth-first splitting; appends irreducible leaves to out in order.
+
+    Every split has two branches, so the leaves bound the whole recursion;
+    making more than LEAF_BUDGET of them raises BudgetExceeded.
+    """
     pivot = next((g for g in ideal.gens if not _is_pure_power(g)), None)
     if pivot is None:
+        if len(out) == LEAF_BUDGET:
+            raise BudgetExceeded("decomposition", "the splitting recursion makes more "
+                                 f"than {LEAF_BUDGET} leaves", "LEAF_BUDGET", LEAF_BUDGET)
         out.append(ideal)
         return
     i = min(pivot.support)
@@ -159,8 +170,9 @@ def irreducible_decomposition(ideal):
 
     Splits the first generator (in stored order) that is not a pure
     variable power, peeling off its lowest-index variable power, and
-    recurses on both summands. The reassembled intersection is compared
-    against the input before returning.
+    recurses on both summands, raising BudgetExceeded past LEAF_BUDGET
+    leaves. The reassembled intersection is compared against the input
+    before returning.
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("decomposition needs a proper nonzero ideal")
@@ -231,10 +243,15 @@ def associated_primes(ideal):
     Square-free ideals: the associated primes are exactly the minimal
     vertex covers of the generator supports, found by a search that
     raises BudgetExceeded past COVER_BUDGET vertex sets. Otherwise:
-    radicals of an irredundant irreducible decomposition.
+    radicals of an irredundant irreducible decomposition. The (frozen)
+    result is kept in the ideal's memo; a refusal is not.
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("associated primes need a proper nonzero ideal")
+    return ideal._memo("_prime_decomposition", _prime_decomposition)
+
+
+def _prime_decomposition(ideal):
     stats = None
     if ideal.is_squarefree:
         ass, stats = _minimal_covers(ideal.masks)

@@ -10,7 +10,9 @@ The square-free bit layout lives here alone: a set of variable indices
 other modules convert with support_to_mask and mask_to_support.
 
 An ideal keeps its derived data (degree, and in its memo the generator masks
-and what other modules compute on it) outside the dataclass fields.
+and what other modules compute on it) outside the dataclass fields. On a
+square-free ideal the colon and the square-free member scan work on those
+masks; other ideals divide exponent tuples.
 """
 
 from __future__ import annotations
@@ -292,10 +294,27 @@ class MonomialIdeal:
         return any(g.divides(u) for g in self.gens)
 
     def colon(self, u):
-        """The colon ideal (I : u) for a monomial u."""
+        """The colon ideal (I : u) for a monomial u.
+
+        On a square-free ideal g / gcd(g, u) is g & ~supp(u) on the masks,
+        and the minimal ones are those that strictly contain no other.
+        """
         if self.is_zero:
             return self
-        return make_ideal(self.n, [g / g.gcd(u) for g in self.gens])
+        masks = self.masks
+        if masks is None:
+            return make_ideal(self.n, [g / g.gcd(u) for g in self.gens])
+        if u.n != self.n:
+            raise _length_mismatch(self.gens[0], u)
+        keep = ~support_to_mask(u.support)
+        quotients = sorted({g & keep for g in masks}, key=int.bit_count)
+        minimal = []
+        for m in quotients:
+            if not any(g & ~m == 0 for g in minimal):
+                minimal.append(m)
+        gens = sorted((Monomial.from_bitmask(self.n, m) for m in minimal),
+                      key=lambda g: g.exponents, reverse=True)
+        return MonomialIdeal(self.n, tuple(gens))
 
     def intersect(self, other):
         """Intersection via the pairwise lcm table."""
@@ -332,15 +351,21 @@ class MonomialIdeal:
         return MonomialIdeal(self.n, tuple(kept))
 
     def squarefree_members(self, degree):
-        """Square-free degree-d monomials lying in the ideal, lex order.
+        """Square-free degree-d monomials lying in the ideal, lex order."""
+        return tuple(Monomial.from_bitmask(self.n, m)
+                     for m in self._squarefree_member_masks(degree))
+
+    def _squarefree_member_masks(self, degree):
+        """Masks of the square-free degree-d monomials in the ideal, lex order.
 
         Only square-free generators can divide a square-free monomial, so
         membership is a mask test against theirs, whatever the ideal.
         """
-        masks = [g.bitmask() for g in self.gens if g.is_squarefree]
+        masks = self.masks
+        if masks is None:
+            masks = [g.bitmask() for g in self.gens if g.is_squarefree]
         bits = [1 << k for k in range(self.n)]
-        return tuple(Monomial.from_bitmask(self.n, m)
-                     for m in map(sum, itertools.combinations(bits, degree))
+        return tuple(m for m in map(sum, itertools.combinations(bits, degree))
                      if any(not g & ~m for g in masks))
 
     def summarize(self):

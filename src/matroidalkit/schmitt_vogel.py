@@ -8,11 +8,18 @@ sums suffice: pairwise products inside a layer are divisible by an
 earlier-layer element, which is what the layered-sum argument needs.
 Together with the projective-dimension lower bound this pins the
 arithmetical rank of a matroidal ideal at exactly n-d+1.
+
+The witness holds its layers as generator masks (ideals.support_to_mask),
+read off the ideal's own square-free member scan. Its Monomial layers and
+Polynomial sums are views built on first use; SVWitness.text() prints
+both straight from the masks, which is all a report needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 from .errors import DomainError, TheoremViolationError
 from .homology import pd_depth
@@ -29,18 +36,47 @@ CONDITION_PRODUCTS = "pair_products_absorbed"
 class SVWitness:
     """Layer structure plus the summed witness polynomials.
 
-    layers runs P_0..P_r with r = n - d; q holds the corresponding sums
-    over the rationals. ara_upper is the layer count r + 1; ara_lower is
-    the projective dimension of R/I; ara_exact marks the two meeting.
+    masks runs P_0..P_r with r = n - d, each layer a tuple of generator
+    masks (ideals.support_to_mask) in lex order of supports. layers (as
+    Monomials) and q (the layer sums over the rationals) are views built
+    from masks on first use. ara_upper is the layer count r + 1; ara_lower
+    is the projective dimension of R/I; ara_exact marks the two meeting.
     """
 
+    n: int
     d: int
     r: int
-    layers: tuple
-    q: tuple
+    masks: tuple
     ara_upper: int
     ara_lower: int
     ara_exact: bool
+
+    @cached_property
+    def layers(self):
+        return tuple(tuple(Monomial.from_bitmask(self.n, m) for m in layer)
+                     for layer in self.masks)
+
+    @cached_property
+    def q(self):
+        one = Fraction(1)
+        return tuple(Polynomial._raw(self.n, {m.exponents: one for m in layer}, None)
+                     for layer in self.layers)
+
+    def text(self):
+        """The sums and the layers as text: str(q_j) and str(m) for each layer.
+
+        A mask's text is made once for both. On square-free monomials of one
+        degree, descending degrevlex is ascending order of the masks, so a
+        sum lists its layer sorted by mask.
+        """
+        names = [f"x{k}" for k in range(1, self.n + 1)]
+        sums, layers = [], []
+        for layer in self.masks:
+            texts = ["*".join([names[k] for k in range(m.bit_length()) if m >> k & 1])
+                     for m in layer]
+            layers.append(texts)
+            sums.append(" + ".join([t for _, t in sorted(zip(layer, texts))]))
+        return sums, layers
 
 
 @dataclass(frozen=True)
@@ -71,19 +107,18 @@ def build_sv_witness(ideal):
     if not summary.is_full_supported:
         raise DomainError("witness construction requires full support")
     n = ideal.n
-    d = min(g.degree for g in ideal.gens)
+    d = min(map(int.bit_count, ideal.masks))
     if d < 2:
         raise DomainError("degree-1 input uses the plain variable witness; see ara_report")
     r = n - d
     layers = []
     for j in range(r + 1):
-        layer = ideal.squarefree_members(n - j)
+        layer = ideal._squarefree_member_masks(n - j)
         if not layer:
             raise TheoremViolationError(
                 f"empty layer at degree {n - j} for full-support {ideal}")
         layers.append(layer)
-    full_product = Monomial.from_support(n, range(1, n + 1))
-    if layers[0] != (full_product,):
+    if layers[0] != ((1 << n) - 1,):
         raise TheoremViolationError(f"top layer of {ideal} is not the full product")
     lower = pd_depth(ideal).pd
     upper = r + 1
@@ -92,10 +127,10 @@ def build_sv_witness(ideal):
         raise TheoremViolationError(
             f"bounds {lower} < {upper} fail to meet on matroidal {ideal}")
     return SVWitness(
+        n=n,
         d=d,
         r=r,
-        layers=tuple(layers),
-        q=tuple(Polynomial.sum_of(layer) for layer in layers),
+        masks=tuple(layers),
         ara_upper=upper,
         ara_lower=lower,
         ara_exact=exact,
@@ -140,7 +175,8 @@ class AraReport:
 
     elements lists polynomials generating the ideal up to radical; their
     count is the upper bound. witness is None exactly in degree 1, where
-    the variables themselves are the elements.
+    the variables themselves are the elements. elements is built on first
+    use, from the witness's sums or the variables.
     """
 
     n: int
@@ -149,7 +185,13 @@ class AraReport:
     upper: int
     exact: bool
     witness: SVWitness | None
-    elements: tuple
+
+    @cached_property
+    def elements(self):
+        if self.witness is not None:
+            return self.witness.q
+        return tuple(Polynomial.from_monomial(Monomial.variable(self.n, i))
+                     for i in range(1, self.n + 1))
 
 
 def ara_report(ideal):
@@ -171,9 +213,8 @@ def ara_report(ideal):
         lower = pd_depth(ideal).pd
         if lower != n:
             raise TheoremViolationError(f"projective dimension {lower} != {n} for {ideal}")
-        elements = tuple(Polynomial.from_monomial(g) for g in ideal.gens)
-        return AraReport(n=n, degree=d, lower=lower, upper=n, exact=True,
-                         witness=None, elements=elements)
+        # full support in degree 1: the generators are x1, ..., xn
+        return AraReport(n=n, degree=d, lower=lower, upper=n, exact=True, witness=None)
     witness = build_sv_witness(ideal)
     if witness.ara_lower > witness.ara_upper:
         raise TheoremViolationError(
@@ -185,5 +226,4 @@ def ara_report(ideal):
         upper=witness.ara_upper,
         exact=witness.ara_exact,
         witness=witness,
-        elements=witness.q,
     )

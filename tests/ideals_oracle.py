@@ -4,11 +4,13 @@ minimalize is the original pairwise pass: it tests every ordered pair of
 distinct monomials for divisibility, whatever their degrees.
 squarefree_members is the original scan: it builds every square-free
 monomial of the degree and asks the ideal whether it contains it.
+colon is the original tuple route, which MonomialIdeal.colon still takes
+on ideals that are not square-free.
 """
 
 from __future__ import annotations
 
-from matroidalkit import squarefree_monomials
+from matroidalkit import make_ideal, squarefree_monomials
 
 
 def minimalize(monomials):
@@ -25,3 +27,10 @@ def squarefree_members(ideal, degree):
     """Square-free degree-d monomials lying in the ideal, lex order."""
     return tuple(m for m in squarefree_monomials(ideal.n, degree)
                  if ideal.contains(m))
+
+
+def colon(ideal, u):
+    """(I : u) on exponent tuples: every g / gcd(g, u), minimalized."""
+    if ideal.is_zero:
+        return ideal
+    return make_ideal(ideal.n, [g / g.gcd(u) for g in ideal.gens])

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matroidalkit import (DomainError, Monomial, MonomialIdeal, Partition,
-                          StructuralError, associated_primes, criteria_check,
-                          irreducible_decomposition, make_ideal, p1_classify,
-                          partition_degree2, squarefree_veronese, transversal,
-                          veronese)
+from matroidalkit import (BudgetExceeded, DomainError, Monomial, MonomialIdeal, Partition,
+                          StructuralError, associated_primes, criteria_check, decomposition,
+                          irreducible_decomposition, is_matroidal, make_ideal, p1_classify,
+                          partition_degree2, pd_depth, squarefree_veronese, stanley_reisner,
+                          transversal, veronese)
 from matroidalkit.decomposition import (MATROIDAL, POWER_OF_M, CoverStats,
                                         _drop_redundant, _minimal_covers,
                                         _split_leaves)
@@ -181,6 +181,65 @@ class TestAssociatedPrimes:
         for bad in (MonomialIdeal.zero(3), MonomialIdeal.unit(3)):
             with pytest.raises(DomainError):
                 associated_primes(bad)
+
+
+def counting(monkeypatch, name):
+    """Replace decomposition.<name> by a wrapper; returns the list of its arguments."""
+    calls = []
+    original = getattr(decomposition, name)
+
+    def wrapper(arg):
+        calls.append(arg)
+        return original(arg)
+    monkeypatch.setattr(decomposition, name, wrapper)
+    return calls
+
+
+class TestOneDecompositionPerIdeal:
+    def test_sections_share_one_cover_search(self, two_blocks_n5, path_n4, monkeypatch):
+        calls = counting(monkeypatch, "_minimal_covers")
+        # matroidal: the linear-quotient route; a path: homology through the face complex
+        for ideal in (two_blocks_n5, path_n4):
+            dec = associated_primes(ideal)
+            if is_matroidal(ideal):
+                criteria_check(ideal)
+            stanley_reisner(ideal)
+            pd_depth(ideal)
+            pd_depth(ideal, 2)
+            assert associated_primes(ideal) is dec
+            assert calls.count(ideal.masks) == 1
+        # a fresh equal ideal owns a fresh memo
+        assert associated_primes(transversal(5, [{1, 2}, {3, 4, 5}])) == \
+            associated_primes(two_blocks_n5)
+        assert calls.count(two_blocks_n5.masks) == 2
+
+    def test_one_splitting_per_ideal(self, squared_pivot_n3, monkeypatch):
+        calls = counting(monkeypatch, "irreducible_decomposition")
+        dec = associated_primes(squared_pivot_n3)
+        assert associated_primes(squared_pivot_n3) is dec and len(calls) == 1
+
+    def test_a_refusal_is_not_kept(self, monkeypatch):
+        ideal = MonomialIdeal.from_supports(8, [{1, 2}, {3, 4}, {5, 6}, {7, 8}])
+        calls = counting(monkeypatch, "_minimal_covers")
+        monkeypatch.setattr(decomposition, "COVER_BUDGET", 29)
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded):
+                associated_primes(ideal)
+        monkeypatch.setattr(decomposition, "COVER_BUDGET", 30)
+        assert len(associated_primes(ideal).ass) == 16
+        assert len(associated_primes(ideal).ass) == 16  # served from the memo
+        assert len(calls) == 3
+
+    def test_kept_result_cannot_be_changed(self, two_blocks_n5):
+        dec = associated_primes(two_blocks_n5)
+        for name, value in (("height", 0), ("ass", frozenset()), ("stats", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(dec, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dec.stats.nodes = 0
+        assert isinstance(dec.ass, frozenset) and isinstance(dec.minimal, frozenset)
+        assert all(isinstance(p, frozenset) for p in dec.ass | dec.minimal)
+        assert associated_primes(two_blocks_n5).height == 2
 
 
 def random_hypergraph(rng, n):

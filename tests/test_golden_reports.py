@@ -11,6 +11,7 @@ and shows the new reports in the diff.
 """
 
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -26,6 +27,9 @@ V64 = "n=6; " + ", ".join(
     "*".join(f"x{i}" for i in range(1, 7) if i not in (a, b))
     for a in range(1, 7) for b in range(a + 1, 7))
 K23 = "n=5; x1*x3, x1*x4, x1*x5, x2*x3, x2*x4, x2*x5"
+K34 = "n=7; " + ", ".join(f"x{a}*x{b}" for a in (1, 2, 3) for b in (4, 5, 6, 7))
+V73 = "n=7; " + ", ".join("*".join(f"x{i}" for i in c)
+                          for c in itertools.combinations(range(1, 8), 3))
 
 # name: (argv, stdin)
 CASES = {
@@ -34,6 +38,9 @@ CASES = {
     "analyze_k23_text": (["analyze", "-"], K23),
     "analyze_k23_json": (["analyze", "--json", "-"], K23),
     "witness_k23_json": (["witness", "--json", "-"], K23),
+    # K_{3,4} and V(7,3) pin the order of terms and layers past K_{2,3}
+    "witness_k34_json": (["witness", "--json", "-"], K34),
+    "analyze_v73_text": (["analyze", "-"], V73),
     "enumerate_4_2": (["enumerate", "4", "2"], ""),
 }
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from matroidalkit import (Monomial, MonomialIdeal, Polynomial, StructuralError,
                           associated_primes, is_matroidal, is_polymatroidal,
                           make_ideal, pd_depth, squarefree_monomials, transversal)
+from matroidalkit import ideals as ideals_module
 from matroidalkit.ideals import _minimalize
 from matroidalkit.matroids import enumerate_matroidal
 
@@ -295,6 +296,60 @@ class TestColon:
                         assert ideal.colon(Monomial.variable(n, x)) == \
                             ideal.colon(Monomial.variable(n, y))
         assert checked > 2000
+
+
+def census(max_n=6):
+    """Every full-support matroidal ideal with n <= max_n."""
+    return [ideal for n in range(1, max_n + 1) for d in range(1, n + 1)
+            for ideal in enumerate_matroidal(n, d, True)]
+
+
+def colon_probes(n):
+    """Each variable, square-free products, and products with a square."""
+    probes = [Monomial.variable(n, i) for i in range(1, n + 1)]
+    probes += [Monomial.from_support(n, {i, i + 1}) for i in range(1, n)]
+    probes.append(Monomial.from_support(n, range(1, n + 1)))
+    probes += [Monomial(tuple(2 if k == i else int(k == i % n + 1) for k in range(1, n + 1)))
+               for i in range(1, n + 1)]
+    return probes
+
+
+class TestMaskColon:
+    """MonomialIdeal.colon on masks against the tuple route in ideals_oracle."""
+
+    def test_census(self, monkeypatch):
+        ideals = census()
+        assert len(ideals) == 2356
+        # the oracle holds its own make_ideal; the mask route never calls it
+        monkeypatch.setattr(ideals_module, "make_ideal", None)
+        for ideal in ideals:
+            for u in colon_probes(ideal.n):
+                assert ideal.colon(u) == ideals_oracle.colon(ideal, u), (ideal, u)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_squarefree_ideals_of_mixed_degree(self, data):
+        n = data.draw(st.integers(1, 7), label="n")
+        supports = st.frozensets(st.integers(1, n), min_size=0, max_size=n)
+        ideal = MonomialIdeal.from_supports(n, data.draw(
+            st.lists(supports, min_size=1, max_size=8), label="supports"))
+        u = Monomial(data.draw(st.tuples(*[st.integers(0, 2)] * n), label="u"))
+        got = ideal.colon(u)
+        assert got == ideals_oracle.colon(ideal, u)
+        assert got.masks is not None and got.masks == tuple(g.bitmask() for g in got.gens)
+
+    def test_mixed_degree_results(self):
+        ideal = MonomialIdeal.from_supports(5, [{1, 2}, {2, 3, 4}, {1, 4, 5}, {3, 5}])
+        for u in colon_probes(5) + [Monomial.one(5)]:
+            got = ideal.colon(u)
+            assert got == ideals_oracle.colon(ideal, u)
+        assert ideal.colon(Monomial.variable(5, 1)) == MonomialIdeal.from_supports(
+            5, [{2}, {4, 5}, {3, 5}])
+
+    def test_length_mismatch_is_refused_on_both_routes(self):
+        for ideal in (MonomialIdeal.from_supports(3, [{1, 2}]), make_ideal(3, [(2, 1, 0)])):
+            with pytest.raises(StructuralError, match="lengths 3 and 2"):
+                ideal.colon(mono(1, 0))
 
 
 class TestIntersectProduct:

@@ -9,10 +9,12 @@ import pytest
 
 from matroidalkit import (BudgetExceeded, DomainError, MonomialIdeal, PairBudgetExceeded,
                           ara_report, associated_primes, certify_witness,
-                          dedupe_up_to_relabeling, enumerate_matroidal, pd_depth,
+                          dedupe_up_to_relabeling, enumerate_matroidal,
+                          irreducible_decomposition, make_ideal, pd_depth,
                           squarefree_veronese, transversal)
 from matroidalkit import decomposition, groebner, homology, matroids
 from matroidalkit.cli import main
+from matroidalkit.decomposition import _split_leaves
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MATCHING_48 = "n=48; " + ", ".join(f"x{2 * i + 1}*x{2 * i + 2}" for i in range(24))
@@ -24,6 +26,13 @@ def k23():
 
 def matching(n):
     return MonomialIdeal.from_supports(n, [{i, i + 1} for i in range(1, n, 2)])
+
+
+def square_pairs(k):
+    """(x1^2*x2, x3^2*x4, ...): k generators whose splitting makes 2^k leaves."""
+    n = 2 * k
+    return make_ideal(n, [tuple(2 if v == 2 * i else int(v == 2 * i + 1) for v in range(n))
+                          for i in range(k)])
 
 
 def certify_k23():
@@ -40,6 +49,7 @@ LIMITS = [
     ("linear-quotient", homology, "LINEAR_QUOTIENT_BUDGET",
      lambda: pd_depth(MonomialIdeal.maximal(21))),
     ("decomposition", decomposition, "COVER_BUDGET", lambda: associated_primes(matching(48))),
+    ("decomposition", decomposition, "LEAF_BUDGET", lambda: associated_primes(square_pairs(10))),
     ("enumeration", matroids, "ENUMERATION_MAX_LAYER", lambda: enumerate_matroidal(7, 3)),
     ("enumeration", matroids, "ENUMERATION_MAX_N", lambda: enumerate_matroidal(8, 1)),
     ("relabeling", matroids, "ENUMERATION_MAX_N",
@@ -99,6 +109,41 @@ class TestCoverBudget:
             associated_primes(matching(48))
         # measured at about 0.25 s on a 2-vCPU VM
         assert time.monotonic() - start < 1.0
+
+
+class TestLeafBudget:
+    def test_budget_is_exact(self, monkeypatch):
+        ideal = square_pairs(3)
+        leaves = []
+        _split_leaves(ideal, leaves)
+        assert len(leaves) == 8
+        monkeypatch.setattr(decomposition, "LEAF_BUDGET", 8)
+        assert len(irreducible_decomposition(ideal)) == 8
+        monkeypatch.setattr(decomposition, "LEAF_BUDGET", 7)
+        with pytest.raises(BudgetExceeded, match="more than 7 leaves"):
+            irreducible_decomposition(ideal)
+
+    def test_largest_block_power_of_the_benchmark_fits_twice(self):
+        # (x1, x2)^2 (x3, ..., x8) makes the most leaves of the benchmark's inputs
+        ideal = (make_ideal(8, [(2, 0) + (0,) * 6, (1, 1) + (0,) * 6, (0, 2) + (0,) * 6])
+                 * MonomialIdeal.from_supports(8, [{v} for v in range(3, 9)]))
+        leaves = []
+        _split_leaves(ideal, leaves)
+        assert len(leaves) == 210 and 2 * len(leaves) <= decomposition.LEAF_BUDGET
+        assert associated_primes(ideal).ass == {frozenset({1, 2}), frozenset(range(3, 9))}
+
+    def test_square_pairs_are_refused_in_time(self, capsys, monkeypatch):
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded, match="LEAF_BUDGET = 512"):
+            irreducible_decomposition(square_pairs(11))
+        assert time.monotonic() - start < 1.0
+        # analyze skips the primes and prints every other section
+        text = "n=22; " + ", ".join(f"x{2 * i + 1}^2*x{2 * i + 2}" for i in range(11))
+        start = time.monotonic()
+        code, out, _ = run(capsys, monkeypatch, ["analyze", "--no-certify"], text)
+        assert code == 0 and time.monotonic() - start < 1.0
+        assert sections(out)["decomposition"].startswith(
+            "  skipped: decomposition stage: the splitting recursion makes more than 512 leaves")
 
 
 def run(capsys, monkeypatch, argv, stdin=""):
@@ -203,7 +248,7 @@ class TestLimitsTable:
         rows = readme_limits()
         assert [name for _, name, _ in rows] == [
             "PAIR_BUDGET", "FACE_BUDGET", "LINEAR_QUOTIENT_BUDGET", "COVER_BUDGET",
-            "ENUMERATION_MAX_LAYER", "ENUMERATION_MAX_N"]
+            "LEAF_BUDGET", "ENUMERATION_MAX_LAYER", "ENUMERATION_MAX_N"]
         for module, name, value in rows:
             assert getattr(modules[module], name) == value, name
 

@@ -4,12 +4,15 @@ import itertools
 
 import pytest
 
-from matroidalkit import (DomainError, Monomial, MonomialIdeal, ara_report,
-                          build_sv_witness, make_ideal, squarefree_monomials,
-                          squarefree_veronese, verify_sv_conditions)
+from matroidalkit import (DomainError, Monomial, MonomialIdeal, Polynomial, ara_report,
+                          build_sv_witness, groebner, make_ideal, squarefree_monomials,
+                          squarefree_veronese, transversal, verify_sv_conditions)
+from matroidalkit.cli import _witness_payload
 from matroidalkit.matroids import enumerate_matroidal
 from matroidalkit.schmitt_vogel import (CONDITION_PRODUCTS, CONDITION_SINGLETON,
                                         CONDITION_UNION)
+
+import ideals_oracle
 
 
 class TestWitnessConstruction:
@@ -158,3 +161,59 @@ class TestAraReport:
     def test_support_gap_rejected(self):
         with pytest.raises(DomainError):
             ara_report(make_ideal(3, [(1, 1, 0)]))
+
+
+def tuple_route_text(ideal, witness):
+    """Sums and layers as text by the tuple route: Monomials, sum_of and str."""
+    layers = [ideals_oracle.squarefree_members(ideal, ideal.n - j)
+              for j in range(witness.r + 1)]
+    return ([str(Polynomial.sum_of(layer)) for layer in layers],
+            [[str(m) for m in layer] for layer in layers], layers)
+
+
+def complete_bipartite(a):
+    return transversal(2 * a, [set(range(1, a + 1)), set(range(a + 1, 2 * a + 1))])
+
+
+class TestMaskRendering:
+    """SVWitness keeps masks; its text and views match the tuple route."""
+
+    def assert_matches_tuple_route(self, ideal):
+        witness = build_sv_witness(ideal)
+        sums, layers, monomials = tuple_route_text(ideal, witness)
+        assert witness.text() == (sums, layers)
+        assert not {"layers", "q"} & vars(witness).keys()  # text() builds no view
+        assert witness.layers == tuple(monomials)
+        assert witness.q == tuple(Polynomial.sum_of(layer) for layer in monomials)
+
+    def test_census(self):
+        census = [ideal for n in range(2, 7) for d in range(2, n + 1)
+                  for ideal in enumerate_matroidal(n, d, True)]
+        assert len(census) == 2350
+        for ideal in census:
+            self.assert_matches_tuple_route(ideal)
+
+    @pytest.mark.parametrize("a", range(2, 8))
+    def test_complete_bipartite(self, a):
+        self.assert_matches_tuple_route(complete_bipartite(a))
+
+    def test_sum_order_is_ascending_masks(self):
+        # descending degrevlex on square-free monomials of one degree
+        witness = build_sv_witness(complete_bipartite(3))
+        for layer, q in zip(witness.masks, witness.q):
+            by_order = sorted(q.terms, key=groebner._order_key, reverse=True)
+            assert [Monomial(ev).bitmask() for ev in by_order] == sorted(layer)
+
+    def test_report_builds_elements_on_first_use(self):
+        report = ara_report(complete_bipartite(2))
+        assert "elements" not in vars(report) and "q" not in vars(report.witness)
+        assert report.elements is report.witness.q is report.elements
+        maximal = MonomialIdeal.maximal(4)
+        assert ara_report(maximal).elements == tuple(
+            Polynomial.from_monomial(g) for g in maximal.gens)
+
+    def test_cli_payload_is_the_tuple_route(self):
+        ideal = complete_bipartite(3)
+        payload = _witness_payload(ara_report(ideal))
+        sums, layers, _ = tuple_route_text(ideal, build_sv_witness(ideal))
+        assert (payload["sums"], payload["layers"]) == (sums, layers)

@@ -1,15 +1,15 @@
 """Irreducible decomposition, associated primes, and the degree-2 theory.
 
 Monomial primes are plain variable subsets here; nothing else occurs as an
-associated prime of a monomial ideal. The splitting recursion handles the
-general case. Square-free ideals take a faster route through minimal
-vertex covers of the generator supports: a depth-first transversal search
-on the int masks of ideals.support_to_mask that reaches every vertex set
-at most once and keeps a cover only when each of its vertices has a
-private edge (Murakami-Uno's MMCS). Their complements are the facets of
-the face complex (homology.stanley_reisner). The two routes are pitted
-against each other, and the search against the old branch-on-every-vertex
-enumeration kept in tests/decomposition_oracle.py, in the test suite.
+associated prime of a monomial ideal. One engine serves all input: a
+depth-first search for minimal vertex covers on int masks that visits
+each vertex set at most once and keeps a cover only when each of its
+vertices has a private edge (Murakami-Uno's MMCS). On the generator
+supports of a square-free ideal its covers are the associated primes, the
+complements of the facets of homology.stanley_reisner; on the
+polarization of any ideal (Herzog-Hibi, Monomial Ideals, 1.6) they are
+the irreducible components. tests/decomposition_oracle.py keeps the old
+enumeration and splitting recursion that the tests hold them against.
 
 Results that a proved statement guarantees are re-checked on the spot;
 a mismatch raises TheoremViolationError rather than returning quietly.
@@ -17,6 +17,7 @@ a mismatch raises TheoremViolationError rather than returning quietly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 
@@ -30,9 +31,10 @@ POWER_OF_M = "power_of_m"
 # vertex sets the minimal-cover search may visit: 10x the 6,434 that
 # V(14,7) takes; the matching x1*x2, ..., x47*x48 would visit 2^25 - 2
 COVER_BUDGET = 1 << 16
-# leaves the splitting recursion may make: the benchmark's block powers
-# make at most 210; x1^2*x2, x3^2*x4, ... makes 2^k, and the pairwise
-# redundancy test over them took 2.3 s at 512 leaves and 9.8 s at 1024
+# irreducible components a decomposition may have, counted as the covers
+# the search keeps, before any is built: the benchmark's block powers have
+# at most 3; x1^2*x2, x3^2*x4, ... has 2^k, and building and intersecting
+# back its 512 components takes about 0.33 s on a 2-vCPU VM
 LEAF_BUDGET = 1 << 9
 
 
@@ -41,10 +43,10 @@ class CoverStats:
     """Work counters of one minimal-cover search; equal input gives equal counts.
 
     nodes counts the vertex sets the search visited below the empty one.
-    leaves_kept counts the minimal covers it returned, so on square-free
-    input it equals |Ass|. leaves_rejected counts the sets it dropped
-    because a chosen vertex had lost its last private edge: no minimal
-    cover contains them.
+    leaves_kept counts the covers it returned, so on square-free input it
+    equals |Ass|, and on polarized input the number of irreducible
+    components. leaves_rejected counts the sets it dropped because a
+    chosen vertex had no private edge left: no kept cover contains them.
     """
 
     nodes: int = 0
@@ -121,75 +123,79 @@ class CriteriaReport:
     t2_condition: bool
 
 
-def _is_pure_power(m):
-    return len(m.support) <= 1
+def _polarize(ideal):
+    """The compressed polarization of a monomial ideal, as a cover problem.
 
-
-def _split_leaves(ideal, out):
-    """Depth-first splitting; appends irreducible leaves to out in order.
-
-    Every split has two branches, so the leaves bound the whole recursion;
-    making more than LEAF_BUDGET of them raises BudgetExceeded.
+    Bit k stands for one pair (i, a), a a distinct positive exponent of
+    x_i among the generators, ascending. Returns the powers x_i^a by bit,
+    and per generator g the masks of its edge {(i, a) : a <= g_i} and of
+    its top {(i, g_i)}. On square-free input each edge is its own top.
     """
-    pivot = next((g for g in ideal.gens if not _is_pure_power(g)), None)
-    if pivot is None:
-        if len(out) == LEAF_BUDGET:
-            raise BudgetExceeded("decomposition", "the splitting recursion makes more "
-                                 f"than {LEAF_BUDGET} leaves", "LEAF_BUDGET", LEAF_BUDGET)
-        out.append(ideal)
-        return
-    i = min(pivot.support)
-    power = Monomial(tuple(pivot.degree_in(i) if k == i else 0
-                           for k in range(1, ideal.n + 1)))
-    _split_leaves(ideal.adjoin(power), out)
-    _split_leaves(ideal.adjoin(pivot / power), out)
-
-
-def _intersect_all(components):
-    result = components[0]
-    for comp in components[1:]:
-        result = result.intersect(comp)
-    return result
-
-
-def _drop_redundant(components):
-    """Remove the components that contain another component.
-
-    For irreducible components this is exact: if Q contains the
-    intersection of J_1..J_k but none of them, pick u_j in J_j outside Q;
-    Q is generated by variable powers, so lcm(u_j), which lies in every
-    J_j, stays outside Q. Components must be distinct; order is kept.
-    """
-    return [q for q in components
-            if not any(j is not q and all(q.contains(g) for g in j.gens)
-                       for j in components)]
+    powers, below = [], {}  # below[i, a]: the mask of every (i, b) with b <= a
+    for i in range(ideal.n):
+        mask = 0
+        for a in sorted({g.exponents[i] for g in ideal.gens} - {0}):
+            mask |= 1 << len(powers)
+            below[i, a] = mask
+            powers.append(Monomial._trusted((0,) * i + (a,) + (0,) * (ideal.n - i - 1)))
+    edges, tops = [], []
+    for g in ideal.gens:
+        masks = [below[i, a] for i, a in enumerate(g.exponents) if a]
+        edges.append(sum(masks))  # the variables' bits are disjoint
+        tops.append(sum(1 << m.bit_length() - 1 for m in masks))
+    return powers, edges, tops
 
 
 def irreducible_decomposition(ideal):
     """Irredundant irreducible components whose intersection is the ideal.
 
-    Splits the first generator (in stored order) that is not a pure
-    variable power, peeling off its lowest-index variable power, and
-    recurses on both summands, raising BudgetExceeded past LEAF_BUDGET
-    leaves. The reassembled intersection is compared against the input
-    before returning.
+    They are the covers _minimal_covers keeps on the polarization (see
+    _polarize) when a vertex holds an edge as private only as its top.
+    Let Q_C = (x_i^a : (i, a) in C): I lies in Q_C iff C meets every
+    edge, and Q_C' lies in Q_C iff each (i, b) in C' has some (i, a),
+    a <= b, in C. The irredundant components are the minimal irreducible
+    monomial ideals containing I, and they are the kept covers:
+
+    - A kept cover has at most one vertex per variable: if (i, a) and
+      (i, b), a < b, are in C, every edge through (i, b) holds (i, a),
+      so (i, b) has no private edge.
+    - If Q_C is minimal, C is kept: a vertex (i, a) with no private top
+      edge could be raised to the next level of x_i, or dropped at the
+      last, and the smaller irreducible ideal would still contain I, as
+      each edge that loses the vertex has top (i, a) and meets C
+      elsewhere. Raising exponents to levels in use likewise shows that
+      every minimal Q is some Q_C.
+    - If C is kept, Q_C is minimal: let C' cover with Q_C' inside Q_C,
+      and g be a private top edge of (i, a) in C. C' meets g at some
+      (j, c), c <= g_j, and C holds some (j, b), b <= c, which lies in g,
+      so it is (i, a) and c = a. So C' holds C, and Q_C' holds Q_C.
+
+    The search raises BudgetExceeded past COVER_BUDGET vertex sets, and
+    so does keeping more than LEAF_BUDGET covers, before any component
+    is built. The components come ascending by their tuples of generator
+    exponent vectors; their intersection is checked against the input.
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("decomposition needs a proper nonzero ideal")
-    leaves = []
-    _split_leaves(ideal, leaves)
-    unique = list(dict.fromkeys(leaves))
-    components = _drop_redundant(unique)
-    if _intersect_all(components) != ideal:
+    powers, edges, tops = _polarize(ideal)
+    covers, _ = _minimal_covers(edges, tops)
+    if len(covers) > LEAF_BUDGET:
+        raise BudgetExceeded("decomposition", f"the minimal-cover search keeps {len(covers)} "
+                             "irreducible components", "LEAF_BUDGET", LEAF_BUDGET)
+    # ascending bits are ascending variables: descending lex, the canonical order
+    components = [MonomialIdeal(ideal.n, tuple(powers[k] for k in range(c.bit_length())
+                                               if c >> k & 1)) for c in covers]
+    components.sort(key=lambda q: tuple(g.exponents for g in q.gens))
+    if functools.reduce(MonomialIdeal.intersect, components) != ideal:
         raise TheoremViolationError(
             f"irreducible components fail to intersect back to {ideal}")
     return tuple(components)
 
 
-def _minimal_covers(edges):
-    """Inclusion-minimal hitting sets of a list of edges, as vertex masks.
+def _minimal_covers(edges, tops=None):
+    """Minimal hitting sets of a list of edges, as vertex masks.
 
-    Returns the covers as a frozenset of 1-indexed frozensets, with the
+    Returns the covers in the order the search reaches them, with the
     CoverStats of the search. Repeated edges count once, and a
     depth-first search runs on (chosen, forbidden): it picks an uncovered
     edge with the fewest allowed vertices (those outside forbidden) and
@@ -200,14 +206,16 @@ def _minimal_covers(edges):
     vertex set is visited at most once and every minimal cover is reached.
 
     Each chosen vertex keeps its private edges: those that meet chosen in
-    that vertex alone. A cover is minimal exactly when each of its
-    vertices has one. Private edges only shrink as chosen grows, so a set
-    in which a vertex has lost its last one is dropped at once, cover or
-    not; no minimal cover C contains it, since an edge private to u in C
-    is private to u in every subset of C that holds u. Visiting more
-    than COVER_BUDGET vertex sets raises BudgetExceeded.
+    that vertex alone and hold it in their top (tops gives one mask per
+    edge; by default each edge is its own top, and the kept covers are
+    the minimal ones). A cover is kept when each of its vertices has one.
+    Private edges only shrink as chosen grows, so a set in which a vertex
+    has none is dropped at once, cover or not: an edge private to u in a
+    kept cover C is private to u in every subset of C that holds u.
+    Visiting more than COVER_BUDGET vertex sets raises BudgetExceeded.
     """
-    edges = sorted(set(edges))
+    top = dict(zip(edges, edges if tops is None else tops))
+    edges = sorted(top)
     found = []
     counts = {"nodes": 0, "leaves_rejected": 0}
 
@@ -226,25 +234,27 @@ def _minimal_covers(edges):
                                      f"than {COVER_BUDGET} vertex sets", "COVER_BUDGET",
                                      COVER_BUDGET)
             kept = [[e for e in own if not e & v] for own in private]
+            kept.append([e for e in uncovered if top[e] & v])
             if all(kept):
-                kept.append([e for e in uncovered if e & v])
                 search(chosen | v, kept, [e for e in uncovered if not e & v], forbidden)
             else:
                 counts["leaves_rejected"] += 1
             forbidden |= v
 
     search(0, [], edges, 0)
-    return frozenset(map(mask_to_support, found)), CoverStats(leaves_kept=len(found), **counts)
+    return tuple(found), CoverStats(leaves_kept=len(found), **counts)
 
 
 def associated_primes(ideal):
     """Ass(R/I) with height, big height, and the unmixedness verdict.
 
     Square-free ideals: the associated primes are exactly the minimal
-    vertex covers of the generator supports, found by a search that
-    raises BudgetExceeded past COVER_BUDGET vertex sets. Otherwise:
-    radicals of an irredundant irreducible decomposition. The (frozen)
-    result is kept in the ideal's memo; a refusal is not.
+    vertex covers of the generator supports. Otherwise: the radicals of
+    the irredundant irreducible components, which the same search finds
+    on the polarization (see irreducible_decomposition). The search
+    raises BudgetExceeded past COVER_BUDGET vertex sets, and a
+    decomposition past LEAF_BUDGET components. The (frozen) result is
+    kept in the ideal's memo; a refusal is not.
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("associated primes need a proper nonzero ideal")
@@ -254,8 +264,8 @@ def associated_primes(ideal):
 def _prime_decomposition(ideal):
     stats = None
     if ideal.is_squarefree:
-        ass, stats = _minimal_covers(ideal.masks)
-        minimal = ass
+        covers, stats = _minimal_covers(ideal.masks)
+        ass = minimal = frozenset(map(mask_to_support, covers))
     else:
         ass = frozenset(comp.support for comp in irreducible_decomposition(ideal))
         minimal = frozenset(p for p in ass if not any(q < p for q in ass))

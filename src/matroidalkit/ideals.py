@@ -337,19 +337,6 @@ class MonomialIdeal:
         self._check_ambient(other)
         return make_ideal(self.n, list(self.gens) + list(other.gens))
 
-    def adjoin(self, u):
-        """I + (u) without rebuilding from scratch.
-
-        Keeps every generator u does not divide; those already fail to
-        divide each other and none divides u (u would then lie in I).
-        """
-        if self.contains(u):
-            return self
-        kept = [g for g in self.gens if not u.divides(g)]
-        kept.append(u)
-        kept.sort(key=lambda m: m.exponents, reverse=True)
-        return MonomialIdeal(self.n, tuple(kept))
-
     def squarefree_members(self, degree):
         """Square-free degree-d monomials lying in the ideal, lex order."""
         return tuple(Monomial.from_bitmask(self.n, m)

@@ -1,6 +1,7 @@
 """Irreducible decomposition, associated primes, and the degree-2 criteria."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 import time
@@ -14,18 +15,23 @@ from matroidalkit import (BudgetExceeded, DomainError, Monomial, MonomialIdeal, 
                           irreducible_decomposition, is_matroidal, make_ideal, p1_classify,
                           partition_degree2, pd_depth, squarefree_veronese, stanley_reisner,
                           transversal, veronese)
-from matroidalkit.decomposition import (MATROIDAL, POWER_OF_M, CoverStats,
-                                        _drop_redundant, _minimal_covers,
-                                        _split_leaves)
+from matroidalkit.decomposition import (MATROIDAL, POWER_OF_M, CoverStats, _minimal_covers,
+                                        _polarize)
 
 import decomposition_oracle
-from matroidalkit.ideals import support_to_mask
+from matroidalkit.ideals import mask_to_support, support_to_mask
 from matroidalkit.matroids import enumerate_matroidal
 
 
 def minimal_covers(edges):
-    """The cover search on edges given as variable sets."""
-    return _minimal_covers([support_to_mask(e) for e in edges])
+    """The cover search on edges given as variable sets; covers as a frozenset of sets."""
+    covers, stats = _minimal_covers([support_to_mask(e) for e in edges])
+    return frozenset(map(mask_to_support, covers)), stats
+
+
+def in_order(components):
+    """Components in the order irreducible_decomposition returns them."""
+    return tuple(sorted(components, key=lambda q: tuple(g.exponents for g in q.gens)))
 
 
 def intersect_all(ideals):
@@ -109,8 +115,8 @@ class TestIrreducibleDecomposition:
                 assert not rest or intersect_all(rest) != ideal
 
     def test_pairwise_pruning_matches_greedy_oracle(self):
-        # dropping components that contain another one keeps exactly what
-        # the greedy intersect-the-rest pass keeps, in the same order
+        # the cover search keeps exactly what the splitting recursion and
+        # the greedy intersect-the-rest pass keep, in ascending order
         rng = random.Random(59)
         compared = 0
         for _ in range(150):
@@ -120,14 +126,45 @@ class TestIrreducibleDecomposition:
             ideal = make_ideal(n, gens)
             if ideal.is_unit or ideal.is_zero or ideal.is_squarefree:
                 continue
-            leaves = []
-            _split_leaves(ideal, leaves)
-            unique = list(dict.fromkeys(leaves))
-            expected = decomposition_oracle.drop_redundant(unique)
-            assert _drop_redundant(unique) == expected
-            assert irreducible_decomposition(ideal) == tuple(expected)
+            expected = decomposition_oracle.irreducible_decomposition(
+                ideal, decomposition_oracle.drop_redundant)
+            assert expected == decomposition_oracle.irreducible_decomposition(ideal)
+            assert irreducible_decomposition(ideal) == in_order(expected)
             compared += 1
         assert compared > 75
+
+    def test_matches_splitting_oracle_on_random_ideals(self):
+        # n <= 6, at most 7 generators, exponents at most 4
+        rng = random.Random(233)
+        compared = 0
+        while compared < 2000:
+            n = rng.randint(1, 6)
+            ideal = make_ideal(n, [tuple(rng.randint(0, 4) for _ in range(n))
+                                   for _ in range(rng.randint(1, 7))])
+            if ideal.is_unit or ideal.is_zero or ideal.is_squarefree:
+                continue
+            assert irreducible_decomposition(ideal) == in_order(
+                decomposition_oracle.irreducible_decomposition(ideal)), ideal
+            compared += 1
+
+    def test_once_refused_input_is_decomposed(self):
+        # the splitting recursion made more than 512 leaves here
+        ideal = make_ideal(6, [(3, 1, 1, 3, 2, 2), (2, 2, 2, 4, 1, 3),
+                               (1, 3, 0, 1, 1, 4), (0, 2, 4, 1, 3, 1)])
+        comps = irreducible_decomposition(ideal)
+        assert len(comps) == 35 and comps == in_order(
+            decomposition_oracle.irreducible_decomposition(ideal))
+
+    def test_huge_exponents_take_one_vertex_each(self):
+        top = (1 << 63) - 1
+        ideal = make_ideal(3, [(top, 1, 0), (top - 1, 0, 1), (0, top, top)])
+        powers, edges, tops = _polarize(ideal)
+        assert [(min(p.support), p.degree) for p in powers] == [
+            (1, top - 1), (1, top), (2, 1), (2, top), (3, 1), (3, top)]
+        assert edges == [0b000111, 0b010001, 0b111100]
+        assert tops == [0b000110, 0b010001, 0b101000]
+        comps = irreducible_decomposition(ideal)
+        assert comps == in_order(decomposition_oracle.irreducible_decomposition(ideal))
 
 
 class TestAssociatedPrimes:
@@ -293,7 +330,35 @@ class TestMinimalCovers:
             for ideal in enumerate_matroidal(5, d):
                 supports = [g.support for g in ideal.gens]
                 covers, _ = _minimal_covers(ideal.masks)
-                assert covers == decomposition_oracle.minimal_covers(supports)
+                assert frozenset(map(mask_to_support, covers)) == \
+                    decomposition_oracle.minimal_covers(supports)
+
+    def test_stats_on_the_census_are_the_recorded_ones(self):
+        # summed per (n, d) over the full-support matroidal ideals with
+        # n <= 6: (ideals, nodes, leaves_kept, leaves_rejected), recorded
+        # before polarized input came to share the search; the digest
+        # covers each ideal's three counters in census order
+        recorded = {
+            (1, 1): (1, 1, 1, 0), (2, 1): (1, 2, 1, 0), (2, 2): (1, 2, 2, 0),
+            (3, 1): (1, 3, 1, 0), (3, 2): (4, 16, 9, 2), (3, 3): (1, 3, 3, 0),
+            (4, 1): (1, 4, 1, 0), (4, 2): (14, 97, 36, 15), (4, 3): (11, 70, 40, 13),
+            (4, 4): (1, 4, 4, 0), (5, 1): (1, 5, 1, 0), (5, 2): (51, 555, 150, 86),
+            (5, 3): (106, 1331, 500, 317), (5, 4): (26, 238, 135, 54), (5, 5): (1, 5, 5, 0),
+            (6, 1): (1, 6, 1, 0), (6, 2): (202, 3205, 673, 469),
+            (6, 3): (1232, 29074, 8106, 6780), (6, 4): (642, 13311, 5001, 3837),
+            (6, 5): (57, 708, 396, 183), (6, 6): (1, 6, 6, 0),
+        }
+        digest = hashlib.sha256()
+        for (n, d), expected in recorded.items():
+            total = [0, 0, 0, 0]
+            for ideal in enumerate_matroidal(n, d):
+                _, stats = _minimal_covers(ideal.masks)
+                counters = (stats.nodes, stats.leaves_kept, stats.leaves_rejected)
+                total = [t + c for t, c in zip(total, (1,) + counters)]
+                digest.update("{},{},{};".format(*counters).encode())
+            assert tuple(total) == expected, (n, d)
+        assert digest.hexdigest() == (
+            "60c48575534fbd1eef6fed8a764a124212b93ed54387c95dfd972b865c5bf677")
 
     def test_stats_repeat_and_count_each_prime_once(self):
         ideals = [squarefree_veronese(7, 3), transversal(6, [{1, 2}, {3, 4}, {5, 6}]),

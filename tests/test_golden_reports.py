@@ -30,6 +30,13 @@ K23 = "n=5; x1*x3, x1*x4, x1*x5, x2*x3, x2*x4, x2*x5"
 K34 = "n=7; " + ", ".join(f"x{a}*x{b}" for a in (1, 2, 3) for b in (4, 5, 6, 7))
 V73 = "n=7; " + ", ".join("*".join(f"x{i}" for i in c)
                           for c in itertools.combinations(range(1, 8), 3))
+# the block power (x1, x2)^2 (x3, x4, x5): not square-free, with mixed heights
+BLOCK_POWER = "n=5; " + ", ".join(f"{a}*x{c}" for a in ("x1^2", "x1*x2", "x2^2")
+                                  for c in (3, 4, 5))
+# mixed degrees and 35 irreducible components; the splitting recursion that
+# once decomposed non-square-free input refused it past 512 leaves
+MIXED_35 = ("n=6; x1^3*x2*x3*x4^3*x5^2*x6^2, x1^2*x2^2*x3^2*x4^4*x5*x6^3, "
+            "x1*x2^3*x4*x5*x6^4, x2^2*x3^4*x4*x5^3*x6")
 
 # name: (argv, stdin)
 CASES = {
@@ -41,6 +48,9 @@ CASES = {
     # K_{3,4} and V(7,3) pin the order of terms and layers past K_{2,3}
     "witness_k34_json": (["witness", "--json", "-"], K34),
     "analyze_v73_text": (["analyze", "-"], V73),
+    "analyze_block_power_text": (["analyze", "-"], BLOCK_POWER),
+    "analyze_block_power_json": (["analyze", "--json", "-"], BLOCK_POWER),
+    "analyze_mixed_35_text": (["analyze", "--no-certify", "-"], MIXED_35),
     "enumerate_4_2": (["enumerate", "4", "2"], ""),
 }
 

@@ -14,7 +14,6 @@ from matroidalkit import (BudgetExceeded, DomainError, MonomialIdeal, PairBudget
                           squarefree_veronese, transversal)
 from matroidalkit import decomposition, groebner, homology, matroids
 from matroidalkit.cli import main
-from matroidalkit.decomposition import _split_leaves
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MATCHING_48 = "n=48; " + ", ".join(f"x{2 * i + 1}*x{2 * i + 2}" for i in range(24))
@@ -29,7 +28,11 @@ def matching(n):
 
 
 def square_pairs(k):
-    """(x1^2*x2, x3^2*x4, ...): k generators whose splitting makes 2^k leaves."""
+    """(x1^2*x2, x3^2*x4, ...): k generators, 2^k irreducible components.
+
+    Polarized, it is a matching of k two-vertex edges, so the cover search
+    visits 2^(k+1) - 2 vertex sets.
+    """
     n = 2 * k
     return make_ideal(n, [tuple(2 if v == 2 * i else int(v == 2 * i + 1) for v in range(n))
                           for i in range(k)])
@@ -111,25 +114,28 @@ class TestCoverBudget:
         assert time.monotonic() - start < 1.0
 
 
+def square_pairs_text(k):
+    return f"n={2 * k}; " + ", ".join(f"x{2 * i + 1}^2*x{2 * i + 2}" for i in range(k))
+
+
 class TestLeafBudget:
     def test_budget_is_exact(self, monkeypatch):
         ideal = square_pairs(3)
-        leaves = []
-        _split_leaves(ideal, leaves)
-        assert len(leaves) == 8
         monkeypatch.setattr(decomposition, "LEAF_BUDGET", 8)
         assert len(irreducible_decomposition(ideal)) == 8
         monkeypatch.setattr(decomposition, "LEAF_BUDGET", 7)
-        with pytest.raises(BudgetExceeded, match="more than 7 leaves"):
+        with pytest.raises(BudgetExceeded, match="keeps 8 irreducible components, over the "
+                                                 "limit LEAF_BUDGET = 7"):
             irreducible_decomposition(ideal)
 
     def test_largest_block_power_of_the_benchmark_fits_twice(self):
-        # (x1, x2)^2 (x3, ..., x8) makes the most leaves of the benchmark's inputs
+        # (x1, x2)^2 (x3, ..., x8) is the largest of the benchmark's block powers
         ideal = (make_ideal(8, [(2, 0) + (0,) * 6, (1, 1) + (0,) * 6, (0, 2) + (0,) * 6])
                  * MonomialIdeal.from_supports(8, [{v} for v in range(3, 9)]))
-        leaves = []
-        _split_leaves(ideal, leaves)
-        assert len(leaves) == 210 and 2 * len(leaves) <= decomposition.LEAF_BUDGET
+        components = irreducible_decomposition(ideal)
+        assert [str(q) for q in components] == ["(x3, x4, x5, x6, x7, x8)", "(x1, x2^2)",
+                                                "(x1^2, x2)"]
+        assert 2 * len(components) <= decomposition.LEAF_BUDGET
         assert associated_primes(ideal).ass == {frozenset({1, 2}), frozenset(range(3, 9))}
 
     def test_square_pairs_are_refused_in_time(self, capsys, monkeypatch):
@@ -138,12 +144,27 @@ class TestLeafBudget:
             irreducible_decomposition(square_pairs(11))
         assert time.monotonic() - start < 1.0
         # analyze skips the primes and prints every other section
-        text = "n=22; " + ", ".join(f"x{2 * i + 1}^2*x{2 * i + 2}" for i in range(11))
         start = time.monotonic()
-        code, out, _ = run(capsys, monkeypatch, ["analyze", "--no-certify"], text)
+        code, out, _ = run(capsys, monkeypatch, ["analyze", "--no-certify"],
+                           square_pairs_text(11))
         assert code == 0 and time.monotonic() - start < 1.0
-        assert sections(out)["decomposition"].startswith(
-            "  skipped: decomposition stage: the splitting recursion makes more than 512 leaves")
+        assert sections(out)["decomposition"] == (
+            "  skipped: decomposition stage: the minimal-cover search keeps 2048 irreducible "
+            "components, over the limit LEAF_BUDGET = 512\n")
+
+    @pytest.mark.parametrize("k, limit", [(14, "LEAF_BUDGET"), (16, "COVER_BUDGET")])
+    def test_larger_square_pairs_are_refused_in_time(self, k, limit, capsys, monkeypatch):
+        # 16,384 components in 32,766 vertex sets; 2^17 - 2 sets are past the search's limit
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded) as info:
+            associated_primes(square_pairs(k))
+        assert info.value.limit == limit and time.monotonic() - start < 1.0
+        start = time.monotonic()
+        code, out, _ = run(capsys, monkeypatch, ["analyze", "--no-certify"],
+                           square_pairs_text(k))
+        assert code == 0 and time.monotonic() - start < 1.0
+        assert sections(out)["decomposition"].endswith(
+            f"over the limit {limit} = {getattr(decomposition, limit)}\n")
 
 
 def run(capsys, monkeypatch, argv, stdin=""):

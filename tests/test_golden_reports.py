@@ -52,6 +52,8 @@ CASES = {
     "analyze_block_power_json": (["analyze", "--json", "-"], BLOCK_POWER),
     "analyze_mixed_35_text": (["analyze", "--no-certify", "-"], MIXED_35),
     "enumerate_4_2": (["enumerate", "4", "2"], ""),
+    "reproduce_paper_4_2": (["reproduce-paper", "--max-n", "4", "--max-d", "2",
+                             "--no-certify"], ""),
 }
 
 

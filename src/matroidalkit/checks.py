@@ -393,12 +393,19 @@ def check_oracle_minimal_primes(max_n=6):
                    if all(s & sup for sup in gen_supports)]
         brute = frozenset(s for s in hitting
                           if not any(t < s for t in hitting))
+        # the colons I : x^F (F a face) generated by variables are Ass too:
+        # I : x^F is the intersection of the primes in Ass that miss F, so a
+        # prime one is among them, and F = [n] - P gives P
+        faces = (Monomial.from_support(ideal.n, f) for f in _subsets(ideal.n))
+        colons = [ideal.colon(u) for u in faces if not ideal.contains(u)]
+        primes = frozenset(q.support for q in colons if all(g.degree == 1 for g in q.gens))
         direct = associated_primes(ideal)
         split = frozenset(c.support for c in irreducible_decomposition(ideal))
-        if not (brute == direct.minimal == direct.ass == split):
+        if not (brute == primes == direct.minimal == direct.ass == split):
             problems.append(f"{ideal}: prime routes disagree")
         count += 1
-    return _verdict(problems, f"three prime routes agree on {count} square-free ideals")
+    return _verdict(problems, "minimal hitting sets, prime colons and the cover search "
+                    f"agree on {count} square-free ideals")
 
 
 def _bases_exchange(bases):

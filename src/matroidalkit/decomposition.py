@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import BudgetExceeded, DomainError, TheoremViolationError
-from .ideals import Monomial, MonomialIdeal, mask_to_support
+from .ideals import Monomial, MonomialIdeal, _minimal_masks, mask_to_support, support_to_mask
 from .matroids import is_matroidal, is_polymatroidal, veronese
 
 MATROIDAL = "matroidal"
@@ -268,7 +268,7 @@ def _prime_decomposition(ideal):
         ass = minimal = frozenset(map(mask_to_support, covers))
     else:
         ass = frozenset(comp.support for comp in irreducible_decomposition(ideal))
-        minimal = frozenset(p for p in ass if not any(q < p for q in ass))
+        minimal = frozenset(map(mask_to_support, _minimal_masks(map(support_to_mask, ass))))
     height = min(len(p) for p in minimal)
     big_height = max(len(p) for p in ass)
     return PrimeDecomposition(

@@ -41,7 +41,7 @@ from types import MappingProxyType
 from .decomposition import associated_primes
 from .errors import BudgetExceeded, DomainError, StructuralError
 from .fields import require_field
-from .ideals import mask_to_support, support_to_mask
+from .ideals import _minimal_masks, mask_to_support, support_to_mask
 
 # faces the homology route may list (bounded by sum of 2^|facet|)
 FACE_BUDGET = 1 << 22
@@ -55,6 +55,7 @@ LINEAR_QUOTIENT_BUDGET = 1 << 20
 class SimplicialComplex:
     """Faces as subsets of [n], stored by their inclusion-maximal ones.
 
+    The facets must be an antichain: ideals._minimal_masks keeps them all.
     The complex whose only face is the empty set is legal (facets contain
     one empty frozenset) and distinct from the void complex (no facets).
     """
@@ -67,26 +68,24 @@ class SimplicialComplex:
         for f in self.facets:
             if not f <= vertices:
                 raise StructuralError(f"facet {sorted(f)} outside 1..{self.n}")
-        masks = {support_to_mask(f) for f in self.facets}
-        by_size = {}
-        for m in masks:
-            by_size.setdefault(m.bit_count(), []).append(m)
-        # distinct facets of one size never contain each other, so past
-        # the duplicate test only smaller facets are held against larger
-        sizes = sorted(by_size)
-        if len(masks) < len(self.facets) or any(
-                not a & ~b
-                for i, small in enumerate(sizes) for large in sizes[i + 1:]
-                for a in by_size[small] for b in by_size[large]):
+        if len(_minimal_masks(map(support_to_mask, self.facets))) < len(self.facets):
             raise StructuralError("facets must be inclusion-incomparable")
 
     @classmethod
     def from_faces(cls, n, faces):
-        """Complex generated by the given faces; keeps the maximal ones."""
+        """Complex generated by the given faces; keeps the maximal ones.
+
+        Within the union U of the faces, f lies in g iff U - g lies in U - f,
+        so the maximal faces are the complements of the minimal complements.
+        """
         faces = [frozenset(f) for f in faces]
-        maximal = [f for f in faces if not any(f < g for g in faces)]
-        unique = sorted(set(maximal), key=lambda f: (len(f), sorted(f)))
-        return cls(n, tuple(unique))
+        vertices = frozenset().union(*faces)
+        if not vertices <= frozenset(range(1, n + 1)):
+            raise StructuralError(f"faces on {sorted(vertices)} outside 1..{n}")
+        union = support_to_mask(vertices)
+        maximal = (mask_to_support(union & ~m)
+                   for m in _minimal_masks(union & ~support_to_mask(f) for f in faces))
+        return cls(n, tuple(sorted(maximal, key=lambda f: (len(f), sorted(f)))))
 
     @property
     def dim(self):
@@ -347,7 +346,6 @@ def _linear_quotient_profile(ideal):
         raise BudgetExceeded("linear-quotient", f"the Betti table has {bound} entries (sum of "
                              "2^|set(u)|)", "LINEAR_QUOTIENT_BUDGET", LINEAR_QUOTIENT_BUDGET)
     complex_ = stanley_reisner(ideal)
-    n = ideal.n
     # sigma = supp(u) | F for every F within set(u); as the degree d is
     # fixed, |F| + 1 = |sigma| - d + 1 and sigma alone names the entry
     tally = collections.Counter()
@@ -368,11 +366,8 @@ def _linear_quotient_profile(ideal):
     for sigma in sorted(tally):
         betti[(sigma.bit_count() - shift, supports[sigma])] = tally[sigma]
     largest = max(linear.bit_count() for _, linear in quotients)
-    pd = largest + 1
-    height = n - complex_.dim - 1  # a largest facet misses a smallest prime
-    stats = HomologyStats(route="linear_quotients", largest_quotient_set=largest)
-    return HomologyProfile(pd=pd, depth=n - pd, is_cm=height == pd, betti=betti,
-                           stats=stats)
+    return _profile(ideal, complex_, betti,
+                    HomologyStats(route="linear_quotients", largest_quotient_set=largest))
 
 
 def _linear_quotients(ideal):
@@ -421,9 +416,14 @@ def _homology_profile(ideal, field):
             value = ranks.get(size - i - 1, 0)
             if value:
                 betti[(i, members)] = value
-    pd = max(i for i, _ in betti)
-    height = n - complex_.dim - 1  # a largest facet misses a smallest prime
     stats = HomologyStats(multidegrees_scanned=len(lattice),
                           multidegrees_skipped=(1 << n) - len(lattice), **counts)
-    return HomologyProfile(pd=pd, depth=n - pd, is_cm=height == pd, betti=betti,
+    return _profile(ideal, complex_, betti, stats)
+
+
+def _profile(ideal, complex_, betti, stats):
+    """pd, depth and the Cohen-Macaulay verdict of a Betti table, both routes."""
+    pd = max(i for i, _ in betti)
+    height = ideal.n - complex_.dim - 1  # a largest facet misses a smallest prime
+    return HomologyProfile(pd=pd, depth=ideal.n - pd, is_cm=height == pd, betti=betti,
                            stats=stats)

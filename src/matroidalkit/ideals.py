@@ -6,8 +6,10 @@ that equal ideals compare equal structurally. Everything here is immutable
 and field-free: no coefficients, no floats.
 
 The square-free bit layout lives here alone: a set of variable indices
-(a support, a face, a prime) is an int whose bit k-1 stands for x_k, and
-other modules convert with support_to_mask and mask_to_support.
+(a support, a face, a prime) is an int whose bit k-1 stands for x_k;
+other modules convert with support_to_mask and mask_to_support, list the
+d-subsets of [n] with _layer_masks and filter a family of masks down to
+its inclusion-minimal members with _minimal_masks.
 
 An ideal keeps its derived data (degree, and in its memo the generator masks
 and what other modules compute on it) outside the dataclass fields. On a
@@ -180,9 +182,22 @@ def _length_mismatch(a, b):
 
 
 def squarefree_monomials(n, d):
-    """All square-free degree-d monomials in n variables, supports in lex order."""
-    return tuple(Monomial.from_support(n, c)
-                 for c in itertools.combinations(range(1, n + 1), d))
+    """All square-free degree-d monomials in n variables, in the lex order of _layer_masks."""
+    return tuple(Monomial.from_bitmask(n, m) for m in _layer_masks(n, d))
+
+
+def _layer_masks(n, d):
+    """The d-subsets of [n] as masks, in lex order of their supports."""
+    return tuple(map(sum, itertools.combinations([1 << k for k in range(n)], d)))
+
+
+def _minimal_masks(masks):
+    """The inclusion-minimal masks among masks, deduplicated, by ascending size."""
+    kept = []
+    for _, same in itertools.groupby(sorted(set(masks), key=int.bit_count), int.bit_count):
+        lower = tuple(kept)  # distinct masks of one size never contain each other
+        kept.extend(m for m in same if not any(not k & ~m for k in lower))
+    return kept
 
 
 def _minimalize(monomials):
@@ -307,12 +322,8 @@ class MonomialIdeal:
         if u.n != self.n:
             raise _length_mismatch(self.gens[0], u)
         keep = ~support_to_mask(u.support)
-        quotients = sorted({g & keep for g in masks}, key=int.bit_count)
-        minimal = []
-        for m in quotients:
-            if not any(g & ~m == 0 for g in minimal):
-                minimal.append(m)
-        gens = sorted((Monomial.from_bitmask(self.n, m) for m in minimal),
+        gens = sorted((Monomial.from_bitmask(self.n, m)
+                       for m in _minimal_masks(g & keep for g in masks)),
                       key=lambda g: g.exponents, reverse=True)
         return MonomialIdeal(self.n, tuple(gens))
 
@@ -351,8 +362,7 @@ class MonomialIdeal:
         masks = self.masks
         if masks is None:
             masks = [g.bitmask() for g in self.gens if g.is_squarefree]
-        bits = [1 << k for k in range(self.n)]
-        return tuple(m for m in map(sum, itertools.combinations(bits, degree))
+        return tuple(m for m in _layer_masks(self.n, degree)
                      if any(not g & ~m for g in masks))
 
     def summarize(self):

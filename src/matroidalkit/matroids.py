@@ -237,39 +237,21 @@ def _enumerate_matroidal(n, d):
     return tuple(found)
 
 
-def _occurrence_signature(ideal):
-    counts = [0] * ideal.n
-    for g in ideal.gens:
-        for i in g.support:
-            counts[i - 1] += 1
-    return tuple(sorted(counts))
-
-
-def _relabel(ideal, perm):
-    """Apply the variable permutation perm (perm[i-1] is the new index of x_i)."""
-    moved = []
-    for g in ideal.gens:
-        exps = [0] * ideal.n
-        for i, e in enumerate(g.exponents, start=1):
-            exps[perm[i - 1] - 1] = e
-        moved.append(Monomial(tuple(exps)))
-    return make_ideal(ideal.n, moved)
-
-
 def dedupe_up_to_relabeling(ideals):
-    """Keep one representative per variable-relabeling class.
+    """Keep the first ideal of each variable-relabeling class, in input order.
 
-    Groups by sorted variable occurrence counts first, then brute-forces
-    all permutations inside a group to find the lexicographically least
-    relabeled generator tuple. Intended for small n only.
+    The class key is n with the least, over all n! orders of the
+    variables, of the sorted tuple of generator exponent vectors read in
+    that order; two ideals share it iff a relabeling carries one onto the
+    other. Every order is walked, so n is capped at ENUMERATION_MAX_N.
     """
     seen = {}
     for ideal in ideals:
         if ideal.n > ENUMERATION_MAX_N:
             raise BudgetExceeded("relabeling", f"n={ideal.n}", "ENUMERATION_MAX_N",
                                  ENUMERATION_MAX_N)
-        perms = itertools.permutations(range(1, ideal.n + 1))
-        least = min(tuple(g.exponents for g in _relabel(ideal, p).gens) for p in perms)
-        key = (_occurrence_signature(ideal), least)
-        seen.setdefault(key, ideal)
+        columns = [tuple(g.exponents[i] for g in ideal.gens) for i in range(ideal.n)]
+        least = min(tuple(sorted(zip(*[columns[i] for i in order])))
+                    for order in itertools.permutations(range(ideal.n)))
+        seen.setdefault((ideal.n, least), ideal)
     return tuple(seen.values())

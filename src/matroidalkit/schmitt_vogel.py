@@ -141,31 +141,31 @@ def verify_sv_conditions(layers, ideal):
     """Mechanical check of the three layered-sum conditions.
 
     (a) the layers exactly cover the square-free members of the ideal,
-    (b) the first layer is a singleton, (c) any two distinct elements of
-    a later layer have their product divisible by some earlier-layer
-    element. Returns a report, never raises: adversarial layers are a
-    legitimate input here.
+    (b) the first layer is a singleton, (c) any two elements at distinct
+    positions of a later layer have their product divisible by some
+    earlier-layer element. Returns a report, never raises: adversarial
+    layers are a legitimate input here. Once (a) holds every element is
+    square-free, so (c) runs on masks: q divides p*p' iff q lies in p | p'.
     """
     layers = [tuple(layer) for layer in layers]
     if not layers:
         return SVConditionReport(False, CONDITION_SINGLETON, ())
-    members = set()
-    for k in range(ideal.n + 1):
-        members.update(ideal.squarefree_members(k))
+    members = {m for k in range(ideal.n + 1) for m in ideal.squarefree_members(k)}
     layered = set().union(*map(set, layers))
     if layered != members:
         stray = sorted(layered ^ members, key=lambda m: m.exponents)
         return SVConditionReport(False, CONDITION_UNION, (stray[0],))
     if len(layers[0]) != 1:
         return SVConditionReport(False, CONDITION_SINGLETON, tuple(layers[0]))
+    earlier = []
     for i in range(1, len(layers)):
-        earlier = [p for j in range(i) for p in layers[j]]
-        for a in range(len(layers[i])):
-            for b in range(a + 1, len(layers[i])):
-                p, pp = layers[i][a], layers[i][b]
-                product = p * pp
-                if not any(q.divides(product) for q in earlier):
-                    return SVConditionReport(False, CONDITION_PRODUCTS, (i, p, pp))
+        earlier += [p.bitmask() for p in layers[i - 1]]
+        masks = [p.bitmask() for p in layers[i]]
+        for a, p in enumerate(masks):
+            for b in range(a + 1, len(masks)):
+                if not any(not q & ~(p | masks[b]) for q in earlier):
+                    return SVConditionReport(False, CONDITION_PRODUCTS,
+                                             (i, layers[i][a], layers[i][b]))
     return SVConditionReport(True)
 
 

@@ -5,13 +5,16 @@ ordered generator pair, every variable index with deg_{x_i}(u) >
 deg_{x_i}(v), and a set lookup for each exchanged vector, whatever the
 input. collection_exchange is the original basis-exchange test on support
 bitmasks, and enumerate_matroidal scans every collection with it.
+dedupe_up_to_relabeling is the original n! walk: it relabels an ideal under
+every permutation through the public constructors and keys its class by the
+least relabeled generator tuple, with the sorted occurrence counts.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from matroidalkit import DomainError, make_ideal, squarefree_monomials
+from matroidalkit import DomainError, Monomial, make_ideal, squarefree_monomials
 from matroidalkit.matroids import (NO_EXCHANGE_INDEX, NOT_SINGLE_DEGREE,
                                    ExchangeCertificate)
 
@@ -81,3 +84,40 @@ def enumerate_matroidal(n, d, full_support_only=True):
         if collection_exchange(masks, set(masks)):
             found.append(make_ideal(n, chosen))
     return tuple(found)
+
+
+def _occurrence_signature(ideal):
+    counts = [0] * ideal.n
+    for g in ideal.gens:
+        for i in g.support:
+            counts[i - 1] += 1
+    return tuple(sorted(counts))
+
+
+def _relabel(ideal, perm):
+    """Apply the variable permutation perm (perm[i-1] is the new index of x_i)."""
+    moved = []
+    for g in ideal.gens:
+        exps = [0] * ideal.n
+        for i, e in enumerate(g.exponents, start=1):
+            exps[perm[i - 1] - 1] = e
+        moved.append(Monomial(tuple(exps)))
+    return make_ideal(ideal.n, moved)
+
+
+def dedupe_up_to_relabeling(ideals):
+    """The first ideal of each relabeling class, by the least relabeled ideal.
+
+    Every ideal of one orbit walks the same n! relabelings to the same key,
+    so the key is kept for each relabeling the walk builds and the orbit is
+    walked once.
+    """
+    seen, keys = {}, {}
+    for ideal in ideals:
+        if ideal not in keys:
+            perms = itertools.permutations(range(1, ideal.n + 1))
+            orbit = [_relabel(ideal, p) for p in perms]
+            least = min(tuple(g.exponents for g in moved.gens) for moved in orbit)
+            keys.update(dict.fromkeys(orbit, (_occurrence_signature(ideal), least)))
+        seen.setdefault(keys[ideal], ideal)
+    return tuple(seen.values())

@@ -34,6 +34,21 @@ def in_order(components):
     return tuple(sorted(components, key=lambda q: tuple(g.exponents for g in q.gens)))
 
 
+def random_nonsquarefree_ideals(count=2000):
+    """Seeded proper ideals that are not square-free.
+
+    n <= 6, at most 7 generators, exponents at most 4.
+    """
+    rng = random.Random(233)
+    while count:
+        n = rng.randint(1, 6)
+        ideal = make_ideal(n, [tuple(rng.randint(0, 4) for _ in range(n))
+                               for _ in range(rng.randint(1, 7))])
+        if not (ideal.is_unit or ideal.is_zero or ideal.is_squarefree):
+            yield ideal
+            count -= 1
+
+
 def intersect_all(ideals):
     result = ideals[0]
     for other in ideals[1:]:
@@ -134,18 +149,9 @@ class TestIrreducibleDecomposition:
         assert compared > 75
 
     def test_matches_splitting_oracle_on_random_ideals(self):
-        # n <= 6, at most 7 generators, exponents at most 4
-        rng = random.Random(233)
-        compared = 0
-        while compared < 2000:
-            n = rng.randint(1, 6)
-            ideal = make_ideal(n, [tuple(rng.randint(0, 4) for _ in range(n))
-                                   for _ in range(rng.randint(1, 7))])
-            if ideal.is_unit or ideal.is_zero or ideal.is_squarefree:
-                continue
+        for ideal in random_nonsquarefree_ideals():
             assert irreducible_decomposition(ideal) == in_order(
                 decomposition_oracle.irreducible_decomposition(ideal)), ideal
-            compared += 1
 
     def test_once_refused_input_is_decomposed(self):
         # the splitting recursion made more than 512 leaves here
@@ -213,6 +219,15 @@ class TestAssociatedPrimes:
             for var in prime:
                 smaller = prime - {var}
                 assert any(not (smaller & s) for s in supports)
+
+    def test_minimal_primes_on_random_ideals(self):
+        embedded = 0
+        for ideal in random_nonsquarefree_ideals():
+            dec = associated_primes(ideal)
+            assert dec.minimal == frozenset(
+                p for p in dec.ass if not any(q < p for q in dec.ass)), ideal
+            embedded += dec.ass != dec.minimal
+        assert embedded > 100  # the filter has primes to drop
 
     def test_zero_unit_rejected(self):
         for bad in (MonomialIdeal.zero(3), MonomialIdeal.unit(3)):

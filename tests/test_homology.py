@@ -64,6 +64,20 @@ class TestSimplicialComplex:
             3, [frozenset(), frozenset({1}), frozenset({1, 2}), frozenset({3})])
         assert set(cx.facets) == {frozenset({1, 2}), frozenset({3})}
 
+    def test_from_faces_matches_the_pairwise_filter(self):
+        rng = random.Random(67)
+        for _ in range(600):
+            n = rng.randint(1, 7)
+            pool = [frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
+                    for _ in range(rng.randint(0, 9))]
+            pool += rng.sample(pool, min(len(pool), 2))  # repeated faces
+            maximal = {f for f in pool if not any(f < g for g in pool)}
+            cx = SimplicialComplex.from_faces(n, (set(f) for f in pool))
+            assert cx.facets == tuple(sorted(maximal, key=lambda f: (len(f), sorted(f))))
+            for bad in (0, -1, n + 1):
+                with pytest.raises(StructuralError, match="outside"):
+                    SimplicialComplex.from_faces(n, pool + [frozenset({bad})])
+
     def test_dim_and_faces(self):
         cx = complex_of(4, {1, 2}, {3, 4})
         assert cx.dim == 1

@@ -180,6 +180,27 @@ class TestEnumeration:
         reps = dedupe_up_to_relabeling(census)
         assert set(reps) <= set(census)
 
+    @pytest.mark.parametrize("n, d, classes", [(5, 2, 6), (5, 3, 9), (6, 2, 10), (6, 4, 18)])
+    def test_relabeling_matches_the_oracle_walk(self, n, d, classes):
+        census = enumerate_matroidal(n, d)
+        reps = dedupe_up_to_relabeling(census)
+        assert len(reps) == classes
+        assert reps == matroids_oracle.dedupe_up_to_relabeling(census)
+
+    def test_relabeling_matches_the_oracle_walk_off_the_census(self):
+        # not square-free, mixed degrees, and zero ideals that differ only in n
+        rng = random.Random(61)
+        ideals = [MonomialIdeal.zero(3), MonomialIdeal.zero(4), MonomialIdeal.unit(3)]
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            gens = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+            ideal = make_ideal(n, gens)
+            perm = rng.sample(range(n), n)
+            ideals += [ideal, make_ideal(n, [tuple(g[i] for i in perm) for g in gens])]
+        reps = dedupe_up_to_relabeling(ideals)
+        assert len(reps) < 300
+        assert reps == matroids_oracle.dedupe_up_to_relabeling(ideals)
+
 
 def layer_collections(n, d):
     """Every nonempty collection of the lex layer, as ideals built directly."""

@@ -1,6 +1,7 @@
 """Layered witness construction and arithmetical rank bounds."""
 
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from matroidalkit.schmitt_vogel import (CONDITION_PRODUCTS, CONDITION_SINGLETON,
                                         CONDITION_UNION)
 
 import ideals_oracle
+import schmitt_vogel_oracle
 
 
 class TestWitnessConstruction:
@@ -124,6 +126,57 @@ class TestConditionChecks:
         layer_index, p, q = report.witness
         assert layer_index == 1
         assert not first.divides(p.lcm(q) * p.gcd(q))
+
+
+def layer_edits(layers, rng):
+    """Three edits of a witness's layers, each as a list of layer tuples.
+
+    Two elements swapped between layers, an element repeated in its layer,
+    and an element moved to another layer.
+    """
+    layers = [list(layer) for layer in layers]
+    i, j = sorted(rng.sample(range(len(layers)), 2))
+    a, b = rng.randrange(len(layers[i])), rng.randrange(len(layers[j]))
+    swapped = [list(layer) for layer in layers]
+    swapped[i][a], swapped[j][b] = layers[j][b], layers[i][a]
+    repeated = [list(layer) for layer in layers]
+    repeated[j].insert(b, layers[j][b])
+    moved = [list(layer) for layer in layers]
+    moved[i].append(moved[j].pop(b))
+    return [[tuple(layer) for layer in edit] for edit in (swapped, repeated, moved)]
+
+
+class TestConditionsAgainstOracle:
+    """verify_sv_conditions on masks against the Monomial-product loop."""
+
+    def test_census_witnesses_and_their_edits(self):
+        rng = random.Random(71)
+        verdicts = set()
+        for n in range(2, 7):
+            for d in range(2, n + 1):
+                for ideal in enumerate_matroidal(n, d, True):
+                    layers = build_sv_witness(ideal).layers
+                    edits = layer_edits(layers, rng) if len(layers) > 1 else []
+                    for candidate in [layers] + edits:
+                        report = verify_sv_conditions(candidate, ideal)
+                        assert report == schmitt_vogel_oracle.verify_sv_conditions(
+                            candidate, ideal), (ideal, candidate)
+                        verdicts.add(report.violated)
+        assert verdicts == {None, CONDITION_SINGLETON, CONDITION_PRODUCTS}
+
+    def test_edits_of_a_non_matroidal_witness(self, path_n4):
+        # x1x2 alone on top fails (c); the edits reach (a) as well
+        first = Monomial((1, 1, 0, 0))
+        members = [m for deg in (2, 3, 4) for m in path_n4.squarefree_members(deg)]
+        layers = [(first,), tuple(m for m in members if m != first)]
+        rng = random.Random(73)
+        for candidate in [layers, layers[:1], [layers[1], layers[0]]] + layer_edits(layers, rng):
+            assert verify_sv_conditions(candidate, path_n4) == \
+                schmitt_vogel_oracle.verify_sv_conditions(candidate, path_n4)
+        stray = [layers[0], layers[1] + (Monomial((2, 0, 0, 0)),)]
+        report = verify_sv_conditions(stray, path_n4)
+        assert report.violated == CONDITION_UNION
+        assert report == schmitt_vogel_oracle.verify_sv_conditions(stray, path_n4)
 
 
 class TestAraReport:

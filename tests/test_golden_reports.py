@@ -38,10 +38,18 @@ BLOCK_POWER = "n=5; " + ", ".join(f"{a}*x{c}" for a in ("x1^2", "x1*x2", "x2^2")
 MIXED_35 = ("n=6; x1^3*x2*x3*x4^3*x5^2*x6^2, x1^2*x2^2*x3^2*x4^4*x5*x6^3, "
             "x1*x2^3*x4*x5*x6^4, x2^2*x3^4*x4*x5^3*x6")
 
+# Stanley-Reisner ideal of the 6-vertex RP^2: pd 4 over GF(2), 3 over Q
+RP2_TRIANGLES = ({1, 2, 3}, {1, 3, 4}, {1, 4, 5}, {1, 5, 6}, {1, 2, 6},
+                 {2, 3, 5}, {2, 4, 5}, {2, 4, 6}, {3, 4, 6}, {3, 5, 6})
+RP2 = "n=6; " + ", ".join("*".join(f"x{i}" for i in c)
+                          for c in itertools.combinations(range(1, 7), 3)
+                          if set(c) not in RP2_TRIANGLES)
+
 # name: (argv, stdin)
 CASES = {
     "certify_k222_q": (["certify", "--json", "-"], K222),
     "certify_v64_gf32003": (["certify", "--json", "--field", "gf:32003", "-"], V64),
+    "certify_k23_gf2": (["certify", "--json", "--field", "gf:2", "-"], K23),
     "analyze_k23_text": (["analyze", "-"], K23),
     "analyze_k23_json": (["analyze", "--json", "-"], K23),
     "witness_k23_json": (["witness", "--json", "-"], K23),
@@ -51,6 +59,8 @@ CASES = {
     "analyze_block_power_text": (["analyze", "-"], BLOCK_POWER),
     "analyze_block_power_json": (["analyze", "--json", "-"], BLOCK_POWER),
     "analyze_mixed_35_text": (["analyze", "--no-certify", "-"], MIXED_35),
+    # torsion in H~_1(RP^2) takes the homology route to a field-dependent pd
+    "analyze_rp2_gf2_text": (["analyze", "--no-certify", "--field", "gf:2", "-"], RP2),
     "enumerate_4_2": (["enumerate", "4", "2"], ""),
     "reproduce_paper_4_2": (["reproduce-paper", "--max-n", "4", "--max-d", "2",
                              "--no-certify"], ""),

@@ -59,11 +59,22 @@ def _ev_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _residue(c, p):
+    """The image a * b^-1 mod p in GF(p) of a rational c = a/b."""
+    c = Fraction(c)
+    if c.denominator % p == 0:
+        raise DomainError(f"denominator of {c} vanishes mod {p}")
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
 class Polynomial:
     """Sparse polynomial as a map from exponent tuple to coefficient.
 
-    field None means rational coefficients; a prime p means GF(p). Term
-    maps are normalized on construction and never mutated afterwards.
+    field None means rational coefficients; a prime p means GF(p). Every
+    coefficient is read as a rational a/b (an int, a Fraction or a float
+    such as 2.5) and over GF(p) stored as a * b^-1 mod p, so 2.5 is 6 in
+    GF(7); a denominator divisible by p raises DomainError. Term maps are
+    normalized on construction and never mutated afterwards.
     """
 
     __slots__ = ("nvars", "field", "terms")
@@ -77,7 +88,7 @@ class Polynomial:
             ev = exponent_vector(ev)
             if len(ev) != nvars:
                 raise StructuralError(f"term {ev} has {len(ev)} exponents, expected {nvars}")
-            c = Fraction(c) if field is None else int(c) % field
+            c = Fraction(c) if field is None else _residue(c, field)
             if c:
                 clean[ev] = c
         self.terms = clean
@@ -167,22 +178,16 @@ class Polynomial:
     def in_field(self, field):
         """Reinterpret over GF(p) or (for field None) the rationals.
 
-        Rational coefficients map to GF(p) through modular inverses of
-        the denominators; leaving a prime field again is not defined.
+        Rational coefficients map to GF(p) by _residue, the constructor's
+        rule; leaving a prime field again is not defined.
         """
         if field == self.field:
             return self
         if self.field is not None:
             raise StructuralError("cannot lift coefficients out of a prime field")
         require_prime(field)
-        terms = {}
-        for ev, c in self.terms.items():
-            if c.denominator % field == 0:
-                raise DomainError(f"denominator of {c} vanishes mod {field}")
-            value = c.numerator * pow(c.denominator, -1, field) % field
-            if value:
-                terms[ev] = value
-        return Polynomial._raw(self.nvars, terms, field)
+        terms = ((ev, _residue(c, field)) for ev, c in self.terms.items())
+        return Polynomial._raw(self.nvars, {ev: c for ev, c in terms if c}, field)
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
@@ -343,10 +348,13 @@ def _reduce(work, reducers, packing, p, scale=1):
     """Remainder of the term dict work against reducers; consumes work.
 
     reducers holds (lead monomial, lead exponents, lead coefficient, tail
-    pairs) of normalized polynomials, in the order they are tried. Over Q
-    the pending terms are ints standing for work / scale; a reducer whose
-    lead coefficient does not divide the term's scales them all up. The
-    pending terms sit on a max-heap, and a term cancelled after it was
+    pairs) of normalized polynomials, in the order they are tried. One
+    loop serves every field. Over Q the pending terms are ints standing
+    for work / scale; a reducer whose lead coefficient does not divide
+    the term's scales them all up. Over GF(p) every reducer is monic (each
+    is built through _normalized), so that step never fires and the only
+    difference is that new coefficients are reduced mod p. The pending
+    terms sit on a max-heap, and a term cancelled after it was
     queued is skipped when it surfaces. The remainder comes out exact,
     largest term first, and no term of it is divisible by a reducer lead.
     """
@@ -368,41 +376,27 @@ def _reduce(work, reducers, packing, p, scale=1):
             remainder.append((m, c if scale == 1 else Fraction(c, scale)))
             continue
         shift = m - lead
-        if p is None:
-            if c % lead_c:
-                g = math.gcd(c, lead_c)
-                up = lead_c // g
-                for t in work:
-                    work[t] *= up
-                scale *= up
-                c //= g
-            else:
-                c //= lead_c
-            for t, tc in tail:
-                t += shift
-                v = work.get(t)
-                if v is None:
-                    work[t] = -c * tc
-                    push(heap, -t)
-                else:
-                    v -= c * tc
-                    if v:
-                        work[t] = v
-                    else:
-                        del work[t]
+        if c % lead_c:
+            g = math.gcd(c, lead_c)
+            up = lead_c // g
+            for t in work:
+                work[t] *= up
+            scale *= up
+            c //= g
         else:
-            for t, tc in tail:
-                t += shift
-                v = work.get(t)
-                if v is None:
-                    work[t] = -c * tc % p
-                    push(heap, -t)
+            c //= lead_c
+        for t, tc in tail:
+            t += shift
+            v = work.get(t)
+            if v is None:
+                work[t] = -c * tc if p is None else -c * tc % p
+                push(heap, -t)
+            else:
+                v = v - c * tc if p is None else (v - c * tc) % p
+                if v:
+                    work[t] = v
                 else:
-                    v = (v - c * tc) % p
-                    if v:
-                        work[t] = v
-                    else:
-                        del work[t]
+                    del work[t]
     return remainder
 
 

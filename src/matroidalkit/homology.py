@@ -26,8 +26,10 @@ listed, the sum of 2^|facet| over the facets, which bounds the face
 count, is held against FACE_BUDGET.
 
 All linear algebra is exact and goes through one sparse column
-reduction: modular arithmetic for a prime field, primitive integer
-columns for the rationals.
+reduction with one elimination step for every field. The field enters
+only where a pivot column is filed (monic over GF(p), with a positive
+pivot over the rationals) and where entries are reduced: mod p over
+GF(p), by their gcd over the rationals, so no fraction is formed.
 """
 
 from __future__ import annotations
@@ -211,13 +213,14 @@ def _reduce_columns(columns, field):
     """Sparse column reduction; returns the reduced columns by pivot row.
 
     A column's pivot is its largest row key. While that row already holds
-    a reduced column, the column is combined with it to clear the row;
-    a column that ends empty was dependent. Over GF(p) entries stay
-    reduced mod p and filed columns are scaled to pivot 1. Over the
-    rationals entries stay integers: each step takes b*col - a*other with
-    the filed column's positive pivot b, then divides by the gcd of the
-    entries, so no fraction is ever formed. The number of pivots is the
-    rank.
+    a reduced column with pivot entry b, one elimination step replaces
+    the column, whose pivot entry is a, by b*col - a*other; a column that
+    ends empty was dependent. The field enters in three places only: a
+    filed column is scaled to pivot 1 over GF(p) (so b = 1 there) and to
+    a positive pivot over the rationals, new entries are reduced mod p
+    over GF(p), and over the rationals each step divides the column by
+    the gcd of its entries, so entries stay integers and no fraction is
+    ever formed. The number of pivots is the rank.
     """
     pivots = {}
     for column in columns:
@@ -235,27 +238,19 @@ def _reduce_columns(columns, field):
                     col = {r: v * inv % field for r, v in col.items()}
                 pivots[low] = col
                 break
-            a = col[low]
+            a, b = col[low], other[low]
+            if b != 1:
+                col = {r: b * v for r, v in col.items()}
+            for r, v in other.items():
+                x = col.get(r, 0) - a * v if field is None else (col.get(r, 0) - a * v) % field
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
             if field is None:
-                b = other[low]
-                if b != 1:
-                    col = {r: b * v for r, v in col.items()}
-                for r, v in other.items():
-                    x = col.get(r, 0) - a * v
-                    if x:
-                        col[r] = x
-                    else:
-                        del col[r]
                 g = math.gcd(*col.values())
                 if g > 1:
                     col = {r: v // g for r, v in col.items()}
-            else:
-                for r, v in other.items():
-                    x = (col.get(r, 0) - a * v) % field
-                    if x:
-                        col[r] = x
-                    else:
-                        del col[r]
     return pivots
 
 

@@ -58,6 +58,11 @@ class TestPolynomialArithmetic:
         assert q.terms[(1, 0)] == pow(2, -1, 32003)
         with pytest.raises(StructuralError):
             q.in_field(None)
+        # the constructor maps a rational a/b to a * b^-1 mod p, as in_field does
+        assert poly(2, {(1, 0): Fraction(1, 2)}, 32003) == q
+        assert poly(1, {(1,): 2.5}, 7).terms == {(1,): 6}
+        with pytest.raises(DomainError):
+            poly(1, {(1,): Fraction(1, 7)}, 7)
 
     def test_rejects_bad_terms(self):
         with pytest.raises(StructuralError):
@@ -297,18 +302,19 @@ def random_system(rng, field):
 
 
 class TestOracleAgreement:
-    @pytest.mark.parametrize("field", [None, 32003])
+    # small primes wrap around mod p often, so a misplaced reduction shows
+    @pytest.mark.parametrize("field", [None, 32003, 2, 3])
     def test_same_reduced_basis(self, field):
-        rng = random.Random(101 if field is None else 103)
+        rng = random.Random({None: 101, 32003: 103, 2: 127, 3: 131}[field])
         for trial in range(30):
             gens = random_system(rng, field)
             fast = buchberger(gens)
             slow = oracle.buchberger([to_oracle(g) for g in gens])
             assert term_maps(fast) == term_maps(slow), (trial, gens)
 
-    @pytest.mark.parametrize("field", [None, 32003])
+    @pytest.mark.parametrize("field", [None, 32003, 2, 3])
     def test_same_normal_forms(self, field):
-        rng = random.Random(107 if field is None else 109)
+        rng = random.Random({None: 107, 32003: 109, 2: 137, 3: 139}[field])
         for trial in range(30):
             gens = random_system(rng, field)
             nvars = gens[0].nvars

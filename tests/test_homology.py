@@ -192,6 +192,24 @@ class TestHomologyRanks:
         with pytest.raises(DomainError):
             reduced_homology_ranks(complex_of(2, {1}, {2}), 6)
 
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_column_kernel_matches_the_oracle_rank(self, field):
+        # boundary columns start with entries +-1 only; entries -3..3 also
+        # exercise the pivot scaling, the gcd step and the wraparound mod p
+        rng = random.Random(f"columns/{field}")
+        for trial in range(600):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            zeros = rng.random()
+            matrix = [[0 if rng.random() < zeros else rng.randint(-3, 3)
+                       for _ in range(cols)] for _ in range(rows)]
+            if field is not None:
+                matrix = [[v % field for v in row] for row in matrix]
+            columns = [{r: matrix[r][c] for r in range(rows) if matrix[r][c]}
+                       for c in range(cols)]
+            expected = (homology_oracle._rank_exact(matrix) if field is None
+                        else homology_oracle._rank_mod(matrix, field))
+            assert len(homology._reduce_columns(columns, field)) == expected, (trial, matrix)
+
 
 class TestPdDepth:
     def test_two_block_example(self, two_blocks_n4):

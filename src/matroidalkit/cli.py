@@ -110,6 +110,11 @@ def _witness_payload(report):
     return payload
 
 
+def _certified(report):
+    """What certify_witness reads: the witness, or the variables in degree 1."""
+    return report.elements if report.witness is None else report.witness
+
+
 def _certificate_payload(certificate):
     payload = {
         "passed": certificate.passed,
@@ -167,7 +172,7 @@ def _analyze(ideal, config):
         report["certification"] = {"skipped": "no witness to certify"}
     else:
         report["certification"] = _section(lambda: _certificate_payload(
-            certify_witness(ideal, rank_report.elements, config.field)))
+            certify_witness(ideal, _certified(rank_report), config.field)))
     return report
 
 
@@ -203,7 +208,7 @@ def run_command(command, config, ideal=None, n=None, d=None):
         return {"input": _ideal_payload(ideal), "witness": _witness_payload(report)}
     if command == "certify":
         report = ara_report(ideal)
-        certificate = certify_witness(ideal, report.elements, config.field)
+        certificate = certify_witness(ideal, _certified(report), config.field)
         return {"input": _ideal_payload(ideal),
                 "witness": _witness_payload(report),
                 "certification": _certificate_payload(certificate)}

@@ -59,6 +59,11 @@ def _ev_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _unit(nvars, field):
+    """The constant polynomial 1; the field is not checked again."""
+    return Polynomial._raw(nvars, {(0,) * nvars: Fraction(1) if field is None else 1}, field)
+
+
 def _residue(c, p):
     """The image a * b^-1 mod p in GF(p) of a rational c = a/b."""
     c = Fraction(c)
@@ -71,10 +76,13 @@ class Polynomial:
     """Sparse polynomial as a map from exponent tuple to coefficient.
 
     field None means rational coefficients; a prime p means GF(p). Every
-    coefficient is read as a rational a/b (an int, a Fraction or a float
-    such as 2.5) and over GF(p) stored as a * b^-1 mod p, so 2.5 is 6 in
-    GF(7); a denominator divisible by p raises DomainError. Term maps are
-    normalized on construction and never mutated afterwards.
+    coefficient is read as a rational a/b (an int or a Fraction) and over
+    GF(p) stored as a * b^-1 mod p, so Fraction(5, 2) is 6 in GF(7); a
+    denominator divisible by p raises DomainError. A float is read as an
+    int when it is integral and refused with DomainError otherwise, since
+    its binary value is not the decimal it was written as (0.1 is not
+    1/10). Term maps are normalized on construction and never mutated
+    afterwards.
     """
 
     __slots__ = ("nvars", "field", "terms")
@@ -88,6 +96,10 @@ class Polynomial:
             ev = exponent_vector(ev)
             if len(ev) != nvars:
                 raise StructuralError(f"term {ev} has {len(ev)} exponents, expected {nvars}")
+            if isinstance(c, float):
+                if not c.is_integer():
+                    raise DomainError(f"non-integral float coefficient {c!r}")
+                c = int(c)
             c = Fraction(c) if field is None else _residue(c, field)
             if c:
                 clean[ev] = c
@@ -296,20 +308,9 @@ class _Packing:
             out[ev] = c if field is not None else Fraction(c)
         return Polynomial._raw(nvars, out, field)
 
-    def lcm(self, ea, eb):
-        """Packed exponent vector of the lcm of two packed exponent vectors."""
-        guard = self.guard
-        a_wins = ((ea | guard) - eb) & guard
-        fill = a_wins - (a_wins >> (self.width - 1))
-        return (ea & fill) | (eb & ~fill & (self.low ^ guard))
-
     def monomial(self, e):
         """Packed monomial of a packed exponent vector."""
         return (e * self.ones) & self.low
-
-    def support(self, e):
-        """Guard bits of the fields where the exponent is nonzero."""
-        return ((e | self.guard) - self.ones) & self.guard
 
 
 def _monic(terms, p):
@@ -474,9 +475,8 @@ class _Buchberger:
             work = {t + shift_i: c * up_i for t, c in tail_i}
             for t, c in tail_j:
                 t += shift_j
-                v = work.get(t, 0) - c * up_j
-                if p is not None:
-                    v %= p
+                v = (work.get(t, 0) - c * up_j if p is None
+                     else (work.get(t, 0) - c * up_j) % p)
                 if v:
                     work[t] = v
                 else:
@@ -505,32 +505,59 @@ class _Buchberger:
         return True
 
     def _update(self, k, e_new):
-        """Gebauer-Moeller update of the pairs and the active set for element k."""
+        """Gebauer-Moeller update of the pairs and the active set for element k.
+
+        One pass over the new pairs (g, k), g active. Each lcm is computed
+        inline on the packed exponents: the guard bits of (e | guard) - e_new
+        mark the fields where e is at least e_new, and fill widens them to
+        field masks. A pair is coprime exactly when its lcm is the sum of
+        the two leads. Sorted by lcm, a linear extension of divisibility,
+        with coprime pairs first and then later g first, a pair that is
+        not coprime is dropped when the lcm of a pair kept before it
+        divides its own (criteria M and F). Among equal lcms a coprime pair
+        therefore wins, and otherwise the latest g. Kept coprime pairs are
+        skipped (Buchberger's first criterion). A queued pair leaves the
+        queue when e_new divides its lcm and both of its lcms with e_new
+        differ from it (B_k).
+        """
         packing, exps, counts = self.packing, self.exps, self.counts
-        guard, lcm_of = packing.guard, packing.lcm
-        support_new = packing.support(e_new)
-        candidates = [(g, lcm_of(exps[g], e_new),
-                       not packing.support(exps[g]) & support_new)
-                      for g in self.active]
-        kept = []
-        for idx, (g, lcm_e, coprime) in enumerate(candidates):
-            if coprime or not any(not (lcm_e - other) & guard
-                                  for _, other, _ in candidates[idx + 1:] + kept):
-                kept.append((g, lcm_e, coprime))
+        guard, shift = packing.guard, packing.width - 1
+        body = packing.low ^ guard
+        candidates = []
+        for g in self.active:
+            e = exps[g]
+            wins = ((e | guard) - e_new) & guard
+            fill = wins - (wins >> shift)
+            lcm_e = (e & fill) | (e_new & ~fill & body)
+            candidates.append((lcm_e, lcm_e != e + e_new, -g))
+        candidates.sort()
+        kept, fresh = [], []
+        for lcm_e, shared, g in candidates:
+            if shared:
+                for other in kept:
+                    if not (lcm_e - other) & guard:
+                        counts["skipped_chain"] += 1
+                        break
+                else:
+                    kept.append(lcm_e)
+                    fresh.append((packing.monomial(lcm_e), -g, k, lcm_e))
             else:
-                counts["skipped_chain"] += 1
-        fresh = []
-        for g, lcm_e, coprime in kept:
-            if coprime:
                 counts["skipped_coprime"] += 1
-            else:
-                fresh.append((packing.monomial(lcm_e), g, k, lcm_e))
-        survivors = [pair for pair in self.pairs
-                     if (pair[3] - e_new) & guard
-                     or lcm_of(exps[pair[1]], e_new) == pair[3]
-                     or lcm_of(exps[pair[2]], e_new) == pair[3]]
-        counts["skipped_bk"] += len(self.pairs) - len(survivors)
-        if len(survivors) < len(self.pairs):
+                kept.append(lcm_e)
+        pairs, survivors = self.pairs, []
+        for pair in pairs:
+            lcm_e = pair[3]
+            if (lcm_e - e_new) & guard:
+                survivors.append(pair)
+                continue
+            for e in (exps[pair[1]], exps[pair[2]]):
+                wins = ((e | guard) - e_new) & guard
+                fill = wins - (wins >> shift)
+                if (e & fill) | (e_new & ~fill & body) == lcm_e:
+                    survivors.append(pair)
+                    break
+        counts["skipped_bk"] += len(pairs) - len(survivors)
+        if len(survivors) < len(pairs):
             heapq.heapify(survivors)
         for pair in fresh:
             heapq.heappush(survivors, pair)
@@ -584,7 +611,7 @@ def buchberger(gens):
             width *= 2
             continue
         if basis is None:
-            return GroebnerBasis((Polynomial.one(nvars, field),), run.stats())
+            return GroebnerBasis((_unit(nvars, field),), run.stats())
         return GroebnerBasis(tuple(packing.unpacked(terms, field) for terms in basis),
                              run.stats())
 
@@ -610,7 +637,7 @@ def radical_membership(f, gens):
         hook_terms[ev + (1,)] = -c if field is None else -c % field
     extended.append(Polynomial._raw(nvars + 1, hook_terms, field))
     basis = buchberger(extended)
-    return normal_form(Polynomial.one(nvars + 1, field), basis).is_zero
+    return normal_form(_unit(nvars + 1, field), basis).is_zero
 
 
 @dataclass(frozen=True)
@@ -652,18 +679,47 @@ def _swapped(ev, i, j):
     return tuple(out)
 
 
-def _generator_orbits(ideal, qs):
-    """Transpositions fixing the generators and every q_j; orbit roots.
+def _term_swaps(ideal, qs):
+    """Generator images of each swap (i j) that fixes the generators and every q_j.
 
-    A swap (i j) is kept when it maps the generator exponent tuples onto
-    themselves and every sum in qs onto itself, coefficients included,
-    checked on the polynomials as given. roots[k] is the first generator,
-    in generator order, of generator k's orbit under the group the kept
-    swaps generate, joined by union-find over generator indices.
+    Checked on the exponent tuples and on the polynomials as given,
+    coefficients included. Swaps that fix every generator are left out.
     """
     gens = [u.exponents for u in ideal.gens]
     index = {ev: k for k, ev in enumerate(gens)}
-    roots = list(range(len(gens)))
+    for i, j in itertools.combinations(range(ideal.n), 2):
+        images = [index.get(_swapped(ev, i, j)) for ev in gens]
+        if None in images or all(k == image for k, image in enumerate(images)):
+            continue
+        if all(q.terms.get(_swapped(ev, i, j)) == c for q in qs for ev, c in q.terms.items()):
+            yield images
+
+
+def _mask_swaps(n, gens, layers):
+    """_term_swaps on masks: generator masks, and layers of coefficient-1 sums.
+
+    A swap exchanges bits i and j of every mask that holds one of them;
+    a layer is fixed when the swap maps its set of masks onto itself.
+    """
+    index = {g: k for k, g in enumerate(gens)}
+    layers = [frozenset(layer) for layer in layers]
+    for i, j in itertools.combinations(range(n), 2):
+        swap = 1 << i | 1 << j
+        images = [index.get(g ^ swap if (g >> i ^ g >> j) & 1 else g) for g in gens]
+        if None in images or all(k == image for k, image in enumerate(images)):
+            continue
+        if all(m ^ swap in layer for layer in layers for m in layer if (m >> i ^ m >> j) & 1):
+            yield images
+
+
+def _generator_orbits(count, swaps):
+    """Number of swaps, and orbit roots of count generators under the swaps.
+
+    Each swap is given by the generator index of each generator's image.
+    roots[k] is the first generator, in generator order, of generator k's
+    orbit under the group the swaps generate, joined by union-find.
+    """
+    roots = list(range(count))
 
     def root(k):
         while roots[k] != k:
@@ -672,58 +728,87 @@ def _generator_orbits(ideal, qs):
         return k
 
     kept = 0
-    for i, j in itertools.combinations(range(ideal.n), 2):
-        images = [index.get(_swapped(ev, i, j)) for ev in gens]
-        if None in images or all(k == image for k, image in enumerate(images)):
-            continue
-        if any(q.terms.get(_swapped(ev, i, j)) != c
-               for q in qs for ev, c in q.terms.items()):
-            continue
+    for images in swaps:
         kept += 1
         for k, image in enumerate(images):
             a, b = root(k), root(image)
             if a != b:
                 roots[max(a, b)] = min(a, b)
-    return kept, [root(k) for k in range(len(gens))]
+    return kept, [root(k) for k in range(count)]
+
+
+def _term_subset_failure(ideal, qs):
+    """First (j, term) of a q_j outside the ideal, largest term of q_j first."""
+    for j, q in enumerate(qs):
+        for ev in sorted(q.terms, key=_order_key, reverse=True):
+            if not ideal.contains(Monomial(ev)):
+                return j, Monomial(ev)
+    return None
+
+
+def _layer_subset_failure(ideal, layers):
+    """_term_subset_failure on the layers of coefficient-1 sums.
+
+    The layers hold the Monomials of a witness, each knowing its mask, so
+    a square-free ideal's contains tests them on masks; no term is sorted
+    unless it lies outside.
+    """
+    for j, layer in enumerate(layers):
+        outside = [u for u in layer if not ideal.contains(u)]
+        if outside:
+            return j, max(outside, key=lambda u: _order_key(u.exponents))
+    return None
 
 
 def certify_witness(ideal, witness, field=None):
     """Certify that the witness sums cut out the ideal up to radical.
 
-    witness is either an object carrying the layer sums in a q attribute
-    or a bare sequence of polynomials (useful for deliberately truncated
-    or otherwise adversarial systems). One direction is monomial
-    bookkeeping: every term of every q_j must lie in the ideal. The
-    other asks, for every generator u, whether u lies in rad J, where J
-    is the ideal of the q_j. Failures are collected, not raised; the
-    certificate reports them, with its work counters in stats.
+    witness is an SVWitness or a bare sequence of polynomials (useful for
+    deliberately truncated or otherwise adversarial systems). One
+    direction is monomial bookkeeping: every term of every q_j must lie
+    in the ideal. The other asks, for every generator u, whether u lies
+    in rad J, where J is the ideal of the q_j. Failures are collected,
+    not raised; the certificate reports them, with its work counters in
+    stats.
 
     That direction runs one radical-membership test per orbit of
     generators. Let sigma swap two variables, map the generator set onto
-    itself and fix every q_j term for term (checked on the polynomials
-    themselves, never assumed, since truncated or adversarial witnesses
-    reach this function). Then sigma(J) = J, so sigma(rad J) = rad J and
-    u lies in rad J exactly when sigma(u) does, over Q and over every
-    GF(p). The same holds for every product of such swaps, so one test
-    on the first generator of each orbit of the group they generate
-    decides the whole orbit. The verdicts are expanded back in generator
-    order, so failing_generators is what one test per generator gives.
+    itself and fix every q_j term for term (checked on the input itself,
+    never assumed, since truncated or adversarial witnesses reach this
+    function). Then sigma(J) = J, so sigma(rad J) = rad J and u lies in
+    rad J exactly when sigma(u) does, over Q and over every GF(p). The
+    same holds for every product of such swaps, so one test on the first
+    generator of each orbit of the group they generate decides the whole
+    orbit. The verdicts are expanded back in generator order, so
+    failing_generators is what one test per generator gives.
+
+    An SVWitness of a square-free ideal in as many variables is read on
+    its masks. Its sums have all coefficients 1, so a term lies in the
+    ideal when its mask contains a generator mask (MonomialIdeal.contains
+    tests the witness's own Monomials that way), and a swap fixes a sum
+    when it maps the layer's set of masks onto itself. Over GF(p) the
+    sums are built from the layers directly. Bare sequences, and
+    witnesses of other ideals, are read term by term on the polynomials.
+    Both routes give the same certificate.
     """
     require_field(field)
-    sums = witness.q if hasattr(witness, "q") else witness
-    qs = [q.in_field(field) if field is not None else q for q in sums]
-    subset_failure = None
-    for j, q in enumerate(qs):
-        for ev in sorted(q.terms, key=_order_key, reverse=True):
-            if not ideal.contains(Monomial(ev)):
-                subset_failure = (j, Monomial(ev))
-                break
-        if subset_failure:
-            break
+    layers = getattr(witness, "masks", None)
+    on_masks = layers is not None and ideal.masks is not None and witness.n == ideal.n
+    if on_masks:
+        qs = witness.q if field is None else [
+            Polynomial._raw(ideal.n, dict.fromkeys([u.exponents for u in layer], 1), field)
+            for layer in witness.layers]
+        subset_failure = _layer_subset_failure(ideal, witness.layers)
+    else:
+        sums = witness.q if hasattr(witness, "q") else witness
+        qs = [q.in_field(field) if field is not None else q for q in sums]
+        subset_failure = _term_subset_failure(ideal, qs)
     transpositions, roots = 0, []
     if ideal.gens:
         _check_ring(qs, ideal.n, field)
-        transpositions, roots = _generator_orbits(ideal, qs)
+        swaps = (_mask_swaps(ideal.n, ideal.masks, layers) if on_masks
+                 else _term_swaps(ideal, qs))
+        transpositions, roots = _generator_orbits(len(ideal.gens), swaps)
     one = Fraction(1) if field is None else 1
     verdicts = {}
     for k in roots:

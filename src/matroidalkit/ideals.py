@@ -303,9 +303,17 @@ class MonomialIdeal:
         return self.__dict__[key]
 
     def contains(self, u):
-        """Monomial membership: some minimal generator divides u."""
+        """Monomial membership: some minimal generator divides u.
+
+        A square-free ideal tests a monomial that already knows its mask
+        (see Monomial.bitmask) on masks: g divides u iff g's mask lies in u's.
+        """
         if u.n != self.n:
             raise StructuralError(f"{u} has {u.n} exponents, ambient n={self.n}")
+        mask = u.__dict__.get("_mask")
+        masks = None if mask is None else self.masks
+        if masks is not None:
+            return any(not g & ~mask for g in masks)
         return any(g.divides(u) for g in self.gens)
 
     def colon(self, u):

@@ -1,5 +1,7 @@
 """The polynomial engine: Buchberger, normal forms, radical membership."""
 
+import dataclasses
+import functools
 import random
 import time
 from fractions import Fraction
@@ -14,6 +16,7 @@ from matroidalkit import (BuchbergerStats, CertifyStats, DomainError, Monomial,
 from matroidalkit.groebner import _order_key
 from matroidalkit.schmitt_vogel import build_sv_witness
 
+import gebauer_moeller_oracle
 import groebner_oracle as oracle
 
 
@@ -60,9 +63,17 @@ class TestPolynomialArithmetic:
             q.in_field(None)
         # the constructor maps a rational a/b to a * b^-1 mod p, as in_field does
         assert poly(2, {(1, 0): Fraction(1, 2)}, 32003) == q
-        assert poly(1, {(1,): 2.5}, 7).terms == {(1,): 6}
+        assert poly(1, {(1,): Fraction(5, 2)}, 7).terms == {(1,): 6}
         with pytest.raises(DomainError):
             poly(1, {(1,): Fraction(1, 7)}, 7)
+
+    @pytest.mark.parametrize("field", [None, 7, 2])
+    def test_non_integral_floats_refused(self, field):
+        # a float's binary value is not its decimal: 0.1 would be 3 in GF(7)
+        for c in (2.5, 0.1, float("inf"), float("nan")):
+            with pytest.raises(DomainError):
+                poly(1, {(1,): c}, field)
+        assert poly(1, {(1,): 3.0}, field) == poly(1, {(1,): 3}, field)
 
     def test_rejects_bad_terms(self):
         with pytest.raises(StructuralError):
@@ -385,6 +396,38 @@ class TestPackedWidth:
             assert widths[0] == groebner._MIN_WIDTH and widths[-1] > widths[0]
 
 
+@functools.cache
+def full_support_census():
+    """The 221 full-support matroidal ideals with n <= 5, every degree."""
+    return tuple(ideal for n in range(1, 6) for d in range(1, n + 1)
+                 for ideal in enumerate_matroidal(n, d, True))
+
+
+def certified(ideal):
+    """What the CLI certifies: the layered witness, or the variables in degree 1."""
+    report = ara_report(ideal)
+    return report.elements if report.witness is None else report.witness
+
+
+@functools.cache
+def census_radical_systems(field):
+    """The Buchberger inputs of every radical test certifying the census."""
+    systems = []
+
+    def recording(gens):
+        systems.append(tuple(gens))
+        return original(gens)
+
+    original = groebner.buchberger
+    groebner.buchberger = recording
+    try:
+        for ideal in full_support_census():
+            certify_witness(ideal, certified(ideal), field)
+    finally:
+        groebner.buchberger = original
+    return tuple(systems)
+
+
 def squares(poly):
     """The polynomial with every variable x_i replaced by x_i^2."""
     return Polynomial(poly.nvars, {tuple(2 * e for e in ev): c
@@ -477,8 +520,7 @@ class TestOrbitRoute:
 
     @pytest.mark.parametrize("field", [None, 32003])
     def test_full_support_census(self, field):
-        census = [ideal for n in range(1, 6) for d in range(1, n + 1)
-                  for ideal in enumerate_matroidal(n, d, True)]
+        census = full_support_census()
         assert len(census) == 221
         for ideal in census:
             self.assert_same(ideal, ara_report(ideal).elements, field)
@@ -525,6 +567,103 @@ class TestOrbitRoute:
                                                            radical_tests=1)
         assert first == certify_per_generator(ideal, witness)
         assert certify_per_generator(ideal, witness).stats == CertifyStats()
+
+
+class TestPairUpdateOracle:
+    """The one-pass pair update against the pairwise one it replaced: the
+    same reduced bases, and the same work counters, run for run."""
+
+    def assert_same(self, systems, monkeypatch):
+        fast = [buchberger(gens) for gens in systems]
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner._Buchberger, "_update",
+                          gebauer_moeller_oracle.pairwise_update)
+            slow = [buchberger(gens) for gens in systems]
+        for k, (a, b) in enumerate(zip(fast, slow)):
+            assert term_maps(a) == term_maps(b), k
+            assert a.stats == b.stats, k
+
+    @pytest.mark.parametrize("field", [None, 32003, 2, 3])
+    def test_random_systems(self, field, monkeypatch):
+        # the systems of TestOracleAgreement::test_same_reduced_basis
+        rng = random.Random({None: 101, 32003: 103, 2: 127, 3: 131}[field])
+        self.assert_same([random_system(rng, field) for _ in range(30)], monkeypatch)
+
+    @pytest.mark.parametrize("field", [None, 32003])
+    def test_census_radical_tests(self, field, monkeypatch):
+        systems = census_radical_systems(field)
+        assert len(systems) == 367
+        self.assert_same(systems, monkeypatch)
+
+    @pytest.mark.parametrize("field", [None, 32003])
+    def test_census_work_counters(self, field):
+        # summed over the 367 radical tests, as recorded for the pairwise
+        # update; a change of pair strategy must update these and say why
+        totals = dict.fromkeys(BuchbergerStats.__dataclass_fields__, 0)
+        for gens in census_radical_systems(field):
+            for name, value in vars(buchberger(gens).stats).items():
+                totals[name] += value
+        assert totals == {"pairs_pushed": 15016, "skipped_coprime": 8638,
+                          "skipped_chain": 11525, "skipped_bk": 5945,
+                          "reductions": 7023, "zero_reductions": 1678,
+                          "peak_basis": 3259}
+
+
+class TestMaskRoute:
+    """certify_witness reads an SVWitness on its masks; the same witness as
+    bare sums takes the term-by-term route, and both must agree."""
+
+    def assert_same(self, ideal, witness, field):
+        fast = certify_witness(ideal, witness, field)
+        slow = certify_witness(ideal, witness.q, field)
+        assert fast == slow, (str(ideal), field)
+        assert fast.stats == slow.stats, (str(ideal), field)
+        return fast
+
+    @pytest.mark.parametrize("field", [None, 32003])
+    def test_full_support_census(self, field):
+        checked = 0
+        for ideal in full_support_census():
+            witness = ara_report(ideal).witness
+            if witness is not None:
+                assert self.assert_same(ideal, witness, field).passed
+                checked += 1
+        assert checked == 221 - 5  # degree 1 has no layered witness
+
+    @pytest.mark.parametrize("field", [None, 32003])
+    def test_layer_mask_outside_the_ideal(self, field):
+        # K_{2,2} holds neither x1*x2 nor x4; of the three failing terms of
+        # the last layer the route must name the largest in degrevlex
+        ideal = transversal(4, [{1, 2}, {3, 4}])
+        witness = build_sv_witness(ideal)
+        masks = witness.masks[:-1] + ((0b1000, 0b0101, 0b1100, 0b0011),)
+        bad = dataclasses.replace(witness, masks=masks)
+        certificate = self.assert_same(ideal, bad, field)
+        assert certificate.subset_failure == (len(masks) - 1, Monomial((1, 1, 0, 0)))
+        assert certificate == certify_per_generator(ideal, bad, field)
+
+    @pytest.mark.parametrize("field", [None, 32003])
+    def test_swap_that_moves_a_layer_is_not_used(self, field):
+        # (1 2) and (3 4) fix K_{2,2}; the last layer {x1*x3, x1*x4} is
+        # fixed by (3 4) but moved by (1 2), so only (3 4) may join orbits
+        ideal = transversal(4, [{1, 2}, {3, 4}])
+        witness = build_sv_witness(ideal)
+        assert certify_witness(ideal, witness, field).stats.transpositions == 2
+        lopsided = dataclasses.replace(witness, masks=witness.masks[:-1] + ((0b0101, 0b1001),))
+        certificate = self.assert_same(ideal, lopsided, field)
+        assert certificate.stats.transpositions == 1
+        assert certificate == certify_per_generator(ideal, lopsided, field)
+
+    @pytest.mark.parametrize("field", [None, 32003])
+    def test_other_ideals_take_the_term_route(self, field):
+        # a witness offered for a non-square-free ideal, or for an ideal in
+        # more variables, is read term by term, as bare sums would be
+        witness = build_sv_witness(transversal(4, [{1, 2}, {3, 4}]))
+        power = make_ideal(4, [(2, 0, 1, 0), (2, 0, 0, 1), (1, 1, 1, 0), (1, 1, 0, 1),
+                               (0, 2, 1, 0), (0, 2, 0, 1)])
+        assert not self.assert_same(power, witness, field).passed
+        with pytest.raises(StructuralError):
+            certify_witness(transversal(5, [{1, 2}, {3, 4, 5}]), witness, field)
 
 
 class TestTimedCertification:

@@ -236,6 +236,18 @@ class TestMembership:
                     assert ideal.contains(u) == any(
                         g.divides(u) for g in ideal.gens)
 
+    def test_mask_route_matches_the_tuple_route(self):
+        # a monomial made by from_bitmask knows its mask, and a square-free
+        # ideal tests it on masks; the same exponents without a mask take
+        # the divisibility scan, which a non-square-free ideal always takes
+        ideals = census(5) + [MonomialIdeal.unit(4), MonomialIdeal.zero(4),
+                              make_ideal(4, [(2, 0, 1, 0), (1, 1, 0, 0), (0, 0, 1, 1)])]
+        for ideal in ideals:
+            for bits in range(1 << ideal.n):
+                u = Monomial.from_bitmask(ideal.n, bits)
+                assert ideal.contains(u) == ideal.contains(Monomial(u.exponents)) == any(
+                    g.divides(u) for g in ideal.gens), (ideal, bits)
+
 
 class TestColon:
     def test_paper_values(self, two_blocks_n4, squared_pivot_n3):

@@ -737,21 +737,12 @@ def _generator_orbits(count, swaps):
     return kept, [root(k) for k in range(count)]
 
 
-def _term_subset_failure(ideal, qs):
-    """First (j, term) of a q_j outside the ideal, largest term of q_j first."""
-    for j, q in enumerate(qs):
-        for ev in sorted(q.terms, key=_order_key, reverse=True):
-            if not ideal.contains(Monomial(ev)):
-                return j, Monomial(ev)
-    return None
+def _subset_failure(ideal, layers):
+    """First (j, term) with a term of layer j outside the ideal, else None.
 
-
-def _layer_subset_failure(ideal, layers):
-    """_term_subset_failure on the layers of coefficient-1 sums.
-
-    The layers hold the Monomials of a witness, each knowing its mask, so
-    a square-free ideal's contains tests them on masks; no term is sorted
-    unless it lies outside.
+    Each layer holds the terms of one q_j as Monomials; the term named is
+    the largest outside one in degrevlex, and no term is sorted unless it
+    lies outside.
     """
     for j, layer in enumerate(layers):
         outside = [u for u in layer if not ideal.contains(u)]
@@ -783,10 +774,9 @@ def certify_witness(ideal, witness, field=None):
     failing_generators is what one test per generator gives.
 
     An SVWitness of a square-free ideal in as many variables is read on
-    its masks. Its sums have all coefficients 1, so a term lies in the
-    ideal when its mask contains a generator mask (MonomialIdeal.contains
-    tests the witness's own Monomials that way), and a swap fixes a sum
-    when it maps the layer's set of masks onto itself. Over GF(p) the
+    its masks. Its sums have all coefficients 1, so its Monomial layers
+    are the terms that MonomialIdeal.contains tests, and a swap fixes a
+    sum when it maps the layer's set of masks onto itself. Over GF(p) the
     sums are built from the layers directly. Bare sequences, and
     witnesses of other ideals, are read term by term on the polynomials.
     Both routes give the same certificate.
@@ -798,11 +788,11 @@ def certify_witness(ideal, witness, field=None):
         qs = witness.q if field is None else [
             Polynomial._raw(ideal.n, dict.fromkeys([u.exponents for u in layer], 1), field)
             for layer in witness.layers]
-        subset_failure = _layer_subset_failure(ideal, witness.layers)
+        subset_failure = _subset_failure(ideal, witness.layers)
     else:
         sums = witness.q if hasattr(witness, "q") else witness
         qs = [q.in_field(field) if field is not None else q for q in sums]
-        subset_failure = _term_subset_failure(ideal, qs)
+        subset_failure = _subset_failure(ideal, [map(Monomial, q.terms) for q in qs])
     transpositions, roots = 0, []
     if ideal.gens:
         _check_ring(qs, ideal.n, field)

@@ -11,16 +11,19 @@ other modules convert with support_to_mask and mask_to_support, list the
 d-subsets of [n] with _layer_masks and filter a family of masks down to
 its inclusion-minimal members with _minimal_masks.
 
-An ideal keeps its derived data (degree, and in its memo the generator masks
-and what other modules compute on it) outside the dataclass fields. On a
-square-free ideal the colon and the square-free member scan work on those
-masks; other ideals divide exponent tuples.
+A monomial caches its views (degree, support, support mask) and an ideal
+its derived data (degree, and in its memo the generator masks and what
+other modules compute on it) outside the dataclass fields. Membership and
+the colon on a square-free ideal, and the square-free member scan on any,
+work on masks: a square-free g divides any u iff mask(g) lies in u's
+support mask. Other ideals divide exponent tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import StructuralError
 
@@ -57,7 +60,8 @@ class Monomial:
     The public constructor converts every exponent with int() and refuses
     negative and non-integral ones. Monomials the package derives itself
     (products, quotients, gcds, lcms, from_bitmask) come from _trusted,
-    which skips both.
+    which skips both. Views that scan the exponents are cached outside the
+    fields, so equality, hashing, repr, pickles and copies see exponents alone.
     """
 
     exponents: tuple
@@ -79,7 +83,7 @@ class Monomial:
     @classmethod
     def variable(cls, n, i):
         """The monomial x_i in n variables."""
-        if not 1 <= i <= n:
+        if i not in range(1, n + 1):
             raise StructuralError(f"variable index {i} outside 1..{n}")
         return cls(tuple(1 if k == i else 0 for k in range(1, n + 1)))
 
@@ -97,24 +101,29 @@ class Monomial:
         if mask < 0 or mask >= 1 << n:
             raise StructuralError(f"bitmask {mask} outside [0, 2^{n})")
         monomial = cls._trusted(tuple((mask >> k) & 1 for k in range(n)))
-        monomial.__dict__["_mask"] = mask
+        monomial.__dict__["_mask"] = mask  # seeds the cached view
         return monomial
 
     @property
     def n(self):
         return len(self.exponents)
 
-    @property
+    @cached_property
     def degree(self):
         return sum(self.exponents)
 
-    @property
+    @cached_property
     def support(self):
         return frozenset(i + 1 for i, e in enumerate(self.exponents) if e > 0)
 
-    @property
+    @cached_property
     def is_squarefree(self):
         return all(e <= 1 for e in self.exponents)
+
+    @cached_property
+    def _mask(self):
+        """Mask of the support, square-free or not: bit k-1 set iff x_k occurs."""
+        return support_to_mask(self.support)
 
     @property
     def is_one(self):
@@ -125,17 +134,10 @@ class Monomial:
         return self.exponents[i - 1]
 
     def bitmask(self):
-        """Bitmask view of a square-free monomial; inverse of from_bitmask.
-
-        Computed once per instance and kept in the instance dict, outside
-        the dataclass fields, so equality, hashing and repr are untouched.
-        """
-        mask = self.__dict__.get("_mask")
-        if mask is None:
-            if not self.is_squarefree:
-                raise StructuralError(f"{self} is not square-free")
-            mask = self.__dict__["_mask"] = support_to_mask(self.support)
-        return mask
+        """The support mask of a square-free monomial, inverse of from_bitmask."""
+        if not self.is_squarefree:
+            raise StructuralError(f"{self} is not square-free")
+        return self._mask
 
     def divides(self, other):
         if len(self.exponents) != len(other.exponents):
@@ -173,6 +175,10 @@ class Monomial:
             elif e > 1:
                 parts.append(f"x{i}^{e}")
         return "*".join(parts)
+
+    def __reduce__(self):
+        # rebuild from the exponents: the cached views are not state
+        return Monomial, (self.exponents,)
 
 
 def _length_mismatch(a, b):
@@ -305,16 +311,17 @@ class MonomialIdeal:
     def contains(self, u):
         """Monomial membership: some minimal generator divides u.
 
-        A square-free ideal tests a monomial that already knows its mask
-        (see Monomial.bitmask) on masks: g divides u iff g's mask lies in u's.
+        A square-free ideal tests every monomial on masks: a square-free g
+        divides u iff g's mask lies in the mask of u's support, whether or
+        not u is square-free. Other ideals divide exponent tuples.
         """
         if u.n != self.n:
             raise StructuralError(f"{u} has {u.n} exponents, ambient n={self.n}")
-        mask = u.__dict__.get("_mask")
-        masks = None if mask is None else self.masks
-        if masks is not None:
-            return any(not g & ~mask for g in masks)
-        return any(g.divides(u) for g in self.gens)
+        masks = self.masks
+        if masks is None:
+            return any(g.divides(u) for g in self.gens)
+        mask = u._mask
+        return any(not g & ~mask for g in masks)
 
     def colon(self, u):
         """The colon ideal (I : u) for a monomial u.
@@ -329,7 +336,7 @@ class MonomialIdeal:
             return make_ideal(self.n, [g / g.gcd(u) for g in self.gens])
         if u.n != self.n:
             raise _length_mismatch(self.gens[0], u)
-        keep = ~support_to_mask(u.support)
+        keep = ~u._mask
         gens = sorted((Monomial.from_bitmask(self.n, m)
                        for m in _minimal_masks(g & keep for g in masks)),
                       key=lambda g: g.exponents, reverse=True)
@@ -397,10 +404,9 @@ class MonomialIdeal:
 
 
 def _generator_masks(ideal):
-    try:
-        return tuple(g.bitmask() for g in ideal.gens)
-    except StructuralError:  # bitmask() refuses a generator that is not square-free
-        return None
+    if all(g.is_squarefree for g in ideal.gens):
+        return tuple(g._mask for g in ideal.gens)
+    return None
 
 
 @dataclass(frozen=True)

@@ -200,7 +200,7 @@ def ara_report(ideal):
     Degree 1 with full support means the whole maximal ideal, where the
     variables are their own witness and the rank is n. From degree 2 on
     the layered witness gives the upper bound and the projective
-    dimension the lower one. lower > upper is impossible; it raises.
+    dimension the lower one; build_sv_witness raises unless they meet.
     """
     summary = ideal.summarize()
     if not summary.is_full_supported:
@@ -216,9 +216,6 @@ def ara_report(ideal):
         # full support in degree 1: the generators are x1, ..., xn
         return AraReport(n=n, degree=d, lower=lower, upper=n, exact=True, witness=None)
     witness = build_sv_witness(ideal)
-    if witness.ara_lower > witness.ara_upper:
-        raise TheoremViolationError(
-            f"lower bound {witness.ara_lower} exceeds upper {witness.ara_upper} on {ideal}")
     return AraReport(
         n=n,
         degree=d,

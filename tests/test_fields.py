@@ -65,6 +65,16 @@ def test_every_entry_point_refuses_non_int_fields(field):
             call()
 
 
+def test_cached_primality_is_not_served_for_an_equal_float():
+    require_prime(2)
+    require_prime(7)
+    for field in (2.0, True, 7.0):
+        with pytest.raises(DomainError):
+            require_prime(field)
+        with pytest.raises(DomainError):
+            Polynomial.one(2, field)
+
+
 def test_cached_profile_is_not_served_for_an_equal_float():
     ideal = transversal(4, [{1, 2}, {3, 4}])
     assert pd_depth(ideal, 5).pd == 3

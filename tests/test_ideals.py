@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import itertools
 import math
 import pickle
@@ -43,6 +44,13 @@ class TestMonomial:
         assert one.is_one
         assert one.support == frozenset()
         assert str(one) == "1"
+
+    def test_variable_index_must_lie_in_range(self):
+        for bad in (0, 4, -1, 1.5, 2.5):
+            with pytest.raises(StructuralError):
+                Monomial.variable(3, bad)
+        assert Monomial.variable(3, 2.0) == Monomial.variable(3, 2) == mono(0, 1, 0)
+        assert Monomial.variable(3, True) == mono(1, 0, 0)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(StructuralError):
@@ -237,9 +245,9 @@ class TestMembership:
                         g.divides(u) for g in ideal.gens)
 
     def test_mask_route_matches_the_tuple_route(self):
-        # a monomial made by from_bitmask knows its mask, and a square-free
-        # ideal tests it on masks; the same exponents without a mask take
-        # the divisibility scan, which a non-square-free ideal always takes
+        # a square-free ideal tests every monomial on its support mask,
+        # square-free or not and however it was built; a non-square-free
+        # ideal divides exponent tuples; both must agree with the scan
         ideals = census(5) + [MonomialIdeal.unit(4), MonomialIdeal.zero(4),
                               make_ideal(4, [(2, 0, 1, 0), (1, 1, 0, 0), (0, 0, 1, 1)])]
         for ideal in ideals:
@@ -247,6 +255,23 @@ class TestMembership:
                 u = Monomial.from_bitmask(ideal.n, bits)
                 assert ideal.contains(u) == ideal.contains(Monomial(u.exponents)) == any(
                     g.divides(u) for g in ideal.gens), (ideal, bits)
+            for u in monomials_of_every_origin(ideal.n):  # fresh: no view read yet
+                assert ideal.contains(u) == any(g.divides(u) for g in ideal.gens), (ideal, u)
+
+
+def monomials_of_every_origin(n):
+    """Monomials in n variables from each way of building one, some not square-free."""
+    rng = random.Random(n)
+    masks = range(1 << n)
+    variables = [Monomial.variable(n, i) for i in range(1, n + 1)]
+    shaped = [Monomial(tuple(rng.randint(0, 2) for _ in range(n))) for _ in range(12)]
+    out = [Monomial(tuple(m >> k & 1 for k in range(n))) for m in masks]
+    out += [Monomial.from_support(n, {k + 1 for k in range(n) if m >> k & 1}) for m in masks]
+    out += variables + shaped + [a * b for a in variables for b in variables]
+    out.append(variables[0] * variables[0] * variables[-1])  # x1^2*xn
+    for a, b in zip(shaped, shaped[1:]):
+        out += [a * b, a.lcm(b), a.gcd(b), (a * b) / b]
+    return out
 
 
 class TestColon:
@@ -533,18 +558,34 @@ class TestDerivedData:
             for copied in (pickle.loads(pickle.dumps(ideal)), copy.deepcopy(ideal)):
                 assert copied == ideal and vars(copied).keys() == vars(twin).keys()
 
+    def test_filled_monomial_views_stay_outside_the_fields(self):
+        for u in (mono(1, 0, 2), mono(0, 1, 1, 0), Monomial.from_bitmask(4, 0b1011),
+                  Monomial.one(3), mono(2, 0) * mono(0, 3)):
+            fresh = Monomial(u.exponents)
+            u.n, u.degree, u.support, u.is_squarefree, u.is_one, u._mask
+            if u.is_squarefree:
+                u.bitmask()
+            assert {"degree", "support", "is_squarefree", "_mask"} <= vars(u).keys()
+            assert vars(fresh) == {"exponents": u.exponents}
+            assert u == fresh and hash(u) == hash(fresh) and repr(u) == repr(fresh)
+            for copied in (pickle.loads(pickle.dumps(u)), copy.deepcopy(u), copy.copy(u)):
+                assert copied == u and vars(copied) == vars(fresh)
+        assert [f.name for f in dataclasses.fields(Monomial)] == ["exponents"]
+
     def test_squarefree_scan_runs_once_per_generator(self, monkeypatch):
         calls = []
-        scan = Monomial.is_squarefree.fget
+        scan = Monomial.is_squarefree.func
 
         def counting(monomial):
             calls.append(monomial)
             return scan(monomial)
-        # fresh generators, none of which has its bitmask yet
+        # fresh generators, none of which has scanned its exponents yet
         ideals = [transversal(6, [{1, 2}, {3, 4}, {5, 6}]),
                   MonomialIdeal.from_supports(5, [{1, 2}, {2, 3}, {4, 5}, {1, 3, 5}]),
                   make_ideal(3, [(1, 1, 0), (0, 2, 1)])]
-        monkeypatch.setattr(Monomial, "is_squarefree", property(counting))
+        counted = functools.cached_property(counting)
+        counted.__set_name__(Monomial, "is_squarefree")
+        monkeypatch.setattr(Monomial, "is_squarefree", counted)
         for ideal in ideals:
             calls.clear()
             is_matroidal(ideal)

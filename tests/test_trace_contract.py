@@ -5,7 +5,8 @@ the package binds it, and refuses to install when one is missing, renamed
 or held by another module as a stale copy. Installing it here makes such a
 change fail the test suite rather than a traced benchmark run. Traced
 certify and analyze runs then check the call paths the traced benchmark
-counts on, and that tracing leaves every report as it was.
+counts on, that five small ops reach every function a workload must
+record a call on, and that tracing leaves every report as it was.
 """
 
 import importlib
@@ -90,3 +91,22 @@ def test_traced_analyze_decomposes_a_block_power(tracer_module, capsys, monkeypa
     called = {name for name, _ in spans}
     assert {"decomposition.associated_primes",
             "decomposition.irreducible_decomposition"} <= called
+
+
+def test_small_ops_reach_every_expected_name(tracer_module, capsys, monkeypatch):
+    # run.py fails a traced workload on which a name of TRACE_EXPECTED records
+    # no call; a field-split name counts its .q and .gf spans together
+    expected = importlib.import_module("workloads").TRACE_EXPECTED
+    certify = ["certify", "--json", "--field"]
+    analyze = ["analyze", "--json", "--no-certify", "--field"]
+    ops = {"certify": [(certify + ["q", "-"], K23), (certify + ["gf:32003", "-"], K23)],
+           "analyze": [(analyze + ["q", "-"], K23), (analyze + ["gf:2", "-"], K23),
+                       (analyze + ["q", "-"], BLOCK_POWER)]}
+    for workload, runs in ops.items():
+        called = set()
+        for argv, stdin in runs:
+            (code, _), spans = traced_run(tracer_module, argv, stdin, capsys, monkeypatch)
+            assert code == 0, argv
+            called.update(name for name, _ in spans)
+        called |= {name.removesuffix(".q").removesuffix(".gf") for name in called}
+        assert sorted(set(expected[workload]) - called) == [], workload

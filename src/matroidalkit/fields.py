@@ -7,7 +7,6 @@ its whole domain; larger characteristics are refused rather than guessed.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .errors import DomainError
@@ -16,9 +15,8 @@ _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_CHARACTERISTIC = 3317044064679887385961981  # exclusive bound of exactness
 
 
-@functools.lru_cache(maxsize=64, typed=True)
 def is_prime(n):
-    """Exact primality for 0 <= n < MAX_CHARACTERISTIC; verdicts are cached."""
+    """Exact primality for 0 <= n < MAX_CHARACTERISTIC."""
     if n >= MAX_CHARACTERISTIC:
         raise DomainError(f"primality of {n} is decided only below {MAX_CHARACTERISTIC}")
     if n < 2:

@@ -65,7 +65,7 @@ def test_every_entry_point_refuses_non_int_fields(field):
             call()
 
 
-def test_cached_primality_is_not_served_for_an_equal_float():
+def test_accepted_primes_do_not_admit_an_equal_float():
     require_prime(2)
     require_prime(7)
     for field in (2.0, True, 7.0):

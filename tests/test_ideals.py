@@ -586,8 +586,17 @@ class TestDerivedData:
         counted = functools.cached_property(counting)
         counted.__set_name__(Monomial, "is_squarefree")
         monkeypatch.setattr(Monomial, "is_squarefree", counted)
+        mask_calls = []
+        generator_masks = ideals_module._generator_masks
+
+        def counting_masks(ideal):
+            mask_calls.append(ideal)
+            return generator_masks(ideal)
+        # every ideal, derived ones included, works out its masks at most once
+        monkeypatch.setattr(ideals_module, "_generator_masks", counting_masks)
         for ideal in ideals:
             calls.clear()
+            mask_calls.clear()
             is_matroidal(ideal)
             if ideal.is_squarefree:
                 pd_depth(ideal)
@@ -596,3 +605,5 @@ class TestDerivedData:
             assert len(calls) == len(set(map(id, calls))) <= ideal.mu
             if ideal.is_squarefree:
                 assert len(calls) == ideal.mu
+            assert len(mask_calls) == len(set(map(id, mask_calls)))
+            assert sum(m is ideal for m in mask_calls) == 1

@@ -44,6 +44,12 @@ RP2_TRIANGLES = ({1, 2, 3}, {1, 3, 4}, {1, 4, 5}, {1, 5, 6}, {1, 2, 6},
 RP2 = "n=6; " + ", ".join("*".join(f"x{i}" for i in c)
                           for c in itertools.combinations(range(1, 7), 3)
                           if set(c) not in RP2_TRIANGLES)
+# a seeded draw of 20 of the 3-subsets of [10] (random.Random(2019)); not
+# matroidal and without linear quotients, so pd comes from Hochster's formula
+RANDOM_10 = ("n=10; x1*x4*x9, x1*x4*x10, x1*x7*x8, x1*x7*x9, x2*x3*x5, x2*x3*x8, "
+             "x2*x5*x9, x2*x9*x10, x3*x6*x8, x3*x6*x10, x3*x7*x10, x3*x8*x9, "
+             "x3*x8*x10, x4*x7*x10, x5*x6*x7, x5*x6*x8, x5*x7*x10, x5*x8*x9, "
+             "x6*x7*x9, x8*x9*x10")
 
 # name: (argv, stdin)
 CASES = {
@@ -61,6 +67,8 @@ CASES = {
     "analyze_mixed_35_text": (["analyze", "--no-certify", "-"], MIXED_35),
     # torsion in H~_1(RP^2) takes the homology route to a field-dependent pd
     "analyze_rp2_gf2_text": (["analyze", "--no-certify", "--field", "gf:2", "-"], RP2),
+    "analyze_rp2_q_text": (["analyze", "--no-certify", "-"], RP2),
+    "analyze_random_10_json": (["analyze", "--json", "--no-certify", "-"], RANDOM_10),
     "enumerate_4_2": (["enumerate", "4", "2"], ""),
     "reproduce_paper_4_2": (["reproduce-paper", "--max-n", "4", "--max-d", "2",
                              "--no-certify"], ""),

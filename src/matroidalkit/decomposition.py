@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import BudgetExceeded, DomainError, TheoremViolationError
@@ -233,9 +234,9 @@ def _minimal_covers(edges, tops=None):
                 raise BudgetExceeded("decomposition", "the minimal-cover search visits more "
                                      f"than {COVER_BUDGET} vertex sets", "COVER_BUDGET",
                                      COVER_BUDGET)
-            kept = [[e for e in own if not e & v] for own in private]
-            kept.append([e for e in uncovered if top[e] & v])
-            if all(kept):
+            kept = [entry if not entry[1] & v else _without(entry[0], v) for entry in private]
+            kept.append(_union([e for e in uncovered if top[e] & v]))
+            if all(union for _, union in kept):
                 search(chosen | v, kept, [e for e in uncovered if not e & v], forbidden)
             else:
                 counts["leaves_rejected"] += 1
@@ -243,6 +244,15 @@ def _minimal_covers(edges, tops=None):
 
     search(0, [], edges, 0)
     return tuple(found), CoverStats(leaves_kept=len(found), **counts)
+
+
+def _union(edges):
+    """A private-edge list with the union of its edges; 0 means it is empty."""
+    return edges, functools.reduce(operator.or_, edges, 0)
+
+
+def _without(edges, v):
+    return _union([e for e in edges if not e & v])
 
 
 def associated_primes(ideal):

@@ -1,17 +1,20 @@
 """Projective dimension and depth of square-free quotients, by two routes.
 
+Both routes compute pd without the multigraded Betti table of R/I; a
+profile builds its table on the first read of betti (see HomologyProfile).
+
 pd_depth first tries linear quotients. Take the generators u_1, ..., u_m
 of a single-degree square-free ideal in descending lex order and let
 set(u_k) be the variables in the colon (u_1, ..., u_{k-1}) : u_k. When
 every such colon is generated by variables, the iterated mapping cone is
 a minimal free resolution (Herzog-Takayama 2002, "Resolutions by mapping
-cones"): the multigraded Betti table of R/I is beta_{0, empty} = 1 plus
-one entry at (|F| + 1, supp(u_k) | F) for every k and F within set(u_k).
-The table has no field in it, so it is the same over every field.
-Polymatroidal ideals have linear quotients in this order, but the route
-tests linearity on every input and assumes nothing. The table holds the
-sum of 2^|set(u_k)| entries, which is held against
-LINEAR_QUOTIENT_BUDGET before it is built.
+cones"): the Betti table of R/I is beta_{0, empty} = 1 plus one entry
+at (|F| + 1, supp(u_k) | F) for every k and F within set(u_k), so
+pd = 1 + max |set(u_k)|. The table has no field in it, so it is the same
+over every field. Polymatroidal ideals have linear quotients in this
+order, but the route tests linearity on every input and assumes nothing.
+The table would hold the sum of 2^|set(u_k)| entries, which is held
+against LINEAR_QUOTIENT_BUDGET before pd is returned.
 
 Every other square-free ideal goes to the homology route: the graded
 Betti numbers of R/I are ranks of reduced homology of induced
@@ -21,9 +24,11 @@ minimal primes of I. Faces, supports and multidegrees are int bitmasks
 in the layout of ideals.support_to_mask: a face f lies in the
 restriction to sigma when f & ~sigma == 0, and its boundary drops one
 bit at a time. Frozensets appear only at the API edge. Multidegrees that
-cannot carry homology are skipped (see pd_depth). Before any face is
-listed, the sum of 2^|facet| over the facets, which bounds the face
-count, is held against FACE_BUDGET.
+cannot carry homology are skipped (see pd_depth), and pd comes from a
+scan of the rest that stops below the best degree found (_homology_pd);
+_homology_profile builds the whole table. Before any face is listed, the
+sum of 2^|facet| over the facets, which bounds the face count, is held
+against FACE_BUDGET.
 
 All linear algebra is exact and goes through one sparse column
 reduction with one elimination step for every field. The field enters
@@ -35,6 +40,7 @@ GF(p), by their gcd over the rationals, so no fraction is formed.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -107,15 +113,17 @@ class SimplicialComplex:
 class HomologyStats:
     """Work counters of one pd_depth run; equal input gives equal counts.
 
-    route is "linear_quotients" or "homology", the route that built the
-    table. On the linear-quotient route largest_quotient_set is the
-    largest |set(u_k)| (pd - 1) and the other counters stay 0. On the
-    homology route multidegrees_scanned counts the multidegrees whose
-    restricted complex was reduced and multidegrees_skipped those passed
-    over as cones; the two add up to 2^n. matrices_reduced counts the
-    boundary maps between nonempty face levels that went through
-    elimination, and largest_matrix is the (rows, columns) shape of the
-    one with the most entries.
+    route is "linear_quotients" or "homology", the route that computed pd.
+    On the linear-quotient route largest_quotient_set is the largest
+    |set(u_k)| (pd - 1) and the other counters stay 0. On the homology
+    route multidegrees_scanned counts the multidegrees whose restricted
+    complex was reduced and multidegrees_skipped the rest; the two add up
+    to 2^n. pd_depth's scan is pruned (see _homology_pd), so it skips the
+    cones and every multidegree too small to raise pd; _homology_profile,
+    which builds the whole table, skips the cones alone. matrices_reduced
+    counts the boundary maps between nonempty face levels that went
+    through elimination, and largest_matrix is the (rows, columns) shape
+    of the one with the most entries.
     """
 
     multidegrees_scanned: int = 0
@@ -126,24 +134,35 @@ class HomologyStats:
     largest_quotient_set: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HomologyProfile:
     """pd, depth, and the Cohen-Macaulay verdict, with the Betti table.
 
     betti maps (homological degree i, multidegree as frozenset) to a
     nonzero rank; absent keys are zero. It is a read-only view, so a
     profile shared through the memo cannot be changed by its callers.
-    stats holds the work counters of the run that built it.
+    The constructor takes the table as a mapping, which it copies, or as
+    a function of no arguments that builds one: pd_depth passes such a
+    builder, so the table is built on the first read of betti, and kept.
+    stats holds the work counters of the run that computed pd.
     """
 
     pd: int
     depth: int
     is_cm: bool
-    betti: MappingProxyType = dataclass_field(compare=False)
-    stats: HomologyStats = dataclass_field(default=HomologyStats(), compare=False)
+    stats: HomologyStats = dataclass_field(compare=False)
+    _table: object = dataclass_field(compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "betti", MappingProxyType(dict(self.betti)))
+    def __init__(self, pd, depth, is_cm, betti, stats=HomologyStats()):
+        for name, value in (("pd", pd), ("depth", depth), ("is_cm", is_cm), ("stats", stats),
+                            ("_table", betti if callable(betti) else dict(betti))):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def betti(self):
+        table = self._table() if callable(self._table) else self._table
+        object.__setattr__(self, "_table", None)  # the builder may hold the ideal
+        return MappingProxyType(dict(table))
 
 
 def stanley_reisner(ideal):
@@ -295,39 +314,43 @@ def reduced_homology_ranks(complex_, field=None):
 
 
 def pd_depth(ideal, field=None):
-    """Betti table of R/I over the square-free multidegrees, then pd and depth.
+    """pd, depth and the Cohen-Macaulay verdict of R/I; the Betti table on request.
 
     The base of the resolution is the quotient, so beta_0 = 1 sits at
     sigma empty and pd is the largest homological degree with a nonzero
     entry. depth comes out as n - pd, and Cohen-Macaulayness compares pd
-    with the height, read off the face complex on both routes.
+    with the height, read off the face complex on both routes. Each route
+    computes pd without the table; profile.betti builds the table on its
+    first read, and both routes list it by multidegree mask, then by
+    homological degree.
 
     Single-degree square-free input with linear quotients in descending
     lex order (every polymatroidal ideal) takes the linear-quotient
-    route: the table comes from the sets set(u_k) (see the module
-    docstring), pd = 1 + max |set(u_k)|, and the table is the same over
-    every field. Any other input, and any single colon that is not
-    generated by variables, goes to the homology route.
+    route: pd = 1 + max |set(u_k)| (see the module docstring), the same
+    over every field, as the table is. The table's size is still held
+    against LINEAR_QUOTIENT_BUDGET before pd is returned. Any other
+    input, and any single colon that is not generated by variables, goes
+    to the homology route.
 
     There beta_{i, sigma} is the reduced homology rank of the face
     complex restricted to sigma, in dimension |sigma| - i - 1. Only the
     multidegrees sigma that are unions of generator supports (the lcm
-    lattice, with the empty set) are inspected; every other sigma carries
-    no homology. Take a vertex v of sigma outside the union of the
-    generator supports inside sigma. A non-face inside sigma contains a
-    generator support inside sigma, which misses v, so adding v to a
-    face of the restriction gives a face again: the restriction is a cone
-    with apex v and is acyclic over every field. The table still lists
-    every nonzero entry; profile.stats counts both kinds of sigma.
+    lattice, with the empty set) can carry homology. Take a vertex v of
+    sigma outside the union of the generator supports inside sigma. A
+    non-face inside sigma contains a generator support inside sigma,
+    which misses v, so adding v to a face of the restriction gives a face
+    again: the restriction is a cone with apex v and is acyclic over
+    every field. pd comes from a scan of the lattice pruned by the best
+    degree found so far (see _homology_pd); profile.stats counts the
+    multidegrees it reduced and skipped.
 
-    Both routes list the table by multidegree mask, then by homological
-    degree. The ideal's memo keeps the linear-quotient profile, or its
-    absence, for every field and the homology profile per field.
+    The ideal's memo keeps the linear-quotient profile, or its absence,
+    for every field and the homology profile per field.
     """
     require_field(field)
     profile = ideal._memo("_linear_quotient_profile", _linear_quotient_profile)
     if profile is None:
-        profile = ideal._memo(f"_homology_profile_{field}", _homology_profile, field)
+        profile = ideal._memo(f"_homology_profile_{field}", _homology_pd, field)
     return profile
 
 
@@ -340,7 +363,14 @@ def _linear_quotient_profile(ideal):
     if bound > LINEAR_QUOTIENT_BUDGET:
         raise BudgetExceeded("linear-quotient", f"the Betti table has {bound} entries (sum of "
                              "2^|set(u)|)", "LINEAR_QUOTIENT_BUDGET", LINEAR_QUOTIENT_BUDGET)
-    complex_ = stanley_reisner(ideal)
+    largest = max(linear.bit_count() for _, linear in quotients)
+    return _profile(ideal, stanley_reisner(ideal), 1 + largest,
+                    functools.partial(_linear_quotient_table, quotients, ideal.degree),
+                    HomologyStats(route="linear_quotients", largest_quotient_set=largest))
+
+
+def _linear_quotient_table(quotients, degree):
+    """The Betti table of R/I from the linear quotients of its generators."""
     # sigma = supp(u) | F for every F within set(u); as the degree d is
     # fixed, |F| + 1 = |sigma| - d + 1 and sigma alone names the entry
     tally = collections.Counter()
@@ -356,13 +386,11 @@ def _linear_quotient_profile(ideal):
             sets += [f | variable for f in sets]
         tally.update(masks)
         supports.update(zip(masks, sets))
-    shift = ideal.degree - 1
+    shift = degree - 1
     betti = {(0, frozenset()): 1}
     for sigma in sorted(tally):
         betti[(sigma.bit_count() - shift, supports[sigma])] = tally[sigma]
-    largest = max(linear.bit_count() for _, linear in quotients)
-    return _profile(ideal, complex_, betti,
-                    HomologyStats(route="linear_quotients", largest_quotient_set=largest))
+    return betti
 
 
 def _linear_quotients(ideal):
@@ -391,15 +419,57 @@ def _linear_quotients(ideal):
     return quotients
 
 
-def _homology_profile(ideal, field):
-    """The profile by Hochster's formula; the route pd_depth falls back to."""
+def _hochster_setup(ideal, field):
+    """The face complex, its face levels and boundaries, and the lcm lattice."""
     complex_ = stanley_reisner(ideal)
-    n = ideal.n
     levels = _face_levels([support_to_mask(f) for f in complex_.facets])
-    boundary = _boundaries(levels, field)
     lattice = {0}
     for g in ideal.masks:
         lattice |= {s | g for s in lattice}
+    return complex_, levels, _boundaries(levels, field), lattice
+
+
+def _homology_pd(ideal, field):
+    """The homology route's profile: pd by a pruned scan, the table on request.
+
+    beta_{i, sigma} = h~_j(Delta_sigma) with j = |sigma| - i - 1 >= -1,
+    so i <= |sigma|. The lcm lattice is scanned by descending |sigma|,
+    from best = 0 (beta_{0, empty} = 1), and the scan stops once
+    |sigma| <= best. A multidegree can raise best only through some
+    i > best, that is j <= |sigma| - best - 2, so its complex is reduced
+    up to the faces of |sigma| - best vertices and the lowest nonzero
+    h~_j gives i = |sigma| - j - 1. The top level of that truncated
+    complex meets no boundary from above, and its rank is never read.
+    """
+    complex_, levels, boundary, lattice = _hochster_setup(ideal, field)
+    counts = {"matrices_reduced": 0, "largest_matrix": (0, 0)}
+    best = scanned = 0
+    for sigma in sorted(lattice, key=lambda s: (-s.bit_count(), s)):
+        size = sigma.bit_count()
+        if size <= best:
+            break
+        top = size - best
+        inside = [[f for f in level if not f & ~sigma] for level in levels[:top + 1]]
+        ranks = _reduced_ranks(inside, boundary, field, counts)
+        scanned += 1
+        for j in range(-1, top - 1):
+            if ranks.get(j):
+                best = size - j - 1
+                break
+    stats = HomologyStats(multidegrees_scanned=scanned,
+                          multidegrees_skipped=(1 << ideal.n) - scanned, **counts)
+    return _profile(ideal, complex_, best, functools.partial(_homology_table, ideal, field),
+                    stats)
+
+
+def _homology_table(ideal, field):
+    """The homology route's Betti table, from the eager engine."""
+    return _homology_profile(ideal, field).betti
+
+
+def _homology_profile(ideal, field):
+    """The profile with the whole table by Hochster's formula, built eagerly."""
+    complex_, levels, boundary, lattice = _hochster_setup(ideal, field)
     counts = {"matrices_reduced": 0, "largest_matrix": (0, 0)}
     betti = {}
     for sigma in sorted(lattice):
@@ -412,13 +482,12 @@ def _homology_profile(ideal, field):
             if value:
                 betti[(i, members)] = value
     stats = HomologyStats(multidegrees_scanned=len(lattice),
-                          multidegrees_skipped=(1 << n) - len(lattice), **counts)
-    return _profile(ideal, complex_, betti, stats)
+                          multidegrees_skipped=(1 << ideal.n) - len(lattice), **counts)
+    return _profile(ideal, complex_, max(i for i, _ in betti), betti, stats)
 
 
-def _profile(ideal, complex_, betti, stats):
-    """pd, depth and the Cohen-Macaulay verdict of a Betti table, both routes."""
-    pd = max(i for i, _ in betti)
+def _profile(ideal, complex_, pd, betti, stats):
+    """depth and the Cohen-Macaulay verdict beside pd, on every route."""
     height = ideal.n - complex_.dim - 1  # a largest facet misses a smallest prime
     return HomologyProfile(pd=pd, depth=ideal.n - pd, is_cm=height == pd, betti=betti,
                            stats=stats)

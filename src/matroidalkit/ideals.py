@@ -97,9 +97,9 @@ class Monomial:
 
     @classmethod
     def from_bitmask(cls, n, mask):
-        """Square-free monomial from a bitmask (bit i-1 set means x_i occurs)."""
-        if mask < 0 or mask >= 1 << n:
-            raise StructuralError(f"bitmask {mask} outside [0, 2^{n})")
+        """Square-free monomial from an int bitmask (bit i-1 set means x_i occurs)."""
+        if not isinstance(mask, int) or mask < 0 or mask >= 1 << n:
+            raise StructuralError(f"bitmask {mask!r} outside the ints in [0, 2^{n})")
         monomial = cls._trusted(tuple((mask >> k) & 1 for k in range(n)))
         monomial.__dict__["_mask"] = mask  # seeds the cached view
         return monomial
@@ -233,14 +233,15 @@ class MonomialIdeal:
     gens is the unique minimal generating set, in descending lexicographic
     order of exponent vectors, so equality of ideals is equality of fields.
     The zero ideal has no generators; the unit ideal is generated by 1.
+    n must be a plain int of at least 1: 2.0 and True are refused.
     """
 
     n: int
     gens: tuple
 
     def __post_init__(self):
-        if self.n < 1:
-            raise StructuralError(f"need at least one variable, got n={self.n}")
+        if type(self.n) is not int or self.n < 1:
+            raise StructuralError(f"need an int n of at least one variable, got n={self.n!r}")
         object.__setattr__(self, "gens", tuple(self.gens))
         for g in self.gens:
             if g.n != self.n:

@@ -20,11 +20,17 @@ which lies in every J_j, stays outside Q.
 minimal_covers is the original hitting-set recursion: it branches on every
 vertex of the first uncovered set, so it reaches a cover once per order of
 its vertices, and filters out the non-minimal covers at the end.
+
+rebuilding_covers is the minimal-cover search of decomposition as first
+written, before each private-edge list carried the union of its edges:
+the same search, which rebuilds every list at every node.
 """
 
 from __future__ import annotations
 
 from matroidalkit import Monomial, MonomialIdeal
+from matroidalkit import decomposition
+from matroidalkit.errors import BudgetExceeded
 
 
 def intersect_all(components):
@@ -117,3 +123,37 @@ def minimal_covers(supports):
     extend(set())
     return frozenset(c for c in candidates
                      if not any(other < c for other in candidates))
+
+
+def rebuilding_covers(edges, tops=None):
+    """decomposition._minimal_covers as first written: every node rebuilds every
+    chosen vertex's private-edge list. Same covers, order and CoverStats."""
+    top = dict(zip(edges, edges if tops is None else tops))
+    edges = sorted(top)
+    found = []
+    counts = {"nodes": 0, "leaves_rejected": 0}
+
+    def search(chosen, private, uncovered, forbidden):
+        if not uncovered:
+            found.append(chosen)
+            return
+        edge = min(uncovered, key=lambda e: (e & ~forbidden).bit_count())
+        allowed = edge & ~forbidden
+        while allowed:
+            v = allowed & -allowed
+            allowed ^= v
+            counts["nodes"] += 1
+            budget = decomposition.COVER_BUDGET
+            if counts["nodes"] > budget:
+                raise BudgetExceeded("decomposition", "the minimal-cover search visits more "
+                                     f"than {budget} vertex sets", "COVER_BUDGET", budget)
+            kept = [[e for e in own if not e & v] for own in private]
+            kept.append([e for e in uncovered if top[e] & v])
+            if all(kept):
+                search(chosen | v, kept, [e for e in uncovered if not e & v], forbidden)
+            else:
+                counts["leaves_rejected"] += 1
+            forbidden |= v
+
+    search(0, [], edges, 0)
+    return tuple(found), decomposition.CoverStats(leaves_kept=len(found), **counts)

@@ -327,6 +327,28 @@ class TestMinimalCovers:
             assert covers == decomposition_oracle.minimal_covers(edges), edges
             assert stats.leaves_kept == len(covers)
 
+    def test_matches_the_rebuilding_search(self, monkeypatch):
+        # carrying each private-edge list's union changes no cover, order or counter
+        def same(edges, tops=None):
+            assert (_minimal_covers(edges, tops)
+                    == decomposition_oracle.rebuilding_covers(edges, tops)), (edges, tops)
+        rng = random.Random(251)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            same([support_to_mask(e) for e in random_hypergraph(rng, n)])
+            edges = [rng.randrange(1, 1 << n) & rng.randrange(1, 1 << n) or 1
+                     for _ in range(rng.randint(1, 20))]
+            same(edges)
+        for ideal in itertools.islice(random_nonsquarefree_ideals(), 300):
+            _, edges, tops = _polarize(ideal)
+            same(edges, tops)
+        # past the budget both refuse at the same node
+        monkeypatch.setattr(decomposition, "COVER_BUDGET", 40)
+        matching = [0b11 << 2 * k for k in range(8)]
+        for search in (_minimal_covers, decomposition_oracle.rebuilding_covers):
+            with pytest.raises(BudgetExceeded, match="more than 40 vertex sets"):
+                search(matching)
+
     @settings(max_examples=150, deadline=None)
     @given(hypergraphs())
     def test_matches_oracle_hypothesis(self, edges):

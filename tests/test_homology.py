@@ -442,6 +442,151 @@ class TestLinearQuotients:
             assert elapsed < 1.0, f"K_{{8,8}} over {field} took {elapsed:.2f}s, budget 1s"
 
 
+def fresh(ideal):
+    """An equal ideal with an empty memo, so its profiles are computed anew."""
+    return MonomialIdeal(ideal.n, ideal.gens)
+
+
+def random_layer_ideal(rng, n, d, count):
+    """R(n, d, count): count of the d-subsets of [n], drawn at random."""
+    layer = list(itertools.combinations(range(1, n + 1), d))
+    return MonomialIdeal.from_supports(n, rng.sample(layer, count))
+
+
+def assert_pruned_scan_agrees(ideal, field):
+    pruned = homology._homology_pd(ideal, field)
+    full = homology._homology_profile(ideal, field)
+    assert (pruned.pd, pruned.depth, pruned.is_cm) == (full.pd, full.depth, full.is_cm), (
+        ideal, field)
+    assert pruned.pd == max(i for i, _ in full.betti)
+    scanned, skipped = pruned.stats.multidegrees_scanned, pruned.stats.multidegrees_skipped
+    assert scanned + skipped == 1 << ideal.n
+    assert scanned <= full.stats.multidegrees_scanned
+    assert pruned.stats.matrices_reduced <= full.stats.matrices_reduced
+    assert pruned.stats.route == "homology"
+
+
+class TestPrunedScan:
+    """pd, depth and CM from the pruned Hochster scan against the full table."""
+
+    FIELDS = (None, 2, 3)
+
+    def test_random_squarefree(self):
+        # mixed degrees included: random_squarefree draws supports of every size
+        rng = random.Random(149)
+        for _ in range(60):
+            ideal = random_squarefree(rng, 8)
+            for field in self.FIELDS:
+                assert_pruned_scan_agrees(ideal, field)
+
+    def test_random_layers(self):
+        # the R(n, d, count) shapes of the analyze benchmark, n = 7..10
+        rng = random.Random(157)
+        shapes = [(7, 3, 10), (7, 4, 14), (8, 3, 14), (8, 4, 20),
+                  (9, 3, 16), (9, 4, 18), (10, 3, 20)]
+        for n, d, count in shapes:
+            for _ in range(2):
+                ideal = random_layer_ideal(rng, n, d, count)
+                for field in self.FIELDS:
+                    assert_pruned_scan_agrees(ideal, field)
+
+    def test_torsion_and_matroidal_input(self):
+        for field, expected_pd in ((None, 3), (3, 3), (2, 4)):
+            assert homology._homology_pd(rp2_ideal(), field).pd == expected_pd
+            assert_pruned_scan_agrees(rp2_ideal(), field)
+        # the scan also holds on input that pd_depth sends to linear quotients
+        for ideal in (squarefree_veronese(6, 3), transversal(6, [{1, 2}, {3, 4}, {5, 6}])):
+            for field in self.FIELDS:
+                assert_pruned_scan_agrees(ideal, field)
+
+    def test_scan_stops_below_the_best_degree(self, two_blocks_n4):
+        # the top of each lcm lattice, [4], holds the largest degree (3 for
+        # (x1, x2)(x3, x4), 2 for (x1 x2, x3 x4)), and every other sigma has
+        # at most that many vertices, so one multidegree is reduced
+        for ideal, pd in ((two_blocks_n4, 3),
+                          (MonomialIdeal.from_supports(4, [{1, 2}, {3, 4}]), 2)):
+            profile = homology._homology_pd(ideal, None)
+            assert profile.pd == pd
+            assert (profile.stats.multidegrees_scanned,
+                    profile.stats.multidegrees_skipped) == (1, 15)
+        # (x1 x2, x2 x3, x3 x4, x4 x5): [5] gives degree 3 (j = 1), then the
+        # lattice's 4-sets may still reach 4 and are reduced up to dimension 0
+        path = MonomialIdeal.from_supports(5, [{1, 2}, {2, 3}, {3, 4}, {4, 5}])
+        profile = homology._homology_pd(path, None)
+        assert profile.pd == homology._homology_profile(path, None).pd == 3
+        assert profile.stats.multidegrees_scanned == 1 + 3
+
+
+class TestLazyTable:
+    """The Betti table of pd_depth's profile, built on its first read."""
+
+    def assert_first_read_is_the_table(self, ideal, field):
+        profile = pd_depth(fresh(ideal), field)
+        assert "betti" not in vars(profile)
+        table = list(profile.betti.items())
+        assert table == list(homology._homology_profile(ideal, field).betti.items()), ideal
+        assert table == list(homology_oracle.betti_table(ideal, field).items())
+        assert profile.betti is profile.betti
+
+    def test_census_n5(self):
+        for n in range(1, 6):
+            for d in range(1, n + 1):
+                for ideal in enumerate_matroidal(n, d, False):
+                    for field in (None, 2):
+                        self.assert_first_read_is_the_table(ideal, field)
+
+    def test_complete_bipartite(self):
+        for a in range(1, 7):
+            ideal = transversal(2 * a, [range(1, a + 1), range(a + 1, 2 * a + 1)])
+            for field in (None, 2):
+                self.assert_first_read_is_the_table(ideal, field)
+
+    def test_homology_route(self):
+        rng = random.Random(163)
+        for _ in range(20):
+            ideal = random_squarefree(rng, 6)
+            for field in (None, 2):
+                self.assert_first_read_is_the_table(ideal, field)
+
+    def test_each_table_is_built_once(self, monkeypatch):
+        calls = counting_builders(monkeypatch)
+        profile = pd_depth(transversal(6, [{1, 2}, {3, 4}, {5, 6}]))
+        other = pd_depth(MonomialIdeal.from_supports(4, [{1, 2}, {3, 4}]))
+        assert calls == []
+        for _ in range(2):
+            assert profile.betti[(4, frozenset(range(1, 7)))] == 1
+            assert other.betti[(2, frozenset(range(1, 5)))] == 1
+        assert sorted(calls) == ["_homology_profile", "_linear_quotient_table"]
+
+    def test_analyze_builds_no_table(self, monkeypatch):
+        calls = counting_builders(monkeypatch)
+        rng = random.Random(167)
+        ideals = [random_layer_ideal(rng, 9, 3, 16),
+                  transversal(6, [{1, 2, 3}, {4, 5, 6}])]  # K_{3,3}
+        routes = []
+        for ideal in ideals:
+            for field in (None, 2):
+                payload = run_command("analyze", Config(certify=False, field=field),
+                                      ideal=ideal)
+                profile = pd_depth(ideal, field)
+                assert payload["homology"]["pd"] == profile.pd
+                assert "betti" not in vars(profile)
+                routes.append(profile.stats.route)
+        assert routes == ["homology"] * 2 + ["linear_quotients"] * 2
+        assert calls == []
+
+
+def counting_builders(monkeypatch):
+    """Record every call of the two Betti table builders, by name."""
+    calls = []
+    for name in ("_linear_quotient_table", "_homology_profile"):
+        def counting(*args, _name=name, _original=getattr(homology, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(homology, name, counting)
+    return calls
+
+
 class TestFaceBudget:
     def test_budget_is_checked_before_faces_are_listed(self):
         # 4 facets of 38 vertices: about 10^12 faces
@@ -578,12 +723,12 @@ class TestCaches:
 
     def test_homology_fallback_is_cached_per_field(self, monkeypatch):
         calls = []
-        original = homology._homology_profile
+        original = homology._homology_pd
 
         def counting(ideal, field):
             calls.append(field)
             return original(ideal, field)
-        monkeypatch.setattr(homology, "_homology_profile", counting)
+        monkeypatch.setattr(homology, "_homology_pd", counting)
         # (x1 x2, x3 x4) has no linear quotients, so pd_depth falls back;
         # the instance is fresh, so its memo starts empty
         ideal = MonomialIdeal.from_supports(4, [{1, 2}, {3, 4}])

@@ -52,6 +52,12 @@ class TestMonomial:
         assert Monomial.variable(3, 2.0) == Monomial.variable(3, 2) == mono(0, 1, 0)
         assert Monomial.variable(3, True) == mono(1, 0, 0)
 
+    def test_bitmask_must_be_an_int_in_range(self):
+        for bad in (3.0, 1.5, -1, 8, "3", None):
+            with pytest.raises(StructuralError):
+                Monomial.from_bitmask(3, bad)
+        assert Monomial.from_bitmask(3, True) == mono(1, 0, 0)
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(StructuralError):
             Monomial((1, -1))
@@ -196,6 +202,14 @@ class TestConstruction:
             MonomialIdeal(2, (mono(1, 1), mono(1, 0)))
         with pytest.raises(StructuralError):
             MonomialIdeal(2, (mono(0, 1), mono(1, 0)))  # wrong order
+
+    def test_n_must_be_a_positive_int(self):
+        for bad in (2.0, 0, -1, True, 1.5, "2", None):
+            with pytest.raises(StructuralError):
+                MonomialIdeal(bad, ())
+        with pytest.raises(StructuralError):
+            MonomialIdeal(2.0, (mono(1, 0),))
+        assert MonomialIdeal(2, ()).n == 2
 
     def test_length_mismatch(self):
         with pytest.raises(StructuralError):

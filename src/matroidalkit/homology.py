@@ -151,9 +151,9 @@ class HomologyProfile:
     depth: int
     is_cm: bool
     stats: HomologyStats = dataclass_field(compare=False)
-    _table: object = dataclass_field(compare=False, repr=False)
 
     def __init__(self, pd, depth, is_cm, betti, stats=HomologyStats()):
+        # _table, the copied table or its builder, stays outside the fields
         for name, value in (("pd", pd), ("depth", depth), ("is_cm", is_cm), ("stats", stats),
                             ("_table", betti if callable(betti) else dict(betti))):
             object.__setattr__(self, name, value)

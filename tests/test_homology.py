@@ -550,8 +550,12 @@ class TestLazyTable:
 
     def test_each_table_is_built_once(self, monkeypatch):
         calls = counting_builders(monkeypatch)
-        profile = pd_depth(transversal(6, [{1, 2}, {3, 4}, {5, 6}]))
+        three_blocks = transversal(6, [{1, 2}, {3, 4}, {5, 6}])
+        profile = pd_depth(three_blocks)
         other = pd_depth(MonomialIdeal.from_supports(4, [{1, 2}, {3, 4}]))
+        # neither repr, equality nor hashing reads the table
+        assert repr(profile).startswith("HomologyProfile(pd=4, depth=2, is_cm=False, stats=")
+        assert profile == pd_depth(fresh(three_blocks)) and len({profile, other}) == 2
         assert calls == []
         for _ in range(2):
             assert profile.betti[(4, frozenset(range(1, 7)))] == 1

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import BudgetExceeded, DomainError, TheoremViolationError
@@ -234,9 +233,25 @@ def _minimal_covers(edges, tops=None):
                 raise BudgetExceeded("decomposition", "the minimal-cover search visits more "
                                      f"than {COVER_BUDGET} vertex sets", "COVER_BUDGET",
                                      COVER_BUDGET)
-            kept = [entry if not entry[1] & v else _without(entry[0], v) for entry in private]
-            kept.append(_union([e for e in uncovered if top[e] & v]))
-            if all(union for _, union in kept):
+            # each list carries the union of its edges, and only a list whose
+            # union meets v loses edges; union ends 0 iff some list ran empty
+            kept = []
+            for own, union in private:
+                if union & v:
+                    own = [e for e in own if not e & v]
+                    union = 0
+                    for e in own:
+                        union |= e
+                    if not union:
+                        break
+                kept.append((own, union))
+            else:
+                own = [e for e in uncovered if top[e] & v]
+                union = 0
+                for e in own:
+                    union |= e
+                kept.append((own, union))
+            if union:
                 search(chosen | v, kept, [e for e in uncovered if not e & v], forbidden)
             else:
                 counts["leaves_rejected"] += 1
@@ -244,15 +259,6 @@ def _minimal_covers(edges, tops=None):
 
     search(0, [], edges, 0)
     return tuple(found), CoverStats(leaves_kept=len(found), **counts)
-
-
-def _union(edges):
-    """A private-edge list with the union of its edges; 0 means it is empty."""
-    return edges, functools.reduce(operator.or_, edges, 0)
-
-
-def _without(edges, v):
-    return _union([e for e in edges if not e & v])
 
 
 def associated_primes(ideal):

@@ -20,7 +20,8 @@ from .decomposition import (CoverStats, CriteriaReport, Partition,
                             irreducible_decomposition, p1_classify,
                             partition_degree2)
 from .homology import (HomologyProfile, HomologyStats, SimplicialComplex,
-                       pd_depth, reduced_homology_ranks, stanley_reisner)
+                       betti_table, pd_depth, reduced_homology_ranks,
+                       stanley_reisner)
 from .groebner import (BuchbergerStats, CertifyStats, GroebnerBasis, Polynomial,
                        WitnessCertificate, buchberger, certify_witness,
                        normal_form, radical_membership)
@@ -36,7 +37,7 @@ __all__ = [
     "ParseError",
     "Partition", "Polynomial", "PrimeDecomposition", "SVWitness",
     "SimplicialComplex", "StructuralError", "TheoremViolationError",
-    "WitnessCertificate", "ara_report", "associated_primes", "buchberger",
+    "WitnessCertificate", "ara_report", "associated_primes", "betti_table", "buchberger",
     "build_sv_witness", "certify_witness", "criteria_check",
     "dedupe_up_to_relabeling", "enumerate_matroidal",
     "irreducible_decomposition", "is_matroidal", "is_polymatroidal",

@@ -140,10 +140,6 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    @property
-    def is_constant(self):
-        return all(not any(ev) for ev in self.terms)
-
     def leading(self):
         """Leading (exponent tuple, coefficient) or None for zero."""
         if not self.terms:
@@ -153,11 +149,6 @@ class Polynomial:
 
     def scale(self, c):
         return Polynomial(self.nvars, {ev: v * c for ev, v in self.terms.items()},
-                          self.field)
-
-    def times_term(self, c, shift):
-        return Polynomial(self.nvars,
-                          {_ev_add(ev, shift): v * c for ev, v in self.terms.items()},
                           self.field)
 
     def _merged(self, other, sign):

@@ -1,7 +1,7 @@
 """Projective dimension and depth of square-free quotients, by two routes.
 
-Both routes compute pd without the multigraded Betti table of R/I; a
-profile builds its table on the first read of betti (see HomologyProfile).
+Both routes compute pd without the multigraded Betti table of R/I;
+betti_table builds the table on request, by the route pd_depth took.
 
 pd_depth first tries linear quotients. Take the generators u_1, ..., u_m
 of a single-degree square-free ideal in descending lex order and let
@@ -26,7 +26,7 @@ restriction to sigma when f & ~sigma == 0, and its boundary drops one
 bit at a time. Frozensets appear only at the API edge. Multidegrees that
 cannot carry homology are skipped (see pd_depth), and pd comes from a
 scan of the rest that stops below the best degree found (_homology_pd);
-_homology_profile builds the whole table. Before any face is listed, the
+_hochster_table builds the whole table. Before any face is listed, the
 sum of 2^|facet| over the facets, which bounds the face count, is held
 against FACE_BUDGET.
 
@@ -40,7 +40,6 @@ GF(p), by their gcd over the rationals, so no fraction is formed.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -118,12 +117,11 @@ class HomologyStats:
     |set(u_k)| (pd - 1) and the other counters stay 0. On the homology
     route multidegrees_scanned counts the multidegrees whose restricted
     complex was reduced and multidegrees_skipped the rest; the two add up
-    to 2^n. pd_depth's scan is pruned (see _homology_pd), so it skips the
-    cones and every multidegree too small to raise pd; _homology_profile,
-    which builds the whole table, skips the cones alone. matrices_reduced
-    counts the boundary maps between nonempty face levels that went
-    through elimination, and largest_matrix is the (rows, columns) shape
-    of the one with the most entries.
+    to 2^n. The scan is pruned (see _homology_pd), so it skips the cones
+    and every multidegree too small to raise pd. matrices_reduced counts
+    the boundary maps between nonempty face levels that went through
+    elimination, and largest_matrix is the (rows, columns) shape of the
+    one with the most entries. Building the Betti table counts nothing.
     """
 
     multidegrees_scanned: int = 0
@@ -134,35 +132,19 @@ class HomologyStats:
     largest_quotient_set: int = 0
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class HomologyProfile:
-    """pd, depth, and the Cohen-Macaulay verdict, with the Betti table.
+    """pd, depth, and the Cohen-Macaulay verdict of R/I.
 
-    betti maps (homological degree i, multidegree as frozenset) to a
-    nonzero rank; absent keys are zero. It is a read-only view, so a
-    profile shared through the memo cannot be changed by its callers.
-    The constructor takes the table as a mapping, which it copies, or as
-    a function of no arguments that builds one: pd_depth passes such a
-    builder, so the table is built on the first read of betti, and kept.
-    stats holds the work counters of the run that computed pd.
+    stats holds the work counters of the run that computed pd and takes
+    no part in equality or hashing. The Betti table is not part of a
+    profile: betti_table builds it on request.
     """
 
     pd: int
     depth: int
     is_cm: bool
-    stats: HomologyStats = dataclass_field(compare=False)
-
-    def __init__(self, pd, depth, is_cm, betti, stats=HomologyStats()):
-        # _table, the copied table or its builder, stays outside the fields
-        for name, value in (("pd", pd), ("depth", depth), ("is_cm", is_cm), ("stats", stats),
-                            ("_table", betti if callable(betti) else dict(betti))):
-            object.__setattr__(self, name, value)
-
-    @functools.cached_property
-    def betti(self):
-        table = self._table() if callable(self._table) else self._table
-        object.__setattr__(self, "_table", None)  # the builder may hold the ideal
-        return MappingProxyType(dict(table))
+    stats: HomologyStats = dataclass_field(default=HomologyStats(), compare=False)
 
 
 def stanley_reisner(ideal):
@@ -314,15 +296,13 @@ def reduced_homology_ranks(complex_, field=None):
 
 
 def pd_depth(ideal, field=None):
-    """pd, depth and the Cohen-Macaulay verdict of R/I; the Betti table on request.
+    """pd, depth and the Cohen-Macaulay verdict of R/I.
 
     The base of the resolution is the quotient, so beta_0 = 1 sits at
     sigma empty and pd is the largest homological degree with a nonzero
     entry. depth comes out as n - pd, and Cohen-Macaulayness compares pd
     with the height, read off the face complex on both routes. Each route
-    computes pd without the table; profile.betti builds the table on its
-    first read, and both routes list it by multidegree mask, then by
-    homological degree.
+    computes pd without the Betti table (see betti_table).
 
     Single-degree square-free input with linear quotients in descending
     lex order (every polymatroidal ideal) takes the linear-quotient
@@ -354,6 +334,23 @@ def pd_depth(ideal, field=None):
     return profile
 
 
+def betti_table(ideal, field=None):
+    """The multigraded Betti table of R/I, as a read-only mapping.
+
+    It maps (homological degree i, multidegree as frozenset) to a nonzero
+    rank; absent keys are zero. pd_depth runs first, so the route, the
+    budgets and the errors are pd_depth's, and the table comes from the
+    same route: the mapping cones of the linear quotients, the same over
+    every field, or Hochster's formula over the lcm lattice. Both list
+    the table by multidegree mask, then by homological degree. The
+    ideal's memo keeps the linear-quotient table once for every field and
+    the homology table once per field.
+    """
+    if pd_depth(ideal, field).stats.route == "linear_quotients":
+        return ideal._memo("_linear_quotient_table", _linear_quotient_table)
+    return ideal._memo(f"_hochster_table_{field}", _hochster_table, field)
+
+
 def _linear_quotient_profile(ideal):
     """The field-free profile of the linear-quotient route, or None."""
     quotients = _linear_quotients(ideal)
@@ -365,17 +362,16 @@ def _linear_quotient_profile(ideal):
                              "2^|set(u)|)", "LINEAR_QUOTIENT_BUDGET", LINEAR_QUOTIENT_BUDGET)
     largest = max(linear.bit_count() for _, linear in quotients)
     return _profile(ideal, stanley_reisner(ideal), 1 + largest,
-                    functools.partial(_linear_quotient_table, quotients, ideal.degree),
                     HomologyStats(route="linear_quotients", largest_quotient_set=largest))
 
 
-def _linear_quotient_table(quotients, degree):
+def _linear_quotient_table(ideal):
     """The Betti table of R/I from the linear quotients of its generators."""
     # sigma = supp(u) | F for every F within set(u); as the degree d is
     # fixed, |F| + 1 = |sigma| - d + 1 and sigma alone names the entry
     tally = collections.Counter()
     supports = {}
-    for u, linear in quotients:
+    for u, linear in _linear_quotients(ideal):
         masks, sets = [u], [mask_to_support(u)]
         rest = linear
         while rest:
@@ -386,11 +382,11 @@ def _linear_quotient_table(quotients, degree):
             sets += [f | variable for f in sets]
         tally.update(masks)
         supports.update(zip(masks, sets))
-    shift = degree - 1
+    shift = ideal.degree - 1
     betti = {(0, frozenset()): 1}
     for sigma in sorted(tally):
         betti[(sigma.bit_count() - shift, supports[sigma])] = tally[sigma]
-    return betti
+    return MappingProxyType(betti)
 
 
 def _linear_quotients(ideal):
@@ -430,7 +426,7 @@ def _hochster_setup(ideal, field):
 
 
 def _homology_pd(ideal, field):
-    """The homology route's profile: pd by a pruned scan, the table on request.
+    """The homology route's profile, with pd from a pruned scan of the lcm lattice.
 
     beta_{i, sigma} = h~_j(Delta_sigma) with j = |sigma| - i - 1 >= -1,
     so i <= |sigma|. The lcm lattice is scanned by descending |sigma|,
@@ -458,36 +454,26 @@ def _homology_pd(ideal, field):
                 break
     stats = HomologyStats(multidegrees_scanned=scanned,
                           multidegrees_skipped=(1 << ideal.n) - scanned, **counts)
-    return _profile(ideal, complex_, best, functools.partial(_homology_table, ideal, field),
-                    stats)
+    return _profile(ideal, complex_, best, stats)
 
 
-def _homology_table(ideal, field):
-    """The homology route's Betti table, from the eager engine."""
-    return _homology_profile(ideal, field).betti
-
-
-def _homology_profile(ideal, field):
-    """The profile with the whole table by Hochster's formula, built eagerly."""
-    complex_, levels, boundary, lattice = _hochster_setup(ideal, field)
-    counts = {"matrices_reduced": 0, "largest_matrix": (0, 0)}
+def _hochster_table(ideal, field):
+    """The whole Betti table by Hochster's formula, over the lcm lattice."""
+    _, levels, boundary, lattice = _hochster_setup(ideal, field)
     betti = {}
     for sigma in sorted(lattice):
         size = sigma.bit_count()
         inside = [[f for f in level if not f & ~sigma] for level in levels[:size + 1]]
-        ranks = _reduced_ranks(inside, boundary, field, counts)
+        ranks = _reduced_ranks(inside, boundary, field)
         members = mask_to_support(sigma)
         for i in range(size + 1):
             value = ranks.get(size - i - 1, 0)
             if value:
                 betti[(i, members)] = value
-    stats = HomologyStats(multidegrees_scanned=len(lattice),
-                          multidegrees_skipped=(1 << ideal.n) - len(lattice), **counts)
-    return _profile(ideal, complex_, max(i for i, _ in betti), betti, stats)
+    return MappingProxyType(betti)
 
 
-def _profile(ideal, complex_, pd, betti, stats):
+def _profile(ideal, complex_, pd, stats):
     """depth and the Cohen-Macaulay verdict beside pd, on every route."""
     height = ideal.n - complex_.dim - 1  # a largest facet misses a smallest prime
-    return HomologyProfile(pd=pd, depth=ideal.n - pd, is_cm=height == pd, betti=betti,
-                           stats=stats)
+    return HomologyProfile(pd=pd, depth=ideal.n - pd, is_cm=height == pd, stats=stats)

@@ -78,12 +78,12 @@ class Monomial:
 
     @classmethod
     def one(cls, n):
-        return cls((0,) * n)
+        return cls((0,) * _variable_count(n))
 
     @classmethod
     def variable(cls, n, i):
         """The monomial x_i in n variables."""
-        if i not in range(1, n + 1):
+        if i not in range(1, _variable_count(n) + 1):
             raise StructuralError(f"variable index {i} outside 1..{n}")
         return cls(tuple(1 if k == i else 0 for k in range(1, n + 1)))
 
@@ -91,14 +91,14 @@ class Monomial:
     def from_support(cls, n, support):
         """Square-free monomial whose support is the given set of indices."""
         support = frozenset(support)
-        if not support <= set(range(1, n + 1)):
+        if not support <= set(range(1, _variable_count(n) + 1)):
             raise StructuralError(f"support {sorted(support)} outside 1..{n}")
         return cls(tuple(1 if k in support else 0 for k in range(1, n + 1)))
 
     @classmethod
     def from_bitmask(cls, n, mask):
         """Square-free monomial from an int bitmask (bit i-1 set means x_i occurs)."""
-        if not isinstance(mask, int) or mask < 0 or mask >= 1 << n:
+        if not isinstance(mask, int) or mask < 0 or mask >= 1 << _variable_count(n):
             raise StructuralError(f"bitmask {mask!r} outside the ints in [0, 2^{n})")
         monomial = cls._trusted(tuple((mask >> k) & 1 for k in range(n)))
         monomial.__dict__["_mask"] = mask  # seeds the cached view
@@ -179,6 +179,13 @@ class Monomial:
     def __reduce__(self):
         # rebuild from the exponents: the cached views are not state
         return Monomial, (self.exponents,)
+
+
+def _variable_count(n):
+    """n, if it is a plain int of at least 0; 2.0 and True are refused."""
+    if type(n) is not int or n < 0:
+        raise StructuralError(f"need a non-negative int number of variables, got n={n!r}")
+    return n
 
 
 def _length_mismatch(a, b):
@@ -270,7 +277,7 @@ class MonomialIdeal:
     @classmethod
     def maximal(cls, n):
         """The ideal generated by all the variables."""
-        return make_ideal(n, [Monomial.variable(n, i) for i in range(1, n + 1)])
+        return make_ideal(n, [Monomial.variable(n, i) for i in range(1, _variable_count(n) + 1)])
 
     @classmethod
     def from_supports(cls, n, supports):

@@ -36,8 +36,8 @@ def s_polynomial(f, g):
     """S-polynomial of two polynomials over Q, from the public API alone."""
     (fev, fc), (gev, gc) = f.leading(), g.leading()
     lcm = tuple(map(max, fev, gev))
-    return (f.times_term(1 / fc, tuple(a - b for a, b in zip(lcm, fev)))
-            - g.times_term(1 / gc, tuple(a - b for a, b in zip(lcm, gev))))
+    return (f * poly(f.nvars, {tuple(a - b for a, b in zip(lcm, fev)): 1 / fc})
+            - g * poly(g.nvars, {tuple(a - b for a, b in zip(lcm, gev)): 1 / gc}))
 
 
 class TestPolynomialArithmetic:

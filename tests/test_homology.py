@@ -1,6 +1,8 @@
 """Stanley-Reisner complexes, exact homology ranks, and pd/depth/CM."""
 
+import dataclasses
 import gc
+import inspect
 import io
 import itertools
 import math
@@ -10,9 +12,9 @@ import weakref
 
 import pytest
 
-from matroidalkit import (DomainError, HomologyStats, MonomialIdeal,
+from matroidalkit import (DomainError, HomologyProfile, HomologyStats, MonomialIdeal,
                           SimplicialComplex, StructuralError, associated_primes,
-                          make_ideal, pd_depth, reduced_homology_ranks,
+                          betti_table, make_ideal, pd_depth, reduced_homology_ranks,
                           squarefree_veronese, stanley_reisner, transversal)
 from matroidalkit import homology, matroids
 from matroidalkit.cli import Config, run_command
@@ -231,12 +233,12 @@ class TestPdDepth:
             profile = pd_depth(MonomialIdeal.maximal(n))
             assert profile.pd == n and profile.depth == 0
             totals = {}
-            for (i, _), value in profile.betti.items():
+            for (i, _), value in betti_table(MonomialIdeal.maximal(n)).items():
                 totals[i] = totals.get(i, 0) + value
             assert totals == {i: math.comb(n, i) for i in range(n + 1)}
 
     def test_betti_zero_is_one_at_empty_degree(self, two_blocks_n4):
-        betti = pd_depth(two_blocks_n4).betti
+        betti = betti_table(two_blocks_n4)
         assert betti[(0, frozenset())] == 1
         assert sum(v for (i, _), v in betti.items() if i == 0) == 1
 
@@ -249,8 +251,7 @@ class TestPdDepth:
             ideal = MonomialIdeal.from_supports(n, pool)
             if ideal.is_unit:
                 continue
-            profile = pd_depth(ideal)
-            first = sum(v for (i, _), v in profile.betti.items() if i == 1)
+            first = sum(v for (i, _), v in betti_table(ideal).items() if i == 1)
             assert first == ideal.mu
 
     def test_auslander_buchsbaum_and_bounds(self):
@@ -305,7 +306,7 @@ def assert_matches_oracle(ideal, field):
     profile = pd_depth(ideal, field)
     pd, depth, is_cm, betti = homology_oracle.pd_depth(ideal, field)
     assert (profile.pd, profile.depth, profile.is_cm) == (pd, depth, is_cm)
-    assert list(profile.betti.items()) == list(betti.items())
+    assert list(betti_table(ideal, field).items()) == list(betti.items())
 
 
 class TestOracleAgreement:
@@ -342,8 +343,8 @@ class TestOracleAgreement:
             assert_matches_oracle(ideal, field)
             assert pd_depth(ideal, field).pd == expected_pd
             assert homology_oracle.pd_depth(ideal, field)[0] == expected_pd
-        assert pd_depth(ideal, 2).betti[(4, everything)] == 1
-        assert (4, everything) not in pd_depth(ideal).betti
+        assert betti_table(ideal, 2)[(4, everything)] == 1
+        assert (4, everything) not in betti_table(ideal)
         # H~_1(RP^2; Z) = Z/2 shows up only in characteristic 2
         cx = stanley_reisner(ideal)
         assert reduced_homology_ranks(cx)[1] == 0
@@ -353,11 +354,13 @@ class TestOracleAgreement:
 def assert_routes_agree(ideal, field):
     profile = pd_depth(ideal, field)
     assert profile.stats.route == "linear_quotients", ideal
-    reference = homology._homology_profile(ideal, field)
+    reference = homology._homology_pd(ideal, field)
     assert reference.stats.route == "homology"
     assert (profile.pd, profile.depth, profile.is_cm) == (
         reference.pd, reference.depth, reference.is_cm)
-    assert list(profile.betti.items()) == list(reference.betti.items()), ideal
+    table = betti_table(ideal, field)
+    assert list(table.items()) == list(homology._hochster_table(ideal, field).items()), ideal
+    assert profile.pd == max(i for i, _ in table)
     assert profile.stats.largest_quotient_set == profile.pd - 1
 
 
@@ -438,7 +441,7 @@ class TestLinearQuotients:
             elapsed = time.monotonic() - start
             assert (profile.pd, profile.depth, profile.is_cm) == (15, 1, False)
             assert profile.stats.route == "linear_quotients"
-            assert len(profile.betti) == 1 + 225 * 289
+            assert len(betti_table(ideal, field)) == 1 + 225 * 289
             assert elapsed < 1.0, f"K_{{8,8}} over {field} took {elapsed:.2f}s, budget 1s"
 
 
@@ -455,14 +458,16 @@ def random_layer_ideal(rng, n, d, count):
 
 def assert_pruned_scan_agrees(ideal, field):
     pruned = homology._homology_pd(ideal, field)
-    full = homology._homology_profile(ideal, field)
-    assert (pruned.pd, pruned.depth, pruned.is_cm) == (full.pd, full.depth, full.is_cm), (
+    top = max(i for i, _ in homology._hochster_table(ideal, field))
+    height = associated_primes(ideal).height
+    assert (pruned.pd, pruned.depth, pruned.is_cm) == (top, ideal.n - top, height == top), (
         ideal, field)
-    assert pruned.pd == max(i for i, _ in full.betti)
     scanned, skipped = pruned.stats.multidegrees_scanned, pruned.stats.multidegrees_skipped
     assert scanned + skipped == 1 << ideal.n
-    assert scanned <= full.stats.multidegrees_scanned
-    assert pruned.stats.matrices_reduced <= full.stats.matrices_reduced
+    lattice = {0}
+    for g in ideal.masks:
+        lattice |= {s | g for s in lattice}
+    assert scanned <= len(lattice)
     assert pruned.stats.route == "homology"
 
 
@@ -513,54 +518,71 @@ class TestPrunedScan:
         # lattice's 4-sets may still reach 4 and are reduced up to dimension 0
         path = MonomialIdeal.from_supports(5, [{1, 2}, {2, 3}, {3, 4}, {4, 5}])
         profile = homology._homology_pd(path, None)
-        assert profile.pd == homology._homology_profile(path, None).pd == 3
+        assert profile.pd == max(i for i, _ in homology._hochster_table(path, None)) == 3
         assert profile.stats.multidegrees_scanned == 1 + 3
 
 
 class TestLazyTable:
-    """The Betti table of pd_depth's profile, built on its first read."""
+    """betti_table: the whole Hochster table, built on request, once per ideal and field."""
 
-    def assert_first_read_is_the_table(self, ideal, field):
-        profile = pd_depth(fresh(ideal), field)
-        assert "betti" not in vars(profile)
-        table = list(profile.betti.items())
-        assert table == list(homology._homology_profile(ideal, field).betti.items()), ideal
+    def assert_table_matches(self, ideal, field):
+        ideal = fresh(ideal)
+        table = list(betti_table(ideal, field).items())
+        assert table == list(homology._hochster_table(ideal, field).items()), ideal
         assert table == list(homology_oracle.betti_table(ideal, field).items())
-        assert profile.betti is profile.betti
+        assert betti_table(ideal, field) is betti_table(ideal, field)
 
     def test_census_n5(self):
         for n in range(1, 6):
             for d in range(1, n + 1):
                 for ideal in enumerate_matroidal(n, d, False):
                     for field in (None, 2):
-                        self.assert_first_read_is_the_table(ideal, field)
+                        self.assert_table_matches(ideal, field)
 
     def test_complete_bipartite(self):
         for a in range(1, 7):
             ideal = transversal(2 * a, [range(1, a + 1), range(a + 1, 2 * a + 1)])
             for field in (None, 2):
-                self.assert_first_read_is_the_table(ideal, field)
+                self.assert_table_matches(ideal, field)
 
     def test_homology_route(self):
         rng = random.Random(163)
         for _ in range(20):
             ideal = random_squarefree(rng, 6)
             for field in (None, 2):
-                self.assert_first_read_is_the_table(ideal, field)
+                self.assert_table_matches(ideal, field)
 
     def test_each_table_is_built_once(self, monkeypatch):
         calls = counting_builders(monkeypatch)
         three_blocks = transversal(6, [{1, 2}, {3, 4}, {5, 6}])
         profile = pd_depth(three_blocks)
-        other = pd_depth(MonomialIdeal.from_supports(4, [{1, 2}, {3, 4}]))
-        # neither repr, equality nor hashing reads the table
+        other_ideal = MonomialIdeal.from_supports(4, [{1, 2}, {3, 4}])
+        other = pd_depth(other_ideal)
+        # neither repr, equality nor hashing builds a table
         assert repr(profile).startswith("HomologyProfile(pd=4, depth=2, is_cm=False, stats=")
         assert profile == pd_depth(fresh(three_blocks)) and len({profile, other}) == 2
         assert calls == []
         for _ in range(2):
-            assert profile.betti[(4, frozenset(range(1, 7)))] == 1
-            assert other.betti[(2, frozenset(range(1, 5)))] == 1
-        assert sorted(calls) == ["_homology_profile", "_linear_quotient_table"]
+            assert betti_table(three_blocks)[(4, frozenset(range(1, 7)))] == 1
+            assert betti_table(other_ideal)[(2, frozenset(range(1, 5)))] == 1
+        assert sorted(calls) == ["_hochster_table", "_linear_quotient_table"]
+        # the linear-quotient table serves every field, the homology one a single field
+        assert betti_table(three_blocks, 2) is betti_table(three_blocks)
+        assert betti_table(other_ideal, 2) is not betti_table(other_ideal)
+        assert betti_table(other_ideal, 2) == betti_table(other_ideal)
+        assert sorted(calls) == ["_hochster_table"] * 2 + ["_linear_quotient_table"]
+
+    def test_budgets_and_errors_come_first(self, squared_pivot_n3, monkeypatch):
+        calls = counting_builders(monkeypatch)
+        with pytest.raises(DomainError, match="square-free"):
+            betti_table(squared_pivot_n3)
+        with pytest.raises(DomainError, match="LINEAR_QUOTIENT_BUDGET"):
+            betti_table(MonomialIdeal.maximal(21))
+        with pytest.raises(DomainError, match="FACE_BUDGET"):
+            betti_table(MonomialIdeal.from_supports(40, [{1, 2}, {3, 4}]))
+        with pytest.raises(DomainError):
+            betti_table(MonomialIdeal.maximal(3), 4)
+        assert calls == []
 
     def test_analyze_builds_no_table(self, monkeypatch):
         calls = counting_builders(monkeypatch)
@@ -574,7 +596,6 @@ class TestLazyTable:
                                       ideal=ideal)
                 profile = pd_depth(ideal, field)
                 assert payload["homology"]["pd"] == profile.pd
-                assert "betti" not in vars(profile)
                 routes.append(profile.stats.route)
         assert routes == ["homology"] * 2 + ["linear_quotients"] * 2
         assert calls == []
@@ -583,7 +604,7 @@ class TestLazyTable:
 def counting_builders(monkeypatch):
     """Record every call of the two Betti table builders, by name."""
     calls = []
-    for name in ("_linear_quotient_table", "_homology_profile"):
+    for name in ("_linear_quotient_table", "_hochster_table"):
         def counting(*args, _name=name, _original=getattr(homology, name)):
             calls.append(_name)
             return _original(*args)
@@ -689,22 +710,17 @@ class TestFaceBudget:
 
 class TestCaches:
     def test_betti_table_is_read_only(self, two_blocks_n4):
-        profile = pd_depth(two_blocks_n4)
-        original = dict(profile.betti)
-        with pytest.raises(AttributeError):
-            profile.betti.clear()
-        with pytest.raises(TypeError):
-            profile.betti[(0, frozenset())] = 7
-        with pytest.raises(TypeError):
-            del profile.betti[(0, frozenset())]
-        assert dict(pd_depth(two_blocks_n4).betti) == original
-        assert original == homology_oracle.betti_table(two_blocks_n4)
-
-    def test_source_dict_is_copied(self):
-        table = {(0, frozenset()): 1}
-        profile = homology.HomologyProfile(pd=0, depth=1, is_cm=True, betti=table)
-        table[(1, frozenset({1}))] = 1
-        assert dict(profile.betti) == {(0, frozenset()): 1}
+        for ideal in (two_blocks_n4, MonomialIdeal.from_supports(4, [{1, 2}, {3, 4}])):
+            table = betti_table(ideal)
+            original = dict(table)
+            with pytest.raises(AttributeError):
+                table.clear()
+            with pytest.raises(TypeError):
+                table[(0, frozenset())] = 7
+            with pytest.raises(TypeError):
+                del table[(0, frozenset())]
+            assert dict(betti_table(ideal)) == original
+            assert original == homology_oracle.betti_table(ideal)
 
     def test_one_entry_per_ideal_and_field(self, two_blocks_n4):
         assert pd_depth(two_blocks_n4) is pd_depth(two_blocks_n4, None)
@@ -744,7 +760,24 @@ class TestCaches:
 
     def test_homology_engine_is_uncached(self):
         # the engine tests below call it directly and must compute each time
-        assert not hasattr(homology._homology_profile, "cache_info")
+        assert not hasattr(homology._hochster_table, "cache_info")
+
+    def test_ideal_is_freed_without_the_cycle_collector(self):
+        # the memo's profiles and tables hold no reference back to the ideal
+        gc.collect()
+        gc.disable()
+        try:
+            for gens in ([(1, 1, 0, 0, 0), (0, 0, 1, 1, 1)],  # the homology route
+                         [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]):
+                ideal = make_ideal(len(gens[0]), gens)
+                for field in (None, 2):
+                    pd_depth(ideal, field)
+                    betti_table(ideal, field)
+                ref = weakref.ref(ideal)
+                del ideal
+                assert ref() is None, gens
+        finally:
+            gc.enable()
 
     def test_caches_are_bounded(self, fresh_enumeration_cache):
         # pd_depth's profiles live in the ideal's memo and go with it
@@ -776,27 +809,38 @@ class TestStats:
         for _ in range(20):
             ideal = random_squarefree(rng, 7)
             for field in (None, 2):
-                first = homology._homology_profile(ideal, field).stats
-                again = homology._homology_profile(ideal, field).stats
+                first = homology._homology_pd(ideal, field).stats
+                again = homology._homology_pd(ideal, field).stats
                 assert first == again
                 assert first.multidegrees_scanned + first.multidegrees_skipped == 1 << ideal.n
 
     def test_two_block_counts(self, two_blocks_n4):
-        # the lcm lattice of (x1, x2)(x3, x4): the empty set and every
-        # sigma meeting both blocks, 1 + 3 * 3 of the 16 multidegrees
-        stats = homology._homology_profile(two_blocks_n4, None).stats
-        assert (stats.multidegrees_scanned, stats.multidegrees_skipped) == (10, 6)
+        # the scan of (x1, x2)(x3, x4) reduces its lattice's top, [4], alone
+        stats = homology._homology_pd(two_blocks_n4, None).stats
+        assert (stats.multidegrees_scanned, stats.multidegrees_skipped) == (1, 15)
         assert stats.matrices_reduced > 0
         # at sigma = [4]: the two edges {1,2}, {3,4} onto the four vertices
         assert stats.largest_matrix == (4, 2)
 
     def test_stats_do_not_change_equality_or_reports(self, two_blocks_n4):
         profile = pd_depth(two_blocks_n4)
-        assert profile == homology.HomologyProfile(
-            pd=profile.pd, depth=profile.depth, is_cm=profile.is_cm,
-            betti={}, stats=HomologyStats())
+        assert profile == HomologyProfile(
+            pd=profile.pd, depth=profile.depth, is_cm=profile.is_cm, stats=HomologyStats())
+        assert profile == HomologyProfile(profile.pd, profile.depth, profile.is_cm)
+        assert hash(profile) == hash((profile.pd, profile.depth, profile.is_cm))
         payload = run_command("analyze", Config(certify=False), ideal=two_blocks_n4)
         assert set(payload["homology"]) == {"pd", "depth", "is_cm"}
+
+    def test_profile_is_a_plain_record(self, two_blocks_n4):
+        profile = pd_depth(two_blocks_n4)
+        assert [f.name for f in dataclasses.fields(profile)] == ["pd", "depth", "is_cm", "stats"]
+        assert list(inspect.signature(HomologyProfile).parameters) == [
+            "pd", "depth", "is_cm", "stats"]
+        assert not hasattr(profile, "betti")
+        changed = dataclasses.replace(profile, pd=2, depth=2)
+        assert (changed.pd, changed.depth, changed.is_cm) == (2, 2, False)
+        assert changed.stats is profile.stats and changed != profile
+        assert pd_depth(two_blocks_n4) is profile and profile.pd == 3
 
 
 class TestTimedHomology:
@@ -804,7 +848,8 @@ class TestTimedHomology:
         # K_{4,4,4}: pd = n - d + 1 = 12 - 3 + 1
         ideal = transversal(12, [set(range(1, 5)), set(range(5, 9)), set(range(9, 13))])
         start = time.monotonic()
-        profile = homology._homology_profile(ideal, None)
+        table = homology._hochster_table(ideal, None)
         elapsed = time.monotonic() - start
-        assert (profile.pd, profile.depth) == (10, 2)
+        pd = max(i for i, _ in table)
+        assert (pd, ideal.n - pd) == (10, 2)
         assert elapsed < 8.0, f"K_{{4,4,4}} over Q took {elapsed:.1f}s, budget 8s"

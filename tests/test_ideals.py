@@ -7,6 +7,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -57,6 +58,26 @@ class TestMonomial:
             with pytest.raises(StructuralError):
                 Monomial.from_bitmask(3, bad)
         assert Monomial.from_bitmask(3, True) == mono(1, 0, 0)
+
+    @pytest.mark.parametrize("bad", [2.0, True, -1, 1.5, "2", None], ids=repr)
+    @pytest.mark.parametrize("build", [
+        Monomial.one,
+        lambda n: Monomial.variable(n, 1),
+        lambda n: Monomial.from_support(n, {1}),
+        lambda n: Monomial.from_bitmask(n, 0),
+        lambda n: Monomial.from_bitmask(n, 1),
+        MonomialIdeal.maximal,
+        lambda n: MonomialIdeal.from_supports(n, [{1}]),
+        MonomialIdeal.unit,
+    ], ids=["one", "variable", "from_support", "from_bitmask_0", "from_bitmask_1",
+            "maximal", "from_supports", "unit"])
+    def test_variable_count_must_be_a_plain_int(self, build, bad):
+        with pytest.raises(StructuralError, match=re.escape(f"n={bad!r}")):
+            build(bad)
+
+    def test_variable_count_may_be_zero_for_monomials(self):
+        assert Monomial.one(0) == Monomial.from_bitmask(0, 0) == Monomial.from_support(0, ())
+        assert Monomial.one(0).n == 0
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(StructuralError):

@@ -22,7 +22,8 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import BudgetExceeded, DomainError, TheoremViolationError
-from .ideals import Monomial, MonomialIdeal, _minimal_masks, mask_to_support, support_to_mask
+from .ideals import (Monomial, MonomialIdeal, _minimal_masks, _swap_orbits, mask_to_support,
+                     support_to_mask)
 from .matroids import is_matroidal, is_polymatroidal, veronese
 
 MATROIDAL = "matroidal"
@@ -346,16 +347,26 @@ def criteria_check(ideal):
     of associated primes must be m. Any degree: unmixed iff every colon
     by a variable is unmixed of the same height. Disagreement with the
     ground-truth decomposition raises TheoremViolationError.
+
+    The colons are decomposed once per orbit of the variable swaps that
+    fix the ideal (ideals._swap_orbits): the cover search runs on
+    I : x_r for the least variable r of each orbit, and the orbit's other
+    variables copy its height and verdict. A swap sigma fixing I maps
+    I : x_r onto I : x_sigma(r), and a relabeling keeps both, so
+    colon_facts is what one search per variable gives.
     """
     summary = _require_matroidal(ideal)
     if summary.degree < 2:
         raise DomainError("criteria need degree at least 2")
     n = ideal.n
     dec = associated_primes(ideal)
-    colon_facts = []
-    for i in range(1, n + 1):
-        colon_dec = associated_primes(ideal.colon(Monomial.variable(n, i)))
-        colon_facts.append((i, colon_dec.height, colon_dec.is_unmixed))
+    variables, _ = _swap_orbits(ideal)
+    facts = {}
+    for r in variables:
+        if r not in facts:
+            colon_dec = associated_primes(ideal.colon(Monomial.variable(n, r + 1)))
+            facts[r] = colon_dec.height, colon_dec.is_unmixed
+    colon_facts = tuple((i, *facts[r]) for i, r in enumerate(variables, start=1))
     t2 = all(unmixed and h == dec.height for _, h, unmixed in colon_facts)
     if t2 != dec.is_unmixed:
         raise TheoremViolationError(
@@ -380,7 +391,7 @@ def criteria_check(ideal):
         ass_count=len(dec.ass),
         block_count=block_count,
         c1_identity=c1,
-        colon_facts=tuple(colon_facts),
+        colon_facts=colon_facts,
         t2_condition=t2,
     )
 

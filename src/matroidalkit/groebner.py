@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import DomainError, PairBudgetExceeded, StructuralError
 from .fields import require_field, require_prime
-from .ideals import Monomial, exponent_vector
+from .ideals import Monomial, _join, _root, exponent_vector
 
 PAIR_BUDGET = 10 ** 6
 DEFAULT_PRIME = 32003
@@ -711,21 +711,12 @@ def _generator_orbits(count, swaps):
     orbit under the group the swaps generate, joined by union-find.
     """
     roots = list(range(count))
-
-    def root(k):
-        while roots[k] != k:
-            roots[k] = roots[roots[k]]
-            k = roots[k]
-        return k
-
     kept = 0
     for images in swaps:
         kept += 1
         for k, image in enumerate(images):
-            a, b = root(k), root(image)
-            if a != b:
-                roots[max(a, b)] = min(a, b)
-    return kept, [root(k) for k in range(count)]
+            _join(roots, k, image)
+    return kept, [_root(roots, k) for k in range(count)]
 
 
 def _subset_failure(ideal, layers):

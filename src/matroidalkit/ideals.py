@@ -12,8 +12,9 @@ d-subsets of [n] with _layer_masks and filter a family of masks down to
 its inclusion-minimal members with _minimal_masks.
 
 A monomial caches its views (degree, support, support mask) and an ideal
-its derived data (degree, and in its memo the generator masks and what
-other modules compute on it) outside the dataclass fields. Membership and
+its derived data (degree, and in its memo the generator masks, the orbits
+of the variable swaps that fix a square-free ideal, and what other
+modules compute on it) outside the dataclass fields. Membership and
 the colon on a square-free ideal, and the square-free member scan on any,
 work on masks: a square-free g divides any u iff mask(g) lies in u's
 support mask. Other ideals divide exponent tuples.
@@ -196,7 +197,7 @@ def _length_mismatch(a, b):
 
 def squarefree_monomials(n, d):
     """All square-free degree-d monomials in n variables, in the lex order of _layer_masks."""
-    return tuple(Monomial.from_bitmask(n, m) for m in _layer_masks(n, d))
+    return tuple(Monomial.from_bitmask(n, m) for m in _layer_masks(_variable_count(n), d))
 
 
 def _layer_masks(n, d):
@@ -415,6 +416,67 @@ def _generator_masks(ideal):
     if all(g.is_squarefree for g in ideal.gens):
         return tuple(g._mask for g in ideal.gens)
     return None
+
+
+def _swap_orbits(ideal):
+    """Orbit roots of the variables and of the generators of a square-free ideal.
+
+    The group is the one generated by the variable swaps (i j) that map
+    the generator masks onto themselves. Returns two tuples: for each
+    variable, 0-based, the least variable of its orbit, and for each
+    generator the first generator, in generator order, of its orbit.
+    Kept in the ideal's memo.
+
+    The fixing swaps are an equivalence relation on the variables, since
+    (i k) = (i j)(j k)(i j), and its classes are the variable orbits. So
+    each variable j is tested only against the least variable i of each
+    class found below it, and joins the first class whose swap (i j)
+    fixes the ideal. The swaps found generate the whole group, and
+    union-find joins each generator with its images under them.
+    """
+    return ideal._memo("_swap_orbits", _scan_swaps)
+
+
+def _scan_swaps(ideal):
+    masks = ideal.masks
+    index = {g: k for k, g in enumerate(masks)}
+    variables, swaps = list(range(ideal.n)), []
+    for j in range(1, ideal.n):
+        for i in range(j):
+            if variables[i] != i:
+                continue
+            swap = 1 << i | 1 << j
+            for g in masks:
+                # only a generator holding one of x_i, x_j moves
+                if (g >> i ^ g >> j) & 1 and g ^ swap not in index:
+                    break
+            else:
+                variables[j] = i
+                swaps.append(swap)
+                break
+    gens = list(range(len(masks)))
+    for swap in swaps:
+        for k, g in enumerate(masks):
+            if (g & swap).bit_count() == 1:
+                _join(gens, k, index[g ^ swap])
+    for k in range(len(gens)):  # a root is never above its members
+        gens[k] = gens[gens[k]]
+    return tuple(variables), tuple(gens)
+
+
+def _root(roots, k):
+    """The root of k in a union-find list, halving the path on the way."""
+    while roots[k] != k:
+        roots[k] = roots[roots[k]]
+        k = roots[k]
+    return k
+
+
+def _join(roots, a, b):
+    """Merge the classes of a and b; the smaller root becomes the root of both."""
+    a, b = _root(roots, a), _root(roots, b)
+    if a != b:
+        roots[max(a, b)] = min(a, b)
 
 
 @dataclass(frozen=True)

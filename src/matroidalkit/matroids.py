@@ -7,11 +7,14 @@ then generator supports form the bases of a matroid.
 
 is_polymatroidal computes one certificate per ideal object and keeps it in
 the ideal's memo. Square-free input runs on generator bitmasks through one
-kernel, _exchange_failure, which enumeration shares; other input runs on
-exponent tuples. Both routes report the first failure with u, then v, in
-generator order and the variable index ascending. Enumeration over all
-collections of square-free degree-d monomials runs on packed bitmasks; the
-survivors are rebuilt as ideals through the ordinary constructors.
+kernel, _exchange_failure, which enumeration shares. When there are more
+generators than variable pairs, the check scans one u per orbit of the
+variable swaps that fix the ideal; enumeration scans every u. Other input
+runs on exponent tuples. Both routes report the first failure with u,
+then v, in generator order and the variable index ascending. Enumeration
+over all collections of square-free degree-d monomials runs on packed
+bitmasks; the survivors are rebuilt as ideals through the ordinary
+constructors.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DomainError
-from .ideals import Monomial, MonomialIdeal, make_ideal, squarefree_monomials
+from .ideals import (Monomial, MonomialIdeal, _swap_orbits, _variable_count, make_ideal,
+                     squarefree_monomials)
 
 NOT_SINGLE_DEGREE = "not_single_degree"
 NO_EXCHANGE_INDEX = "no_exchange_index"
@@ -63,6 +67,16 @@ def is_polymatroidal(ideal):
     visit u, then v, in generator order and the index i in ascending
     order, so failure_witness is the first failing (u, v, i) in that
     order whichever route ran.
+
+    When the generators outnumber the variable pairs, the mask route
+    takes as u only the first generator of each orbit of the variable
+    swaps that fix the ideal (ideals._swap_orbits); v and i still range
+    over everything. Such a swap sigma maps a failing (u, v, i) to a
+    failing (sigma u, sigma v, sigma i), so if any u fails its orbit's
+    first generator does, and that root comes before the rest of its
+    orbit in generator order. The first failure of the full scan
+    therefore has a root as u, and within a row the order is the same,
+    so the witness is the one the full scan reports.
     """
     if ideal.is_zero:
         raise DomainError("exchange property undefined for the zero ideal")
@@ -73,7 +87,14 @@ def _exchange_certificate(ideal):
     if ideal.degree is None:
         return ExchangeCertificate(holds=False, reason=NOT_SINGLE_DEGREE)
     if ideal.is_squarefree:
-        failure = _exchange_failure(ideal.masks)
+        masks, rows = ideal.masks, None
+        # the swap scan tests at most C(n, 2) variable pairs, and can pay
+        # only when there are more rows to skip; most small collections
+        # fail in their first rows anyway
+        if len(masks) > ideal.n * (ideal.n - 1) // 2:
+            _, roots = _swap_orbits(ideal)
+            rows = [a for a, r in enumerate(roots) if a == r]
+        failure = _exchange_failure(masks, rows)
         if failure is None:
             return ExchangeCertificate(holds=True)
         a, b, e = failure
@@ -107,10 +128,11 @@ def _tuple_exchange_failure(ideal):
     return None
 
 
-def _exchange_failure(masks):
+def _exchange_failure(masks, rows=None):
     """First failing (a, b, e) of basis exchange on distinct equal-size masks.
 
-    a and b index masks, and e is the one-bit mask of a variable in
+    a and b index masks, a taken from rows (ascending indices; every
+    index by default), and e is the one-bit mask of a variable in
     masks[a] but not in masks[b] such that no f in masks[b] outside
     masks[a] makes masks[a] - e + f a member; None when every pair
     exchanges. allowed maps e to the f's for which u - e + f is a member,
@@ -122,7 +144,8 @@ def _exchange_failure(masks):
     union = 0
     for m in masks:
         union |= m
-    for a, u in enumerate(masks):
+    for a in range(len(masks)) if rows is None else rows:
+        u = masks[a]
         outside = union & ~u
         allowed = {}
         for b, v in enumerate(masks):
@@ -152,16 +175,18 @@ def is_matroidal(ideal):
 
 
 def squarefree_veronese(n, d):
-    """Ideal of all square-free degree-d monomials in n variables."""
-    if not 1 <= d <= n:
-        raise DomainError(f"square-free Veronese needs 1 <= d <= n, got d={d}, n={n}")
+    """Ideal of all square-free degree-d monomials in n variables; n and d plain ints."""
+    _variable_count(n)
+    if type(d) is not int or not 1 <= d <= n:
+        raise DomainError(f"square-free Veronese needs an int d, 1 <= d <= n, got d={d!r}, n={n}")
     return make_ideal(n, squarefree_monomials(n, d))
 
 
 def veronese(n, d):
-    """The d-th power of the maximal ideal: all degree-d monomials."""
-    if d < 1:
-        raise DomainError(f"Veronese degree must be positive, got {d}")
+    """The d-th power of the maximal ideal: all degree-d monomials; n and d plain ints."""
+    _variable_count(n)
+    if type(d) is not int or d < 1:
+        raise DomainError(f"Veronese degree must be a positive int, got {d!r}")
     gens = []
     for combo in itertools.combinations_with_replacement(range(1, n + 1), d):
         exps = [0] * n

@@ -30,6 +30,16 @@ def fresh_enumeration_cache(monkeypatch):
 
 
 @pytest.fixture
+def corpus_shapes():
+    """Block sizes of the transversals and (n, d) of the square-free Veronese
+    ideals in the benchmark's analyze corpus."""
+    transversals = [(3, 4), (2, 2, 3), (1, 2, 2, 2), (4, 4), (2, 3, 3), (2, 2, 4), (1, 3, 4),
+                    (2, 2, 2, 2), (4, 5), (3, 6), (3, 3, 3), (1, 1, 2, 4), (2, 3, 4), (5, 5),
+                    (3, 3, 4)]
+    return transversals, [(7, 3), (7, 4), (8, 3), (8, 5), (9, 4)]
+
+
+@pytest.fixture
 def two_blocks_n4():
     return transversal(4, [{1, 2}, {3, 4}])
 

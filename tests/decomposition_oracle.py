@@ -24,11 +24,14 @@ its vertices, and filters out the non-minimal covers at the end.
 rebuilding_covers is the minimal-cover search of decomposition as first
 written, before each private-edge list carried the union of its edges:
 the same search, which rebuilds every list at every node.
+
+colon_facts is criteria_check's colon loop as first written: one colon
+and one cover search per variable, with no use of symmetry.
 """
 
 from __future__ import annotations
 
-from matroidalkit import Monomial, MonomialIdeal
+from matroidalkit import Monomial, MonomialIdeal, associated_primes
 from matroidalkit import decomposition
 from matroidalkit.errors import BudgetExceeded
 
@@ -157,3 +160,12 @@ def rebuilding_covers(edges, tops=None):
 
     search(0, [], edges, 0)
     return tuple(found), decomposition.CoverStats(leaves_kept=len(found), **counts)
+
+
+def colon_facts(ideal):
+    """(i, height, unmixed) of I : x_i for every variable x_i, in order."""
+    facts = []
+    for i in range(1, ideal.n + 1):
+        dec = associated_primes(ideal.colon(Monomial.variable(ideal.n, i)))
+        facts.append((i, dec.height, dec.is_unmixed))
+    return tuple(facts)

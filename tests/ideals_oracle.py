@@ -6,9 +6,15 @@ squarefree_members is the original scan: it builds every square-free
 monomial of the degree and asks the ideal whether it contains it.
 colon is the original tuple route, which MonomialIdeal.colon still takes
 on ideals that are not square-free.
+swap_orbits finds the orbits of the variable swaps that fix an ideal by
+brute force: it tests every pair, skipping none, takes the connected
+components of the fixing swaps for the variables, and closes each
+generator under all of them.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from matroidalkit import make_ideal, squarefree_monomials
 
@@ -34,3 +40,40 @@ def colon(ideal, u):
     if ideal.is_zero:
         return ideal
     return make_ideal(ideal.n, [g / g.gcd(u) for g in ideal.gens])
+
+
+def _swapped(ev, i, j):
+    out = list(ev)
+    out[i], out[j] = ev[j], ev[i]
+    return tuple(out)
+
+
+def _closure(start, step):
+    """Everything reachable from start, where step(x) lists x's neighbours."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        for y in step(frontier.pop()):
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def swap_orbits(ideal):
+    """Least 0-based variable of each variable's orbit, and first generator of each generator's.
+
+    The group is generated by every swap (i j) that maps the generator
+    exponent vectors onto themselves.
+    """
+    gens = [g.exponents for g in ideal.gens]
+    fixing = [(i, j) for i, j in itertools.combinations(range(ideal.n), 2)
+              if {_swapped(ev, i, j) for ev in gens} == set(gens)]
+    variables = tuple(
+        min(_closure(k, lambda a: [j for i, j in fixing if i == a]
+                     + [i for i, j in fixing if j == a]))
+        for k in range(ideal.n))
+    position = {ev: k for k, ev in enumerate(gens)}
+    roots = tuple(min(position[e] for e in
+                      _closure(ev, lambda e: [_swapped(e, i, j) for i, j in fixing]))
+                  for ev in gens)
+    return variables, roots

@@ -526,6 +526,42 @@ class TestCriteria:
         assert report.block_count is None and report.c1_identity is None
         assert report.t2_condition == report.is_unmixed
 
+    def test_colon_facts_match_the_per_variable_loop_on_the_census(self):
+        for n in range(2, 7):
+            for d in range(2, n + 1):
+                for ideal in enumerate_matroidal(n, d):
+                    assert criteria_check(ideal).colon_facts == \
+                        decomposition_oracle.colon_facts(ideal), ideal
+
+    def test_colon_facts_match_the_per_variable_loop_on_corpus_shapes(self, corpus_shapes):
+        rng = random.Random(20)
+        shapes, veronese_shapes = corpus_shapes
+        ideals = [squarefree_veronese(n, d) for n, d in veronese_shapes]
+        for sizes in shapes:
+            n = sum(sizes)
+            order = rng.sample(range(1, n + 1), n)
+            ends = list(itertools.accumulate(sizes))
+            ideals.append(transversal(n, [order[end - size:end]
+                                          for size, end in zip(sizes, ends)]))
+        for ideal in ideals:
+            assert criteria_check(ideal).colon_facts == \
+                decomposition_oracle.colon_facts(ideal), ideal
+
+    def test_one_colon_per_variable_orbit(self, monkeypatch):
+        calls = []
+        colon = MonomialIdeal.colon
+
+        def counting(ideal, u):
+            calls.append(u)
+            return colon(ideal, u)
+        monkeypatch.setattr(MonomialIdeal, "colon", counting)
+        criteria_check(squarefree_veronese(9, 4))
+        assert len(calls) == 1
+        calls.clear()
+        # K_{3,3,4}: each block is one orbit; no swap exchanges the two 3-blocks
+        criteria_check(transversal(10, [{1, 2, 3}, {4, 5, 6}, {7, 8, 9, 10}]))
+        assert [u.support for u in calls] == [{1}, {4}, {7}]
+
     def test_preconditions(self, squared_pivot_n3):
         with pytest.raises(DomainError):
             criteria_check(squared_pivot_n3)  # not squarefree

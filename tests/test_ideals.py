@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from matroidalkit import (Monomial, MonomialIdeal, Polynomial, StructuralError,
                           associated_primes, is_matroidal, is_polymatroidal,
-                          make_ideal, pd_depth, squarefree_monomials, transversal)
+                          make_ideal, pd_depth, squarefree_monomials, squarefree_veronese,
+                          transversal, veronese)
 from matroidalkit import ideals as ideals_module
 from matroidalkit.ideals import _minimalize
 from matroidalkit.matroids import enumerate_matroidal
@@ -69,8 +70,12 @@ class TestMonomial:
         MonomialIdeal.maximal,
         lambda n: MonomialIdeal.from_supports(n, [{1}]),
         MonomialIdeal.unit,
+        lambda n: squarefree_monomials(n, 1),
+        lambda n: squarefree_veronese(n, 1),
+        lambda n: veronese(n, 1),
     ], ids=["one", "variable", "from_support", "from_bitmask_0", "from_bitmask_1",
-            "maximal", "from_supports", "unit"])
+            "maximal", "from_supports", "unit", "squarefree_monomials",
+            "squarefree_veronese", "veronese"])
     def test_variable_count_must_be_a_plain_int(self, build, bad):
         with pytest.raises(StructuralError, match=re.escape(f"n={bad!r}")):
             build(bad)
@@ -374,6 +379,64 @@ def census(max_n=6):
     """Every full-support matroidal ideal with n <= max_n."""
     return [ideal for n in range(1, max_n + 1) for d in range(1, n + 1)
             for ideal in enumerate_matroidal(n, d, True)]
+
+
+def relabeled(ideal, perm):
+    """The ideal with x_k renamed x_perm[k-1]."""
+    return make_ideal(ideal.n, [tuple(g.exponents[perm.index(k)] for k in range(1, ideal.n + 1))
+                                for g in ideal.gens])
+
+
+class TestSwapOrbits:
+    """ideals._swap_orbits against the brute-force oracle, which skips no pair."""
+
+    def test_census(self):
+        # the census holds every relabeling of each of its ideals
+        for ideal in census():
+            assert ideals_module._swap_orbits(ideal) == ideals_oracle.swap_orbits(ideal), ideal
+
+    def test_transversal_and_veronese_shapes(self, corpus_shapes):
+        rng = random.Random(20)
+        shapes, veronese_shapes = corpus_shapes
+        for sizes in shapes:
+            n = sum(sizes)
+            ends = list(itertools.accumulate(sizes))
+            blocks = [set(range(end - size + 1, end + 1)) for size, end in zip(sizes, ends)]
+            ideal = transversal(n, blocks)
+            variables, roots = ideals_module._swap_orbits(ideal)
+            # each block is one orbit, the one-variable blocks together form
+            # one, and the generators form one orbit
+            single = next((end - 1 for size, end in zip(sizes, ends) if size == 1), None)
+            assert variables == tuple(single if size == 1 else end - size
+                                      for size, end in zip(sizes, ends) for _ in range(size))
+            assert set(roots) == {0}
+            moved = relabeled(ideal, rng.sample(range(1, n + 1), n))
+            assert ideals_module._swap_orbits(moved) == ideals_oracle.swap_orbits(moved), sizes
+        for n, d in veronese_shapes + [(5, 1), (5, 5)]:
+            ideal = squarefree_veronese(n, d)
+            assert ideals_module._swap_orbits(ideal) == ((0,) * n, (0,) * ideal.mu)
+
+    def test_random_mask_families(self):
+        rng = random.Random(21)
+        trivial = 0
+        for _ in range(600):
+            n = rng.randint(1, 8)
+            ideal = MonomialIdeal.from_supports(
+                n, [rng.sample(range(1, n + 1), rng.randint(1, n))
+                    for _ in range(rng.randint(1, 8))])
+            orbits = ideals_module._swap_orbits(ideal)
+            assert orbits == ideals_oracle.swap_orbits(ideal), ideal
+            trivial += orbits[1] == tuple(range(ideal.mu))
+        assert 100 < trivial < 600  # asymmetric families and symmetric ones
+
+    def test_kept_in_the_memo_outside_the_fields(self):
+        ideal = transversal(5, [{1, 2}, {3, 4, 5}])
+        before = (hash(ideal), repr(ideal))
+        first = ideals_module._swap_orbits(ideal)
+        assert ideals_module._swap_orbits(ideal) is first
+        assert first == ((0, 0, 2, 2, 2), (0,) * 6)
+        assert (hash(ideal), repr(ideal)) == before
+        assert ideal == transversal(5, [{1, 2}, {3, 4, 5}])
 
 
 def colon_probes(n):

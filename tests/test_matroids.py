@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 import time
 
 import pytest
@@ -12,6 +13,7 @@ from matroidalkit import (DomainError, MonomialIdeal, is_matroidal,
                           is_polymatroidal, is_squarefree_veronese, make_ideal,
                           matroids, squarefree_monomials, squarefree_veronese,
                           transversal, veronese)
+from matroidalkit.ideals import _swap_orbits, mask_to_support
 from matroidalkit.matroids import (ENUMERATION_MAX_LAYER, ENUMERATION_MAX_N,
                                    NO_EXCHANGE_INDEX, NOT_SINGLE_DEGREE,
                                    dedupe_up_to_relabeling, enumerate_matroidal)
@@ -97,6 +99,12 @@ class TestFamilies:
             for d in range(1, n + 1):
                 assert is_matroidal(squarefree_veronese(n, d))
                 assert is_polymatroidal(veronese(n, d)).holds
+
+    @pytest.mark.parametrize("build", [squarefree_veronese, veronese])
+    @pytest.mark.parametrize("bad", [True, 2.0, 1.5, "2", 0, -1], ids=repr)
+    def test_degree_must_be_a_positive_int(self, build, bad):
+        with pytest.raises(DomainError, match=re.escape(f"{bad!r}")):
+            build(3, bad)
 
     def test_is_squarefree_veronese_rejects_others(self, two_blocks_n4):
         assert not is_squarefree_veronese(two_blocks_n4)
@@ -293,6 +301,85 @@ class TestMaskRouteAgainstOracle:
                 for flag in (True, False):
                     assert enumerate_matroidal(n, d, flag) == \
                         matroids_oracle.enumerate_matroidal(n, d, flag), (n, d, flag)
+
+
+def symmetric_family(rng, n):
+    """A random layer family closed under the swaps inside random blocks of variables."""
+    d = rng.randint(1, n - 1)
+    layer = [m.bitmask() for m in squarefree_monomials(n, d)]
+    family = set(rng.sample(layer, rng.randint(1, min(len(layer), 12))))
+    order = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+    blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    swaps = [1 << i | 1 << j for block in blocks for i, j in itertools.combinations(block, 2)]
+    frontier = list(family)
+    while frontier:
+        m = frontier.pop()
+        for swap in swaps:
+            image = m ^ swap if (m & swap).bit_count() == 1 else m
+            if image not in family:
+                family.add(image)
+                frontier.append(image)
+    return MonomialIdeal.from_supports(n, map(mask_to_support, family))
+
+
+def all_triples_but_123_and_124():
+    return MonomialIdeal.from_supports(6, [c for c in itertools.combinations(range(1, 7), 3)
+                                           if c not in {(1, 2, 3), (1, 2, 4)}])
+
+
+class TestRootRows:
+    """Root rows against the full scan, which is their oracle; the exchange check
+    scans root rows only when the generators outnumber the variable pairs."""
+
+    def test_root_rows_give_the_full_scan_failure(self):
+        rng = random.Random(20)
+        symmetric_failures = gated = 0
+        for k in range(3000):
+            if k % 2:
+                n = rng.randint(4, 9)
+                ideal = symmetric_family(rng, n)
+            else:
+                n = rng.randint(2, 8)
+                ideal = random_squarefree(rng, n)
+            if ideal.degree is None:
+                continue
+            _, roots = _swap_orbits(ideal)
+            rows = [a for a, r in enumerate(roots) if a == r]
+            full = matroids._exchange_failure(ideal.masks)
+            assert matroids._exchange_failure(ideal.masks, rows) == full, ideal
+            assert_matches_oracle(ideal)
+            symmetric_failures += full is not None and len(rows) < ideal.mu
+            # the exchange check itself scans root rows only past the gate
+            gated += full is not None and ideal.mu > math.comb(n, 2) and len(rows) < ideal.mu
+        assert symmetric_failures > 250 and gated > 30
+
+    def test_symmetric_failure_keeps_its_witness(self):
+        # fixed by (1 2), (3 4) and (5 6): 18 generators in 6 orbits, and
+        # 18 > C(6, 2), so the check scans roots only
+        ideal = all_triples_but_123_and_124()
+        assert _swap_orbits(ideal) == ((0, 0, 2, 2, 4, 4), (0, 0, 2, 3, 3, 3, 3, 7, 2, 3, 3, 3,
+                                                             3, 7, 14, 14, 16, 16))
+        assert_matches_oracle(ideal)
+        u, v, i = is_polymatroidal(ideal).failure_witness
+        assert (str(u), str(v), i) == ("x1*x2*x5", "x1*x3*x4", 5)
+
+    def test_root_rows_only_past_the_gate(self, monkeypatch):
+        calls = []
+        full_scan = matroids._exchange_failure
+
+        def recording(masks, rows=None):
+            calls.append(rows)
+            return full_scan(masks, rows)
+        monkeypatch.setattr(matroids, "_exchange_failure", recording)
+        assert is_matroidal(squarefree_veronese(9, 4))  # 126 generators > C(9, 2)
+        assert not is_matroidal(all_triples_but_123_and_124())
+        # K_{3,3,4}: 36 generators, not more than C(10, 2) = 45
+        assert is_matroidal(transversal(10, [{1, 2, 3}, {4, 5, 6}, {7, 8, 9, 10}]))
+        assert calls == [[0], [0, 2, 3, 7, 14, 16], None]
+        # enumeration keeps the full scan
+        matroids._enumerate_matroidal.__wrapped__(4, 2)
+        assert calls[3:] and all(rows is None for rows in calls[3:])
 
 
 class TestMemo:

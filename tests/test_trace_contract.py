@@ -5,12 +5,13 @@ the package binds it, and refuses to install when one is missing, renamed
 or held by another module as a stale copy. Installing it here makes such a
 change fail the test suite rather than a traced benchmark run. Traced
 certify and analyze runs then check the call paths the traced benchmark
-counts on, that five small ops reach every function a workload must
-record a call on, and that tracing leaves every report as it was.
+counts on, that six small ops reach every function a workload must
+record a call on (a fully symmetric one included), and that tracing leaves every report as it was.
 """
 
 import importlib
 import io
+import itertools
 import sys
 from pathlib import Path
 
@@ -21,6 +22,9 @@ from matroidalkit.cli import main
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 K23 = "n=5; x1*x3, x1*x4, x1*x5, x2*x3, x2*x4, x2*x5"
+# every variable lies in one swap orbit: criteria_check takes one colon
+V53 = "n=5; " + ", ".join("*".join(f"x{i}" for i in c)
+                          for c in itertools.combinations(range(1, 6), 3))
 BLOCK_POWER = "n=5; " + ", ".join(f"{a}*x{c}" for a in ("x1^2", "x1*x2", "x2^2")
                                   for c in (3, 4, 5))
 
@@ -101,12 +105,14 @@ def test_small_ops_reach_every_expected_name(tracer_module, capsys, monkeypatch)
     analyze = ["analyze", "--json", "--no-certify", "--field"]
     ops = {"certify": [(certify + ["q", "-"], K23), (certify + ["gf:32003", "-"], K23)],
            "analyze": [(analyze + ["q", "-"], K23), (analyze + ["gf:2", "-"], K23),
-                       (analyze + ["q", "-"], BLOCK_POWER)]}
+                       (analyze + ["q", "-"], BLOCK_POWER), (analyze + ["q", "-"], V53)]}
     for workload, runs in ops.items():
         called = set()
         for argv, stdin in runs:
             (code, _), spans = traced_run(tracer_module, argv, stdin, capsys, monkeypatch)
             assert code == 0, argv
             called.update(name for name, _ in spans)
+            if stdin == V53:
+                assert "ideals.MonomialIdeal.colon" in {name for name, _ in spans}
         called |= {name.removesuffix(".q").removesuffix(".gf") for name in called}
         assert sorted(set(expected[workload]) - called) == [], workload

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 
 from .checks import run_all
 from .decomposition import associated_primes, criteria_check, partition_degree2
@@ -269,6 +270,57 @@ def _render_text(command, payload, out):
         _print_block(title, block, out)
 
 
+def _json_text(payload):
+    """json.dumps(payload, indent=2), byte for byte.
+
+    With an indent, json.dumps runs the pure-Python encoder. This writer
+    recurses over dicts and lists itself, encodes strings with the C
+    string encoder, writes ints, bools and None itself and each flat list
+    of ints or of strs in one join, and hands every other value to
+    json.dumps.
+    """
+    chunks = []
+    _write_json(payload, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _write_json(value, newline, write):
+    """Write value's text; newline is a line break and the current indentation."""
+    kind = type(value)
+    inner = newline + "  "
+    if kind is str:
+        write(encode_basestring_ascii(value))
+    elif kind is int:
+        write(str(value))
+    elif kind is bool or value is None:
+        write("null" if value is None else "true" if value else "false")
+    elif (kind is dict or kind is list) and not value:
+        write("{}" if kind is dict else "[]")
+    elif kind is dict and all(type(key) is str for key in value):
+        lead = "{" + inner
+        for key, item in value.items():
+            write(lead + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, write)
+            lead = "," + inner
+        write(newline + "}")
+    elif kind is list:
+        if all(type(item) is int for item in value):
+            write("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+        elif all(type(item) is str for item in value):
+            write("[" + inner + ("," + inner).join(map(encode_basestring_ascii, value))
+                  + newline + "]")
+        else:
+            lead = "[" + inner
+            for item in value:
+                write(lead)
+                _write_json(item, inner, write)
+                lead = "," + inner
+            write(newline + "]")
+    else:
+        # json.dumps indents from column 0, and its strings hold no raw line break
+        write(json.dumps(value, indent=2).replace("\n", newline))
+
+
 def _parse_field(value):
     if value == "q":
         return None
@@ -378,7 +430,7 @@ def main(argv=None):
         return 2
     try:
         if args.as_json:
-            print(json.dumps(payload, indent=2))
+            print(_json_text(payload))
         else:
             _render_text(args.command, payload, sys.stdout)
         sys.stdout.flush()

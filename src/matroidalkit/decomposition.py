@@ -314,8 +314,13 @@ def partition_degree2(ideal):
 
     Two variables share a block exactly when their product stays out of
     the ideal. The relation is an equivalence for matroidal input; that,
-    and the block laws themselves, are re-verified before returning.
+    and the block laws themselves, are re-verified before returning. The
+    (frozen) partition is kept in the ideal's memo; a refusal is not.
     """
+    return ideal._memo("_partition", _partition)
+
+
+def _partition(ideal):
     _require_matroidal(ideal, degree=2)
     n = ideal.n
     out_of = lambda i, j: not ideal.contains(

@@ -10,8 +10,8 @@ Together with the projective-dimension lower bound this pins the
 arithmetical rank of a matroidal ideal at exactly n-d+1.
 
 The witness holds its layers as generator masks (ideals.support_to_mask),
-read off the ideal's own square-free member scan. Its Monomial layers and
-Polynomial sums are views built on first use; SVWitness.text() prints
+read off the ideal's own square-free member listing. Its Monomial layers
+and Polynomial sums are views built on first use; SVWitness.text() prints
 both straight from the masks, which is all a report needs.
 """
 
@@ -21,15 +21,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DomainError, TheoremViolationError
+from .errors import BudgetExceeded, DomainError, TheoremViolationError
 from .homology import pd_depth
-from .ideals import Monomial
+from .ideals import Monomial, _candidate_count
 from .groebner import Polynomial
 from .matroids import is_matroidal
 
 CONDITION_UNION = "union_covers_ideal"
 CONDITION_SINGLETON = "first_layer_singleton"
 CONDITION_PRODUCTS = "pair_products_absorbed"
+
+# square-free candidates the layers may test, sum_{k=d..n} C(n, k); every
+# n <= 20 fits, K_{10,10} with 2^20 - 21 of them included
+MEMBER_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -65,17 +69,29 @@ class SVWitness:
     def text(self):
         """The sums and the layers as text: str(q_j) and str(m) for each layer.
 
-        A mask's text is made once for both. On square-free monomials of one
-        degree, descending degrevlex is ascending order of the masks, so a
-        sum lists its layer sorted by mask.
+        A mask's text is made once for both. Each 8-bit slice of the mask
+        has a name table, built on each call: entry b names the slice's
+        variables on the bits of b, and the nonempty slice texts are joined
+        with "*". On square-free monomials of one degree, descending
+        degrevlex is ascending order of the masks, so a sum lists its layer
+        sorted by mask.
         """
-        names = [f"x{k}" for k in range(1, self.n + 1)]
+        tables = []
+        for low in range(0, self.n, 8):
+            table = [""]
+            for k in range(low + 1, min(low + 8, self.n) + 1):
+                table += [t + f"*x{k}" if t else f"x{k}" for t in table]
+            tables.append((low, table))
+        (_, first), rest = tables[0], tables[1:]
         sums, layers = [], []
         for layer in self.masks:
-            texts = ["*".join([names[k] for k in range(m.bit_length()) if m >> k & 1])
-                     for m in layer]
+            texts = [first[m & 255] for m in layer]
+            for low, table in rest:
+                texts = [a + "*" + b if a and b else a or b
+                         for a, b in zip(texts, [table[m >> low & 255] for m in layer])]
             layers.append(texts)
-            sums.append(" + ".join([t for _, t in sorted(zip(layer, texts))]))
+            order = sorted(range(len(layer)), key=layer.__getitem__)
+            sums.append(" + ".join([texts[k] for k in order]))
         return sums, layers
 
 
@@ -98,6 +114,11 @@ def build_sv_witness(ideal):
     lone full product, and for matroidal input the resulting bounds must
     meet; each of those is a proved fact, so failure raises rather than
     returning a defective witness.
+
+    The lower bound comes first: pd_depth's limits refuse an oversized
+    ideal before any layer is listed, and so a BudgetExceeded from it wins
+    over a failed layer check. Then the sum_{k=d..n} C(n, k) candidates
+    the layers test are held against MEMBER_BUDGET.
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("witness needs a proper nonzero ideal")
@@ -111,6 +132,12 @@ def build_sv_witness(ideal):
     if d < 2:
         raise DomainError("degree-1 input uses the plain variable witness; see ara_report")
     r = n - d
+    lower = pd_depth(ideal).pd
+    candidates = _candidate_count(n, d)
+    if candidates > MEMBER_BUDGET:
+        raise BudgetExceeded("rank", f"the layers test {candidates} square-free candidates "
+                             f"(sum of C({n}, k) for k = {d}..{n})", "MEMBER_BUDGET",
+                             MEMBER_BUDGET)
     layers = []
     for j in range(r + 1):
         layer = ideal._squarefree_member_masks(n - j)
@@ -120,7 +147,6 @@ def build_sv_witness(ideal):
         layers.append(layer)
     if layers[0] != ((1 << n) - 1,):
         raise TheoremViolationError(f"top layer of {ideal} is not the full product")
-    lower = pd_depth(ideal).pd
     upper = r + 1
     exact = lower == upper
     if is_matroidal(ideal) and not exact:

@@ -1,8 +1,10 @@
-"""Slow oracle for the layered-sum conditions.
+"""Slow oracles for the layered-sum conditions and the witness text.
 
 verify_sv_conditions is the original check: condition (c) multiplies the
 two Monomials of every pair and asks each earlier-layer Monomial whether it
 divides the product.
+text is the original SVWitness.text(): it names each mask by a loop over
+its bits.
 """
 
 from __future__ import annotations
@@ -34,3 +36,15 @@ def verify_sv_conditions(layers, ideal):
                 if not any(q.divides(product) for q in earlier):
                     return SVConditionReport(False, CONDITION_PRODUCTS, (i, p, pp))
     return SVConditionReport(True)
+
+
+def text(witness):
+    """The sums and the layers as text, each mask named bit by bit."""
+    names = [f"x{k}" for k in range(1, witness.n + 1)]
+    sums, layers = [], []
+    for layer in witness.masks:
+        texts = ["*".join([names[k] for k in range(m.bit_length()) if m >> k & 1])
+                 for m in layer]
+        layers.append(texts)
+        sums.append(" + ".join([t for _, t in sorted(zip(layer, texts))]))
+    return sums, layers

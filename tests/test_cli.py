@@ -1,11 +1,13 @@
 """Parsing grammar, command dispatch, report contents, exit codes."""
 
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -331,6 +333,50 @@ class TestEdges:
             os.close(write_end)
         assert done.returncode == 1
         assert done.stderr == b""
+
+
+# each is written by cli._json_text to the bytes of json.dumps(payload, indent=2)
+EDGE_PAYLOADS = [
+    {}, [], {"a": {}}, {"a": []}, [[]], [{}], [[], {}, [[]], [{}]], {"a": {"b": {"c": {}}}},
+    [1, True, 2], [True], [False, 0], [True, False, None], [0, None, 1], [1, 2.5], ["a", 1],
+    ["a", None], ["a", True], "é ü ☃ 𝄞", ["é", "\u2028", "𝄞"], {"ключ": "значение"},
+    "\x00\x01\n\t\"\\\x7f\x1f/", ["\n", "\r\n", ""], [10 ** 40, -10 ** 40, 0, -1],
+    10 ** 100, None, True, False, 0, 1.5, -0.0, "", [float("inf"), float("nan")],
+    {"é\n": [1, 2], "": "", "x": None}, {"k": (1, "a")}, (1, 2), [(), ("a",)],
+    {1: "int key", None: 2, True: 3}, {"outer": [{"variable": 1, "is_unmixed": True}]},
+    [[1, 2], ["a", "b"], [], {}, [[1], ["b"]]],
+]
+
+
+def checked_json(monkeypatch):
+    """Route main's --json output through a check against json.dumps; returns its texts."""
+    written = []
+    write = cli._json_text
+
+    def checked(payload):
+        text = write(payload)
+        assert text == json.dumps(payload, indent=2)
+        written.append(text)
+        return text
+    monkeypatch.setattr(cli, "_json_text", checked)
+    return written
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("payload", EDGE_PAYLOADS, ids=range(len(EDGE_PAYLOADS)))
+    def test_edge_payloads(self, payload):
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize("workload", ["analyze", "certify"])
+    def test_benchmark_corpus_payloads(self, workload, capsys, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        corpus = importlib.import_module("workloads").CORPORA[workload](1)
+        written = checked_json(monkeypatch)
+        for op in corpus.ops:
+            monkeypatch.setattr("sys.stdin", io.StringIO(op.stdin))
+            assert main(list(op.argv)) == 0
+            assert capsys.readouterr().out == written[-1] + "\n"
+        assert len(written) == len(corpus.ops) > 20
 
 
 def run_python(*args, stdin=""):

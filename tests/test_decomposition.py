@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import itertools
 import random
 import time
@@ -19,6 +20,7 @@ from matroidalkit.decomposition import (MATROIDAL, POWER_OF_M, CoverStats, _mini
                                         _polarize)
 
 import decomposition_oracle
+from matroidalkit.cli import main
 from matroidalkit.ideals import mask_to_support, support_to_mask
 from matroidalkit.matroids import enumerate_matroidal
 
@@ -477,6 +479,28 @@ class TestPartition:
             partition_degree2(make_ideal(4, [(1, 1, 0, 0), (0, 0, 1, 1)]))
         with pytest.raises(DomainError):
             partition_degree2(make_ideal(3, [(1, 1, 0)]))  # not full support
+
+    def test_block_law_scan_runs_once_per_ideal(self, monkeypatch, capsys):
+        scans = []
+        scan = decomposition._partition
+        monkeypatch.setattr(decomposition, "_partition",
+                            lambda ideal: scans.append(ideal) or scan(ideal))
+        ideal = transversal(5, [{1, 2}, {3, 4, 5}])
+        partition = partition_degree2(ideal)
+        assert criteria_check(ideal).block_count == partition.m
+        assert partition_degree2(ideal) is partition and scans == [ideal]
+        # analyze's partition and criteria sections share one scan
+        scans.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO("n=4; x1*x3, x1*x4, x2*x3, x2*x4"))
+        assert main(["analyze", "--no-certify"]) == 0
+        assert "  m: 2\n" in capsys.readouterr().out and len(scans) == 1
+
+    def test_a_refusal_is_not_kept(self):
+        ideal = make_ideal(4, [(1, 1, 0, 0), (0, 0, 1, 1)])
+        for _ in range(2):
+            with pytest.raises(DomainError, match="matroidal ideal required"):
+                partition_degree2(ideal)
+        assert "_partition" not in vars(ideal)
 
     def test_partition_type_validation(self):
         with pytest.raises(StructuralError):

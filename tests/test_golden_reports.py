@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from matroidalkit import cli
 from matroidalkit.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
@@ -50,6 +51,13 @@ RANDOM_10 = ("n=10; x1*x4*x9, x1*x4*x10, x1*x7*x8, x1*x7*x9, x2*x3*x5, x2*x3*x8,
              "x2*x5*x9, x2*x9*x10, x3*x6*x8, x3*x6*x10, x3*x7*x10, x3*x8*x9, "
              "x3*x8*x10, x4*x7*x10, x5*x6*x7, x5*x6*x8, x5*x7*x10, x5*x8*x9, "
              "x6*x7*x9, x8*x9*x10")
+# K_{16,16}: pd_depth's LINEAR_QUOTIENT_BUDGET skips homology and rank
+# before any layer is listed
+K16_16 = "n=32; " + ", ".join(f"x{a}*x{b}" for a in range(1, 17) for b in range(17, 33))
+# (x1, ..., x11) * x12 * ... * x40: pd 11, but its layers would test
+# 1,221,246,132 candidates, over MEMBER_BUDGET
+TAIL_40 = "n=40; " + ", ".join(f"x{i}*" + "*".join(f"x{k}" for k in range(12, 41))
+                               for i in range(1, 12))
 
 # name: (argv, stdin)
 CASES = {
@@ -69,6 +77,8 @@ CASES = {
     "analyze_rp2_gf2_text": (["analyze", "--no-certify", "--field", "gf:2", "-"], RP2),
     "analyze_rp2_q_text": (["analyze", "--no-certify", "-"], RP2),
     "analyze_random_10_json": (["analyze", "--json", "--no-certify", "-"], RANDOM_10),
+    "analyze_k16_16_text": (["analyze", "-"], K16_16),
+    "analyze_tail_40_text": (["analyze", "-"], TAIL_40),
     "enumerate_4_2": (["enumerate", "4", "2"], ""),
     "reproduce_paper_4_2": (["reproduce-paper", "--max-n", "4", "--max-d", "2",
                              "--no-certify"], ""),
@@ -89,6 +99,23 @@ def test_report_is_byte_identical(name, capsys, monkeypatch):
     got = run_case(argv, stdin, capsys, monkeypatch)
     assert got["exit"] == expected["exit"]
     assert got["stdout"] == expected["stdout"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_writer_matches_json_dumps(name, capsys, monkeypatch):
+    # every case's payload, written by the CLI's writer and by json.dumps
+    written = []
+    write = cli._json_text
+
+    def checked(payload):
+        written.append(write(payload))
+        assert written[-1] == json.dumps(payload, indent=2)
+        return written[-1]
+    monkeypatch.setattr(cli, "_json_text", checked)
+    argv, stdin = CASES[name]
+    argv = argv if "--json" in argv else [argv[0], "--json", *argv[1:]]
+    run_case(argv, stdin, capsys, monkeypatch)
+    assert len(written) == 1
 
 
 def test_every_case_has_an_expected_report():

@@ -603,6 +603,106 @@ class TestSummaryAndViews:
         assert str(two_blocks_n4) == "(x1*x3, x1*x4, x2*x3, x2*x4)"
 
 
+def member_route(ideal):
+    """"table" or "scan": the route of the ideal's square-free member listing."""
+    table = ideal._memo("_member_table", ideals_module._member_table)[2]
+    return "scan" if table is None else "table"
+
+
+def assert_members_match_oracle(ideal):
+    for degree in range(ideal.n + 1):
+        assert ideal.squarefree_members(degree) == \
+            ideals_oracle.squarefree_members(ideal, degree), (ideal, degree)
+
+
+def random_family(rng):
+    """Mixed-degree generators on n <= 10 variables, square-free or not."""
+    n = rng.randint(1, 10)
+    top = rng.choice((1, 2))
+    return make_ideal(n, [tuple(rng.choice((0, 0, 1, top)) for _ in range(n))
+                          for _ in range(rng.randint(1, 8))])
+
+
+def tail_transversal(n):
+    """(x1, ..., x11) * x12 * ... * xn: 11 generators of degree n - 10."""
+    return MonomialIdeal.from_supports(n, [{i, *range(12, n + 1)} for i in range(1, 12)])
+
+
+class TestMemberTable:
+    """The member listing against the contains scan of ideals_oracle, on both routes."""
+
+    def test_census(self):
+        census = [ideal for n in range(1, 7) for d in range(1, n + 1)
+                  for ideal in enumerate_matroidal(n, d, True)]
+        for ideal in census:
+            assert_members_match_oracle(ideal)
+        assert {member_route(ideal) for ideal in census} == {"table", "scan"}
+
+    def test_corpus_shapes(self, corpus_shapes):
+        transversals, veroneses = corpus_shapes
+        shapes = [transversal(sum(sizes), [set(range(sum(sizes[:k]) + 1, sum(sizes[:k + 1]) + 1))
+                                           for k in range(len(sizes))])
+                  for sizes in transversals]
+        shapes += [squarefree_veronese(n, d) for n, d in veroneses]
+        for ideal in shapes:
+            assert_members_match_oracle(ideal)
+            assert member_route(ideal) == "table"
+
+    def test_random_families_on_both_routes(self, monkeypatch):
+        rng = random.Random(2021)
+        families = [random_family(rng) for _ in range(500)]
+        assert any(not ideal.is_squarefree for ideal in families)
+        assert any(ideal.degree is None for ideal in families)
+        for ideal in families:
+            assert_members_match_oracle(ideal)
+        routes = [member_route(ideal) for ideal in families]
+        assert routes.count("table") > 100 and routes.count("scan") > 50
+        monkeypatch.setattr(ideals_module, "MEMBER_TABLE_MAX_N", 0)
+        for ideal in families:
+            fresh = MonomialIdeal(ideal.n, ideal.gens)
+            assert_members_match_oracle(fresh)
+            assert member_route(fresh) == "scan"
+
+    def test_size_rule(self):
+        # the table is built iff n <= 24 and 2^n <= 4 * candidates * generators
+        ideals = {"table": [transversal(10, [{1, 2, 3, 4, 5}, {6, 7, 8, 9, 10}]),
+                            squarefree_veronese(16, 14), MonomialIdeal.unit(3),
+                            tail_transversal(16)],
+                  "scan": [squarefree_veronese(20, 19), squarefree_veronese(12, 11),
+                           MonomialIdeal.zero(3), make_ideal(3, [(2, 0, 0)]),
+                           tail_transversal(25)]}
+        for route, group in ideals.items():
+            for ideal in group:
+                masks, least, table = ideals_module._member_table(ideal)
+                n = ideal.n
+                candidates = sum(math.comb(n, k) for k in range(least, n + 1))
+                assert (n <= 24 and 2 ** n <= 4 * candidates * len(masks)) == (route == "table")
+                assert member_route(ideal) == route, ideal
+                if table is not None:
+                    assert len(table) == max(1, 2 ** n // 8)
+
+    def test_no_table_past_the_size_rule(self):
+        # n = 25 passes the ratio, but 2^25 bits are over the limit: no table
+        ideal = tail_transversal(25)
+        tracemalloc.start()
+        try:
+            for degree in (24, 25):
+                members = ideal._squarefree_member_masks(degree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert member_route(ideal) == "scan" and members == ((1 << 25) - 1,)
+        assert peak < 2 ** 20
+        # at n = 24 the table is 2 MiB and matches the scan
+        ideal = tail_transversal(24)
+        assert len(ideal._memo("_member_table", ideals_module._member_table)[2]) == 2 ** 21
+        scanned = MonomialIdeal(24, ideal.gens)
+        scanned.__dict__["_member_table"] = (ideal.masks, 14, None)
+        for degree in (22, 23, 24):
+            assert ideal._squarefree_member_masks(degree) == \
+                scanned._squarefree_member_masks(degree)
+
+
 def independent_masks(ideal):
     if any(e > 1 for g in ideal.gens for e in g.exponents):
         return None

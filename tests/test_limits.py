@@ -12,7 +12,7 @@ from matroidalkit import (BudgetExceeded, DomainError, MonomialIdeal, PairBudget
                           dedupe_up_to_relabeling, enumerate_matroidal,
                           irreducible_decomposition, make_ideal, pd_depth,
                           squarefree_veronese, transversal)
-from matroidalkit import decomposition, groebner, homology, matroids
+from matroidalkit import decomposition, groebner, homology, matroids, schmitt_vogel
 from matroidalkit.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -21,6 +21,14 @@ MATCHING_48 = "n=48; " + ", ".join(f"x{2 * i + 1}*x{2 * i + 2}" for i in range(2
 
 def k23():
     return transversal(5, [{1, 2}, {3, 4, 5}])
+
+
+# (x1, ..., x11) * x12 * ... * x40: 11 generators of degree 30 and pd 11,
+# whose layers test sum_{k=30..40} C(40, k) = 1,221,246,132 candidates
+TAIL_40 = "n=40; " + ", ".join(f"x{i}*" + "*".join(f"x{k}" for k in range(12, 41))
+                               for i in range(1, 12))
+# K_{16,16}: its Betti table has 4,294,836,225 entries, and its layers 2^32 - 33 candidates
+K16_16 = "n=32; " + ", ".join(f"x{a}*x{b}" for a in range(1, 17) for b in range(17, 33))
 
 
 def matching(n):
@@ -51,6 +59,9 @@ LIMITS = [
      lambda: pd_depth(MonomialIdeal.from_supports(40, [{1, 2}, {3, 4}]))),
     ("linear-quotient", homology, "LINEAR_QUOTIENT_BUDGET",
      lambda: pd_depth(MonomialIdeal.maximal(21))),
+    ("rank", schmitt_vogel, "MEMBER_BUDGET",
+     lambda: ara_report(MonomialIdeal.from_supports(
+         40, [{i, *range(12, 41)} for i in range(1, 12)]))),
     ("decomposition", decomposition, "COVER_BUDGET", lambda: associated_primes(matching(48))),
     ("decomposition", decomposition, "LEAF_BUDGET", lambda: associated_primes(square_pairs(10))),
     ("enumeration", matroids, "ENUMERATION_MAX_LAYER", lambda: enumerate_matroidal(7, 3)),
@@ -217,6 +228,26 @@ class TestCommandsAtLimits:
         # two refused searches, measured at about 0.55 s on a 2-vCPU VM
         assert elapsed < 1.0, f"analyze on the n = 48 matching took {elapsed:.2f}s"
 
+    @pytest.mark.parametrize("text, limit", [(K16_16, "LINEAR_QUOTIENT_BUDGET"),
+                                             (TAIL_40, "MEMBER_BUDGET")],
+                             ids=["k16_16", "tail_40"])
+    def test_rank_section_is_refused_in_time(self, text, limit, capsys, monkeypatch):
+        # the rank section runs pd_depth, then sizes its layers, before listing any
+        for argv in (["analyze"], ["analyze", "--no-certify"], ["witness"], ["certify"]):
+            start = time.monotonic()
+            code, out, err = run(capsys, monkeypatch, argv, text)
+            elapsed = time.monotonic() - start
+            assert elapsed < 0.5, f"{argv} took {elapsed:.2f}s"
+            if argv[0] == "analyze":
+                assert code == 0 and err == ""
+                blocks = sections(out)
+                assert blocks["rank"].startswith("  skipped: ") and limit in blocks["rank"]
+                assert blocks["certification"] == ("  skipped: no witness to certify\n"
+                                                   if len(argv) == 1 else
+                                                   "  skipped: disabled by --no-certify\n")
+            else:
+                assert code == 2 and out == "" and limit in err
+
     def test_enumerate_has_no_caps_of_its_own(self, capsys, monkeypatch):
         # C(6,4) = 15: a 2^15 scan, once refused by --max-d
         code, out, _ = run(capsys, monkeypatch, ["enumerate", "6", "4"])
@@ -264,12 +295,12 @@ def readme_limits():
 
 class TestLimitsTable:
     def test_each_row_holds_its_constant(self):
-        modules = {"groebner": groebner, "homology": homology,
+        modules = {"groebner": groebner, "homology": homology, "schmitt_vogel": schmitt_vogel,
                    "decomposition": decomposition, "matroids": matroids}
         rows = readme_limits()
         assert [name for _, name, _ in rows] == [
-            "PAIR_BUDGET", "FACE_BUDGET", "LINEAR_QUOTIENT_BUDGET", "COVER_BUDGET",
-            "LEAF_BUDGET", "ENUMERATION_MAX_LAYER", "ENUMERATION_MAX_N"]
+            "PAIR_BUDGET", "FACE_BUDGET", "LINEAR_QUOTIENT_BUDGET", "MEMBER_BUDGET",
+            "COVER_BUDGET", "LEAF_BUDGET", "ENUMERATION_MAX_LAYER", "ENUMERATION_MAX_N"]
         for module, name, value in rows:
             assert getattr(modules[module], name) == value, name
 

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from matroidalkit import (DomainError, Monomial, MonomialIdeal, Polynomial, ara_report,
-                          build_sv_witness, groebner, make_ideal, squarefree_monomials,
-                          squarefree_veronese, transversal, verify_sv_conditions)
+from matroidalkit import (BudgetExceeded, DomainError, Monomial, MonomialIdeal, Polynomial,
+                          SVWitness, TheoremViolationError, ara_report, build_sv_witness,
+                          groebner, homology, make_ideal, schmitt_vogel,
+                          squarefree_monomials, squarefree_veronese, transversal,
+                          verify_sv_conditions)
 from matroidalkit.cli import _witness_payload
 from matroidalkit.matroids import enumerate_matroidal
 from matroidalkit.schmitt_vogel import (CONDITION_PRODUCTS, CONDITION_SINGLETON,
@@ -83,6 +85,36 @@ class TestWitnessConstruction:
             build_sv_witness(MonomialIdeal.maximal(3))  # d=1 has its own path
         with pytest.raises(DomainError):
             build_sv_witness(MonomialIdeal.zero(3))
+
+
+class TestLimitsComeFirst:
+    """pd_depth and the member budget run before any layer is listed."""
+
+    def test_pd_limit_wins_over_a_failed_layer_check(self, monkeypatch):
+        monkeypatch.setattr(MonomialIdeal, "_squarefree_member_masks", lambda self, degree: ())
+        with pytest.raises(TheoremViolationError, match="empty layer at degree 6"):
+            build_sv_witness(complete_bipartite(3))
+        monkeypatch.setattr(homology, "LINEAR_QUOTIENT_BUDGET", 1)
+        with pytest.raises(BudgetExceeded) as info:
+            build_sv_witness(complete_bipartite(3))
+        assert info.value.limit == "LINEAR_QUOTIENT_BUDGET"
+
+    def test_member_budget_wins_over_a_failed_layer_check(self, monkeypatch):
+        monkeypatch.setattr(MonomialIdeal, "_squarefree_member_masks", lambda self, degree: ())
+        monkeypatch.setattr(schmitt_vogel, "MEMBER_BUDGET", 56)
+        with pytest.raises(BudgetExceeded) as info:
+            build_sv_witness(complete_bipartite(3))
+        assert (info.value.stage, info.value.limit) == ("rank", "MEMBER_BUDGET")
+
+    def test_member_budget_is_exact(self, monkeypatch):
+        # K_{3,3}: C(6,2) + C(6,3) + ... + C(6,6) = 57 candidates
+        monkeypatch.setattr(schmitt_vogel, "MEMBER_BUDGET", 57)
+        assert build_sv_witness(complete_bipartite(3)).r == 4
+        monkeypatch.setattr(schmitt_vogel, "MEMBER_BUDGET", 56)
+        with pytest.raises(BudgetExceeded, match=r"^rank stage: the layers test 57 square-free "
+                                                 r"candidates \(sum of C\(6, k\) for k = 2\.\.6\)"
+                                                 r", over the limit MEMBER_BUDGET = 56$"):
+            build_sv_witness(complete_bipartite(3))
 
 
 class TestConditionChecks:
@@ -270,3 +302,32 @@ class TestMaskRendering:
         payload = _witness_payload(ara_report(ideal))
         sums, layers, _ = tuple_route_text(ideal, build_sv_witness(ideal))
         assert (payload["sums"], payload["layers"]) == (sums, layers)
+
+
+def random_layers(n, rng):
+    """Layers of distinct nonzero masks on n bits, with every slice edge in play."""
+    full = (1 << n) - 1
+    edges = {full, 1, 1 << n - 1} | {1 << k for k in (7, 8, 15, 16) if k < n}
+    edges |= {full & ~0xFF, full & ~0xFF00, full & 0xFF00FF} - {0}
+    layers = [sorted(edges, key=lambda m: rng.random())]
+    for size in (1, 5, 40):
+        layers.append(list({rng.randrange(1, full + 1) for _ in range(size)}))
+    return tuple(tuple(layer) for layer in layers)
+
+
+class TestTextTables:
+    """text() names masks from per-slice tables; the bit loop is the oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_matches_the_bit_loop(self, n):
+        masks = random_layers(n, random.Random(n))
+        witness = SVWitness(n=n, d=1, r=len(masks) - 1, masks=masks,
+                            ara_upper=len(masks), ara_lower=0, ara_exact=False)
+        assert witness.text() == schmitt_vogel_oracle.text(witness)
+
+    def test_slice_edges(self):
+        masks = ((0x1FF, 0x100, 0x10080, 0x1FF00),)
+        witness = SVWitness(n=17, d=1, r=0, masks=masks, ara_upper=1, ara_lower=0,
+                            ara_exact=False)
+        assert witness.text()[1] == [["x1*x2*x3*x4*x5*x6*x7*x8*x9", "x9", "x8*x17",
+                                      "x9*x10*x11*x12*x13*x14*x15*x16*x17"]]

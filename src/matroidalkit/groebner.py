@@ -21,14 +21,14 @@ Gebauer-Moeller criteria (1988), and runs under a hard pair budget.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .errors import DomainError, PairBudgetExceeded, StructuralError
 from .fields import require_field, require_prime
-from .ideals import Monomial, _join, _root, exponent_vector
+from .ideals import (Monomial, _fixes_masks, _orbit_roots, _swap_classes, _swap_orbits,
+                     exponent_vector)
 
 PAIR_BUDGET = 10 ** 6
 DEFAULT_PRIME = 32003
@@ -635,10 +635,9 @@ def radical_membership(f, gens):
 class CertifyStats:
     """Work counters of one certification; equal input gives equal counts.
 
-    transpositions counts the variable swaps (i j) that move some
-    generator and were found to fix both the generator set and every
-    witness sum; radical_tests counts the radical-membership tests run,
-    one per orbit of generators.
+    transpositions counts the swaps the swap scan kept, n minus the number
+    of classes of variables; radical_tests counts the radical-membership
+    tests run, one per orbit of generators.
     """
 
     transpositions: int = 0
@@ -670,53 +669,12 @@ def _swapped(ev, i, j):
     return tuple(out)
 
 
-def _term_swaps(ideal, qs):
-    """Generator images of each swap (i j) that fixes the generators and every q_j.
-
-    Checked on the exponent tuples and on the polynomials as given,
-    coefficients included. Swaps that fix every generator are left out.
-    """
-    gens = [u.exponents for u in ideal.gens]
-    index = {ev: k for k, ev in enumerate(gens)}
-    for i, j in itertools.combinations(range(ideal.n), 2):
-        images = [index.get(_swapped(ev, i, j)) for ev in gens]
-        if None in images or all(k == image for k, image in enumerate(images)):
-            continue
-        if all(q.terms.get(_swapped(ev, i, j)) == c for q in qs for ev, c in q.terms.items()):
-            yield images
-
-
-def _mask_swaps(n, gens, layers):
-    """_term_swaps on masks: generator masks, and layers of coefficient-1 sums.
-
-    A swap exchanges bits i and j of every mask that holds one of them;
-    a layer is fixed when the swap maps its set of masks onto itself.
-    """
-    index = {g: k for k, g in enumerate(gens)}
-    layers = [frozenset(layer) for layer in layers]
-    for i, j in itertools.combinations(range(n), 2):
-        swap = 1 << i | 1 << j
-        images = [index.get(g ^ swap if (g >> i ^ g >> j) & 1 else g) for g in gens]
-        if None in images or all(k == image for k, image in enumerate(images)):
-            continue
-        if all(m ^ swap in layer for layer in layers for m in layer if (m >> i ^ m >> j) & 1):
-            yield images
-
-
-def _generator_orbits(count, swaps):
-    """Number of swaps, and orbit roots of count generators under the swaps.
-
-    Each swap is given by the generator index of each generator's image.
-    roots[k] is the first generator, in generator order, of generator k's
-    orbit under the group the swaps generate, joined by union-find.
-    """
-    roots = list(range(count))
-    kept = 0
-    for images in swaps:
-        kept += 1
-        for k, image in enumerate(images):
-            _join(roots, k, image)
-    return kept, [_root(roots, k) for k in range(count)]
+def _fixes_terms(term_maps):
+    """fixes(i, j) for _swap_classes: (i j) maps each {exponents: coefficient} onto itself."""
+    def fixes(i, j):
+        return all(terms.get(_swapped(ev, i, j)) == c
+                   for terms in term_maps for ev, c in terms.items())
+    return fixes
 
 
 def _subset_failure(ideal, layers):
@@ -755,32 +713,33 @@ def certify_witness(ideal, witness, field=None):
     orbit. The verdicts are expanded back in generator order, so
     failing_generators is what one test per generator gives.
 
-    An SVWitness of a square-free ideal in as many variables is read on
-    its masks. Its sums have all coefficients 1, so its Monomial layers
-    are the terms that MonomialIdeal.contains tests, and a swap fixes a
-    sum when it maps the layer's set of masks onto itself. Over GF(p) the
-    sums are built from the layers directly. Bare sequences, and
-    witnesses of other ideals, are read term by term on the polynomials.
-    Both routes give the same certificate.
+    The swap scan (ideals._swap_classes) refines the ideal's classes (of
+    _swap_orbits, or by exponent tuples if not square-free), so it checks
+    swaps only on the witness: an SVWitness's coefficient-1 sums on its
+    layer masks (over GF(p) the sums are built from the layers), bare
+    sums term for term, coefficients included.
     """
     require_field(field)
-    layers = getattr(witness, "masks", None)
-    on_masks = layers is not None and ideal.masks is not None and witness.n == ideal.n
-    if on_masks:
+    masks = getattr(witness, "masks", None)
+    if masks is not None:
+        layers = witness.layers
         qs = witness.q if field is None else [
-            Polynomial._raw(ideal.n, dict.fromkeys([u.exponents for u in layer], 1), field)
-            for layer in witness.layers]
-        subset_failure = _subset_failure(ideal, witness.layers)
+            Polynomial._raw(witness.n, dict.fromkeys([u.exponents for u in layer], 1), field)
+            for layer in layers]
+        fixes = _fixes_masks([frozenset(layer) for layer in masks])
     else:
-        sums = witness.q if hasattr(witness, "q") else witness
-        qs = [q.in_field(field) if field is not None else q for q in sums]
-        subset_failure = _subset_failure(ideal, [map(Monomial, q.terms) for q in qs])
-    transpositions, roots = 0, []
+        qs = [q.in_field(field) if field is not None else q for q in witness]
+        layers = [map(Monomial, q.terms) for q in qs]
+        fixes = _fixes_terms([q.terms for q in qs])
+    subset_failure = _subset_failure(ideal, layers)
+    swaps, roots = (), ()
     if ideal.gens:
         _check_ring(qs, ideal.n, field)
-        swaps = (_mask_swaps(ideal.n, ideal.masks, layers) if on_masks
-                 else _term_swaps(ideal, qs))
-        transpositions, roots = _generator_orbits(len(ideal.gens), swaps)
+        gens = [u.exponents for u in ideal.gens]
+        within = (_swap_orbits(ideal)[0] if ideal.masks is not None else
+                  _swap_classes(ideal.n, _fixes_terms([dict.fromkeys(gens, 1)]))[0])
+        _, swaps = _swap_classes(ideal.n, fixes, within)
+        roots = _orbit_roots(gens, swaps, _swapped)
     one = Fraction(1) if field is None else 1
     verdicts = {}
     for k in roots:
@@ -794,5 +753,5 @@ def certify_witness(ideal, witness, field=None):
         field=field,
         subset_failure=subset_failure,
         failing_generators=failing,
-        stats=CertifyStats(transpositions=transpositions, radical_tests=len(verdicts)),
+        stats=CertifyStats(transpositions=len(swaps), radical_tests=len(verdicts)),
     )

@@ -14,7 +14,8 @@ its inclusion-minimal members with _minimal_masks.
 A monomial caches its views (degree, support, support mask) and an ideal
 its derived data (degree, and in its memo the generator masks, the orbits
 of the variable swaps that fix a square-free ideal, and what other
-modules compute on it) outside the dataclass fields. Membership and
+modules compute on it) outside the dataclass fields. _swap_classes is
+the package's one swap scan, for ideals and witnesses. Membership and
 the colon on a square-free ideal, and the square-free member listing on
 any, work on masks: a square-free g divides any u iff mask(g) lies in u's
 support mask. Other ideals divide exponent tuples.
@@ -478,43 +479,67 @@ def _swap_orbits(ideal):
     the generator masks onto themselves. Returns two tuples: for each
     variable, 0-based, the least variable of its orbit, and for each
     generator the first generator, in generator order, of its orbit.
-    Kept in the ideal's memo.
-
-    The fixing swaps are an equivalence relation on the variables, since
-    (i k) = (i j)(j k)(i j), and its classes are the variable orbits. So
-    each variable j is tested only against the least variable i of each
-    class found below it, and joins the first class whose swap (i j)
-    fixes the ideal. The swaps found generate the whole group, and
-    union-find joins each generator with its images under them.
+    Kept in the ideal's memo; certify_witness refines the variable orbits.
     """
     return ideal._memo("_swap_orbits", _scan_swaps)
 
 
 def _scan_swaps(ideal):
     masks = ideal.masks
-    index = {g: k for k, g in enumerate(masks)}
-    variables, swaps = list(range(ideal.n)), []
-    for j in range(1, ideal.n):
+    variables, swaps = _swap_classes(ideal.n, _fixes_masks([frozenset(masks)]))
+    return variables, _orbit_roots(
+        masks, swaps, lambda m, i, j: m ^ (1 << i | 1 << j) if (m >> i ^ m >> j) & 1 else m)
+
+
+def _swap_classes(n, fixes, within=None):
+    """Least variable of each class of the swaps (i j) with fixes(i, j), and the swaps kept.
+
+    fixes(i, j) must say whether (i j) fixes some set of objects. Such
+    swaps are the transpositions of a group, an equivalence relation on
+    the variables since (i k) = (i j)(j k)(i j). So j is tested only
+    against the least variable i of each class below it, and, if within
+    gives the least variable of each class of another such relation, only
+    inside j's class of it. The n - #classes swaps kept generate the
+    group of all the swaps that pass.
+    """
+    least, kept = list(range(n)), []
+    for j in range(1, n):
         for i in range(j):
-            if variables[i] != i:
-                continue
-            swap = 1 << i | 1 << j
-            for g in masks:
-                # only a generator holding one of x_i, x_j moves
-                if (g >> i ^ g >> j) & 1 and g ^ swap not in index:
-                    break
-            else:
-                variables[j] = i
-                swaps.append(swap)
+            if least[i] == i and (within is None or within[i] == within[j]) and fixes(i, j):
+                least[j] = i
+                kept.append((i, j))
                 break
-    gens = list(range(len(masks)))
-    for swap in swaps:
-        for k, g in enumerate(masks):
-            if (g & swap).bit_count() == 1:
-                _join(gens, k, index[g ^ swap])
-    for k in range(len(gens)):  # a root is never above its members
-        gens[k] = gens[gens[k]]
-    return tuple(variables), tuple(gens)
+    return tuple(least), tuple(kept)
+
+
+def _fixes_masks(sets):
+    """fixes(i, j) for _swap_classes: (i j) maps each set of masks onto itself."""
+    def fixes(i, j):
+        swap = 1 << i | 1 << j
+        for masks in sets:
+            for m in masks:
+                # only a mask holding one of bits i, j moves
+                if (m >> i ^ m >> j) & 1 and m ^ swap not in masks:
+                    return False
+        return True
+    return fixes
+
+
+def _orbit_roots(items, swaps, swapped):
+    """For each item, the first item of its orbit in item order, by union-find.
+
+    swapped(item, i, j), the image under the swap (i, j), must be an item.
+    """
+    index = {item: k for k, item in enumerate(items)}
+    roots = list(range(len(items)))
+    for i, j in swaps:
+        for k, item in enumerate(items):
+            image = index[swapped(item, i, j)]
+            if image > k:  # the swap pairs k with its image, or leaves k alone
+                _join(roots, k, image)
+    for k in range(len(roots)):  # a root is never above its members
+        roots[k] = roots[roots[k]]
+    return tuple(roots)
 
 
 def _root(roots, k):

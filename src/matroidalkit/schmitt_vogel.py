@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import BudgetExceeded, DomainError, TheoremViolationError
+from .errors import BudgetExceeded, DomainError, StructuralError, TheoremViolationError
 from .homology import pd_depth
 from .ideals import Monomial, _candidate_count
 from .groebner import Polynomial
@@ -117,8 +117,8 @@ def build_sv_witness(ideal):
 
     The lower bound comes first: pd_depth's limits refuse an oversized
     ideal before any layer is listed, and so a BudgetExceeded from it wins
-    over a failed layer check. Then the sum_{k=d..n} C(n, k) candidates
-    the layers test are held against MEMBER_BUDGET.
+    over a failed layer check. Then the candidates the layers test are
+    held against MEMBER_BUDGET (_hold_member_budget).
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("witness needs a proper nonzero ideal")
@@ -133,11 +133,7 @@ def build_sv_witness(ideal):
         raise DomainError("degree-1 input uses the plain variable witness; see ara_report")
     r = n - d
     lower = pd_depth(ideal).pd
-    candidates = _candidate_count(n, d)
-    if candidates > MEMBER_BUDGET:
-        raise BudgetExceeded("rank", f"the layers test {candidates} square-free candidates "
-                             f"(sum of C({n}, k) for k = {d}..{n})", "MEMBER_BUDGET",
-                             MEMBER_BUDGET)
+    _hold_member_budget(n, d)
     layers = []
     for j in range(r + 1):
         layer = ideal._squarefree_member_masks(n - j)
@@ -163,19 +159,36 @@ def build_sv_witness(ideal):
     )
 
 
+def _hold_member_budget(n, d):
+    """Raise BudgetExceeded if the sum_{k=d..n} C(n, k) candidates exceed MEMBER_BUDGET."""
+    candidates = _candidate_count(n, d)
+    if candidates > MEMBER_BUDGET:
+        raise BudgetExceeded("rank", f"the layers test {candidates} square-free candidates "
+                             f"(sum of C({n}, k) for k = {d}..{n})", "MEMBER_BUDGET",
+                             MEMBER_BUDGET)
+
+
 def verify_sv_conditions(layers, ideal):
     """Mechanical check of the three layered-sum conditions.
 
     (a) the layers exactly cover the square-free members of the ideal,
     (b) the first layer is a singleton, (c) any two elements at distinct
     positions of a later layer have their product divisible by some
-    earlier-layer element. Returns a report, never raises: adversarial
-    layers are a legitimate input here. Once (a) holds every element is
-    square-free, so (c) runs on masks: q divides p*p' iff q lies in p | p'.
+    earlier-layer element. Returns a report on any Monomial layers, even
+    adversarial ones; raises StructuralError on another entry and, like
+    build_sv_witness, BudgetExceeded past MEMBER_BUDGET. Once (a) holds
+    every element is square-free, so (c) runs on masks: q divides p*p'
+    iff q lies in p | p'.
     """
     layers = [tuple(layer) for layer in layers]
+    stray = [m for layer in layers for m in layer if not isinstance(m, Monomial)]
+    if stray:
+        raise StructuralError(f"layer entry {stray[0]!r} is not a Monomial")
     if not layers:
         return SVConditionReport(False, CONDITION_SINGLETON, ())
+    # the listing tests from the least degree of a square-free generator up
+    _hold_member_budget(ideal.n, min((g.degree for g in ideal.gens if g.is_squarefree),
+                                     default=ideal.n + 1))
     members = {m for k in range(ideal.n + 1) for m in ideal.squarefree_members(k)}
     layered = set().union(*map(set, layers))
     if layered != members:

@@ -6,10 +6,10 @@ squarefree_members is the original scan: it builds every square-free
 monomial of the degree and asks the ideal whether it contains it.
 colon is the original tuple route, which MonomialIdeal.colon still takes
 on ideals that are not square-free.
-swap_orbits finds the orbits of the variable swaps that fix an ideal by
-brute force: it tests every pair, skipping none, takes the connected
-components of the fixing swaps for the variables, and closes each
-generator under all of them.
+swap_orbits finds the orbits of the variable swaps that fix an ideal, and
+optionally a sequence of polynomials, by brute force: it tests every
+pair, skipping none, takes the connected components of the fixing swaps
+for the variables, and closes each generator under all of them.
 """
 
 from __future__ import annotations
@@ -59,15 +59,18 @@ def _closure(start, step):
     return seen
 
 
-def swap_orbits(ideal):
+def swap_orbits(ideal, sums=()):
     """Least 0-based variable of each variable's orbit, and first generator of each generator's.
 
     The group is generated by every swap (i j) that maps the generator
-    exponent vectors onto themselves.
+    exponent vectors onto themselves and every polynomial in sums onto
+    itself term for term, coefficients included.
     """
     gens = [g.exponents for g in ideal.gens]
     fixing = [(i, j) for i, j in itertools.combinations(range(ideal.n), 2)
-              if {_swapped(ev, i, j) for ev in gens} == set(gens)]
+              if {_swapped(ev, i, j) for ev in gens} == set(gens)
+              and all({_swapped(ev, i, j): c for ev, c in q.terms.items()} == q.terms
+                      for q in sums)]
     variables = tuple(
         min(_closure(k, lambda a: [j for i, j in fixing if i == a]
                      + [i for i, j in fixing if j == a]))

@@ -18,6 +18,7 @@ from matroidalkit.schmitt_vogel import build_sv_witness
 
 import gebauer_moeller_oracle
 import groebner_oracle as oracle
+import ideals_oracle
 
 
 def poly(nvars, terms, field=None):
@@ -457,6 +458,37 @@ def certify_per_generator(ideal, witness, field=None):
     )
 
 
+def certify_with_roots(ideal, witness, field=None):
+    """certify_witness's certificate, and the orbit root of each generator it used."""
+    recorded = []
+
+    def recording(*args):
+        recorded.append(original(*args))
+        return recorded[-1]
+
+    original = groebner._orbit_roots
+    groebner._orbit_roots = recording
+    try:
+        certificate = certify_witness(ideal, witness, field)
+    finally:
+        groebner._orbit_roots = original
+    return certificate, recorded[0]
+
+
+def oracle_roots(ideal, witness, field=None):
+    """The generator roots of the swaps that fix the ideal and every sum, by brute force."""
+    sums = witness.q if hasattr(witness, "q") else witness
+    return ideals_oracle.swap_orbits(
+        ideal, [q.in_field(field) if field is not None else q for q in sums])[1]
+
+
+def dropped(witness, j, mask):
+    """The witness with one mask left out of layer j."""
+    masks = list(witness.masks)
+    masks[j] = tuple(m for m in masks[j] if m != mask)
+    return dataclasses.replace(witness, masks=tuple(masks))
+
+
 def certify_with_stats(ideal, field=None):
     """One radical test per generator, plus the stats of every basis they built."""
     runs = []
@@ -509,13 +541,15 @@ class TestBuchbergerStats:
 
 class TestOrbitRoute:
     """certify_witness tests one generator per symmetry orbit; one test per
-    generator must give the same certificate, failing generators in order."""
+    generator must give the same certificate, failing generators in order,
+    and the orbits must be those of the brute-force swap scan."""
 
     def assert_same(self, ideal, witness, field):
-        fast = certify_witness(ideal, witness, field)
+        fast, roots = certify_with_roots(ideal, witness, field)
         slow = certify_per_generator(ideal, witness, field)
         assert fast == slow, (str(ideal), field)
         assert fast.failing_generators == slow.failing_generators
+        assert roots == oracle_roots(ideal, witness, field), (str(ideal), field)
         return fast
 
     @pytest.mark.parametrize("field", [None, 32003])
@@ -559,11 +593,36 @@ class TestOrbitRoute:
         assert [str(u) for u in certificate.failing_generators] == ["x2*x3", "x2*x4"]
         assert certificate.stats == CertifyStats(transpositions=0, radical_tests=4)
 
+    @pytest.mark.parametrize("field", [None, 32003])
+    def test_coefficients_that_differ_across_a_swap(self, field):
+        # the layer sums of three symmetric ideals, each term weighted by
+        # 1 + the sum of its exponents on a seeded set of variables: a swap
+        # inside that set or outside it keeps the weights, and a swap across
+        # it that fixes I and every sum's set of terms must still not be used
+        rng = random.Random(22)
+        blind = partial = 0
+        for ideal in (transversal(4, [{1, 2}, {3, 4}]), transversal(5, [{1, 2}, {3, 4, 5}]),
+                      squarefree_veronese(4, 2)):
+            witness = build_sv_witness(ideal)
+            for _ in range(4):
+                weights = [rng.randint(0, 1) for _ in range(ideal.n)]
+                sums = [Polynomial(ideal.n, {ev: 1 + sum(w * e for w, e in zip(weights, ev))
+                                             for ev in q.terms})
+                        for q in witness.q]
+                self.assert_same(ideal, sums, field)
+                roots = oracle_roots(ideal, sums, field)
+                # a scan blind to coefficients would take the witness's orbits
+                blind += roots != oracle_roots(ideal, witness, field)
+                partial += roots != tuple(range(ideal.mu))
+        assert blind >= 6 and partial >= 6
+
     def test_stats_repeat_and_stay_out_of_equality(self):
         ideal = transversal(5, [{1, 2}, {3, 4, 5}])
         witness = build_sv_witness(ideal)
         first, second = certify_witness(ideal, witness), certify_witness(ideal, witness)
-        assert first.stats == second.stats == CertifyStats(transpositions=4,
+        # the scan keeps (1 2), (3 4) and (3 5), one swap per variable joining
+        # a class; (4 5) = (3 4)(3 5)(3 4) is implied, so it is not counted
+        assert first.stats == second.stats == CertifyStats(transpositions=3,
                                                            radical_tests=1)
         assert first == certify_per_generator(ideal, witness)
         assert certify_per_generator(ideal, witness).stats == CertifyStats()
@@ -614,10 +673,11 @@ class TestMaskRoute:
     bare sums takes the term-by-term route, and both must agree."""
 
     def assert_same(self, ideal, witness, field):
-        fast = certify_witness(ideal, witness, field)
+        fast, roots = certify_with_roots(ideal, witness, field)
         slow = certify_witness(ideal, witness.q, field)
         assert fast == slow, (str(ideal), field)
         assert fast.stats == slow.stats, (str(ideal), field)
+        assert roots == oracle_roots(ideal, witness, field), (str(ideal), field)
         return fast
 
     @pytest.mark.parametrize("field", [None, 32003])
@@ -629,6 +689,30 @@ class TestMaskRoute:
                 assert self.assert_same(ideal, witness, field).passed
                 checked += 1
         assert checked == 221 - 5  # degree 1 has no layered witness
+
+    def test_census_orbits_with_lopsided_layers(self, monkeypatch):
+        # every full-support witness with n <= 6, and up to three variants of
+        # each with one later-layer mask dropped; only the orbits are compared,
+        # so the radical tests are stubbed out
+        monkeypatch.setattr(groebner, "radical_membership", lambda f, gens: True)
+        rng = random.Random(23)
+        ideals = refined = 0
+        for n in range(2, 7):
+            for d in range(2, n + 1):
+                for ideal in enumerate_matroidal(n, d, True):
+                    ideals += 1
+                    own = ideals_oracle.swap_orbits(ideal)[1]
+                    witness = build_sv_witness(ideal)
+                    later = [(j, m) for j in range(1, len(witness.masks))
+                             for m in witness.masks[j]]
+                    variants = [dropped(witness, j, m)
+                                for j, m in rng.sample(later, min(3, len(later)))]
+                    for candidate in [witness] + variants:
+                        roots = certify_with_roots(ideal, candidate)[1]
+                        assert roots == oracle_roots(ideal, candidate), (str(ideal), candidate)
+                        refined += roots != own
+        assert ideals == 2350
+        assert refined > 1000  # the ideal's own orbits would be wrong there
 
     @pytest.mark.parametrize("field", [None, 32003])
     def test_layer_mask_outside_the_ideal(self, field):
@@ -656,8 +740,9 @@ class TestMaskRoute:
 
     @pytest.mark.parametrize("field", [None, 32003])
     def test_other_ideals_take_the_term_route(self, field):
-        # a witness offered for a non-square-free ideal, or for an ideal in
-        # more variables, is read term by term, as bare sums would be
+        # a witness offered for a non-square-free ideal, whose classes come
+        # from its exponent tuples, certifies as its bare sums do; one for an
+        # ideal in more variables is refused
         witness = build_sv_witness(transversal(4, [{1, 2}, {3, 4}]))
         power = make_ideal(4, [(2, 0, 1, 0), (2, 0, 0, 1), (1, 1, 1, 0), (1, 1, 0, 1),
                                (0, 2, 1, 0), (0, 2, 0, 1)])

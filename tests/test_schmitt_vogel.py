@@ -2,12 +2,13 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
 from matroidalkit import (BudgetExceeded, DomainError, Monomial, MonomialIdeal, Polynomial,
-                          SVWitness, TheoremViolationError, ara_report, build_sv_witness,
-                          groebner, homology, make_ideal, schmitt_vogel,
+                          StructuralError, SVWitness, TheoremViolationError, ara_report,
+                          build_sv_witness, groebner, homology, make_ideal, schmitt_vogel,
                           squarefree_monomials, squarefree_veronese, transversal,
                           verify_sv_conditions)
 from matroidalkit.cli import _witness_payload
@@ -107,14 +108,20 @@ class TestLimitsComeFirst:
         assert (info.value.stage, info.value.limit) == ("rank", "MEMBER_BUDGET")
 
     def test_member_budget_is_exact(self, monkeypatch):
-        # K_{3,3}: C(6,2) + C(6,3) + ... + C(6,6) = 57 candidates
+        # K_{3,3}: C(6,2) + C(6,3) + ... + C(6,6) = 57 candidates, for the
+        # witness and for the condition check alike
+        ideal = complete_bipartite(3)
         monkeypatch.setattr(schmitt_vogel, "MEMBER_BUDGET", 57)
-        assert build_sv_witness(complete_bipartite(3)).r == 4
+        witness = build_sv_witness(ideal)
+        assert witness.r == 4 and verify_sv_conditions(witness.layers, ideal)
         monkeypatch.setattr(schmitt_vogel, "MEMBER_BUDGET", 56)
-        with pytest.raises(BudgetExceeded, match=r"^rank stage: the layers test 57 square-free "
-                                                 r"candidates \(sum of C\(6, k\) for k = 2\.\.6\)"
-                                                 r", over the limit MEMBER_BUDGET = 56$"):
-            build_sv_witness(complete_bipartite(3))
+        for refused in (lambda: build_sv_witness(ideal),
+                        lambda: verify_sv_conditions(witness.layers, ideal)):
+            with pytest.raises(BudgetExceeded, match=r"^rank stage: the layers test 57 "
+                                                     r"square-free candidates \(sum of "
+                                                     r"C\(6, k\) for k = 2\.\.6\), over "
+                                                     r"the limit MEMBER_BUDGET = 56$"):
+                refused()
 
 
 class TestConditionChecks:
@@ -145,6 +152,17 @@ class TestConditionChecks:
         report = verify_sv_conditions(layers, ideal)
         assert report.violated == CONDITION_UNION
         assert report.witness is not None
+
+    def test_entry_that_is_not_a_monomial(self):
+        ideal = squarefree_veronese(3, 2)
+        top = build_sv_witness(ideal).layers[0]
+        for layers, entry in (([[1]], "1"), ([top, [(1, 1, 0)]], "(1, 1, 0)")):
+            with pytest.raises(StructuralError,
+                               match=re.escape(f"layer entry {entry} is not a Monomial")):
+                verify_sv_conditions(layers, ideal)
+        # a Monomial in another number of variables is read, and fails (a)
+        report = verify_sv_conditions([[Monomial((1, 1, 1, 1))]], ideal)
+        assert report.violated == CONDITION_UNION
 
     def test_unabsorbed_pair_product(self, path_n4):
         # P_0 = {x1x2} cannot divide x2x3 * x3x4

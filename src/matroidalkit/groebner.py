@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from .errors import DomainError, PairBudgetExceeded, StructuralError
 from .fields import require_field, require_prime
-from .ideals import (Monomial, _fixes_masks, _orbit_roots, _swap_classes, _swap_orbits,
-                     exponent_vector)
+from .ideals import (Monomial, _class_roots, _fixes_masks, _fixes_terms, _swap_classes,
+                     _swap_orbits, exponent_vector)
 
 PAIR_BUDGET = 10 ** 6
 DEFAULT_PRIME = 32003
@@ -635,9 +635,9 @@ def radical_membership(f, gens):
 class CertifyStats:
     """Work counters of one certification; equal input gives equal counts.
 
-    transpositions counts the swaps the swap scan kept, n minus the number
-    of classes of variables; radical_tests counts the radical-membership
-    tests run, one per orbit of generators.
+    transpositions counts the swaps that generate certify's group, n minus
+    the number of classes of variables; radical_tests counts the
+    radical-membership tests run, one per orbit of generators.
     """
 
     transpositions: int = 0
@@ -660,21 +660,6 @@ class WitnessCertificate:
     subset_failure: tuple | None
     failing_generators: tuple
     stats: CertifyStats = dataclass_field(default=CertifyStats(), compare=False)
-
-
-def _swapped(ev, i, j):
-    """The exponent tuple with entries i and j exchanged."""
-    out = list(ev)
-    out[i], out[j] = ev[j], ev[i]
-    return tuple(out)
-
-
-def _fixes_terms(term_maps):
-    """fixes(i, j) for _swap_classes: (i j) maps each {exponents: coefficient} onto itself."""
-    def fixes(i, j):
-        return all(terms.get(_swapped(ev, i, j)) == c
-                   for terms in term_maps for ev, c in terms.items())
-    return fixes
 
 
 def _subset_failure(ideal, layers):
@@ -713,11 +698,12 @@ def certify_witness(ideal, witness, field=None):
     orbit. The verdicts are expanded back in generator order, so
     failing_generators is what one test per generator gives.
 
-    The swap scan (ideals._swap_classes) refines the ideal's classes (of
-    _swap_orbits, or by exponent tuples if not square-free), so it checks
-    swaps only on the witness: an SVWitness's coefficient-1 sums on its
-    layer masks (over GF(p) the sums are built from the layers), bare
-    sums term for term, coefficients included.
+    The swap scan (ideals._swap_classes) refines the classes of
+    _swap_orbits(ideal), checking swaps only on the witness: an
+    SVWitness's coefficient-1 sums on its layer masks (over GF(p) the
+    sums are built from the layers), bare sums term for term,
+    coefficients included. ideals._class_roots reads the generator
+    orbits off the refined classes.
     """
     require_field(field)
     masks = getattr(witness, "masks", None)
@@ -732,14 +718,12 @@ def certify_witness(ideal, witness, field=None):
         layers = [map(Monomial, q.terms) for q in qs]
         fixes = _fixes_terms([q.terms for q in qs])
     subset_failure = _subset_failure(ideal, layers)
-    swaps, roots = (), ()
+    transpositions, roots = 0, ()
     if ideal.gens:
         _check_ring(qs, ideal.n, field)
-        gens = [u.exponents for u in ideal.gens]
-        within = (_swap_orbits(ideal)[0] if ideal.masks is not None else
-                  _swap_classes(ideal.n, _fixes_terms([dict.fromkeys(gens, 1)]))[0])
-        _, swaps = _swap_classes(ideal.n, fixes, within)
-        roots = _orbit_roots(gens, swaps, _swapped)
+        least = _swap_classes(ideal.n, fixes, _swap_orbits(ideal)[0])
+        transpositions = ideal.n - len(set(least))
+        roots = _class_roots([u.exponents for u in ideal.gens], least)
     one = Fraction(1) if field is None else 1
     verdicts = {}
     for k in roots:
@@ -753,5 +737,5 @@ def certify_witness(ideal, witness, field=None):
         field=field,
         subset_failure=subset_failure,
         failing_generators=failing,
-        stats=CertifyStats(transpositions=len(swaps), radical_tests=len(verdicts)),
+        stats=CertifyStats(transpositions=transpositions, radical_tests=len(verdicts)),
     )

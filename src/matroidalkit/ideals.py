@@ -13,12 +13,14 @@ its inclusion-minimal members with _minimal_masks.
 
 A monomial caches its views (degree, support, support mask) and an ideal
 its derived data (degree, and in its memo the generator masks, the orbits
-of the variable swaps that fix a square-free ideal, and what other
-modules compute on it) outside the dataclass fields. _swap_classes is
-the package's one swap scan, for ideals and witnesses. Membership and
-the colon on a square-free ideal, and the square-free member listing on
-any, work on masks: a square-free g divides any u iff mask(g) lies in u's
-support mask. Other ideals divide exponent tuples.
+of the variable swaps that fix it, and what other modules compute on it)
+outside the dataclass fields. Symmetry is one scan and one key:
+_swap_classes, the package's one swap scan for ideals and witnesses,
+gives the classes of the variables, and _class_roots reads the generator
+orbits off them. Membership and the colon on a square-free ideal, and
+the square-free member listing on any, work on masks: a square-free g
+divides any u iff mask(g) lies in u's support mask. Other ideals divide
+exponent tuples.
 
 The member listing reads a table of 2^n bits, bit m set iff the mask m
 holds a square-free generator's mask, built once per ideal by up-closure
@@ -28,7 +30,8 @@ candidates * generators, the mask tests the generator scan makes at
 worst over the degrees from the least generator degree up to n.
 Otherwise the generator scan runs. On the measured shapes the table wins
 below a ratio 2^n / (candidates * generators) of about 4 and the scan
-above about 10.
+above about 10. A listing holds its C(n, degree) candidates against
+MEMBER_BUDGET first.
 """
 
 from __future__ import annotations
@@ -38,10 +41,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import StructuralError
+from .errors import BudgetExceeded, DomainError, StructuralError
 
 # the member table holds 2^n bits: 2 MiB at n = 24
 MEMBER_TABLE_MAX_N = 24
+# square-free candidates one member listing may test: sum_{k=d..n} C(n, k)
+# for the witness layers, C(n, degree) for squarefree_members; every
+# n <= 20 fits, K_{10,10} with 2^20 - 21 of them included
+MEMBER_BUDGET = 1 << 20
 
 
 def exponent_vector(values):
@@ -212,7 +219,15 @@ def _length_mismatch(a, b):
 
 def squarefree_monomials(n, d):
     """All square-free degree-d monomials in n variables, in the lex order of _layer_masks."""
-    return tuple(Monomial.from_bitmask(n, m) for m in _layer_masks(_variable_count(n), d))
+    return tuple(Monomial.from_bitmask(n, m)
+                 for m in _layer_masks(_variable_count(n), _member_degree(d)))
+
+
+def _member_degree(d):
+    """d, if it is a plain int of at least 0; 2.0, True and -1 are refused."""
+    if type(d) is not int or d < 0:
+        raise DomainError(f"need a non-negative int degree, got {d!r}")
+    return d
 
 
 def _layer_masks(n, d):
@@ -390,7 +405,7 @@ class MonomialIdeal:
     def squarefree_members(self, degree):
         """Square-free degree-d monomials lying in the ideal, lex order."""
         return tuple(Monomial.from_bitmask(self.n, m)
-                     for m in self._squarefree_member_masks(degree))
+                     for m in self._squarefree_member_masks(_member_degree(degree)))
 
     def _squarefree_member_masks(self, degree):
         """Masks of the square-free degree-d monomials in the ideal, lex order.
@@ -398,11 +413,13 @@ class MonomialIdeal:
         Only square-free generators can divide a square-free monomial, so
         membership is a mask test against theirs, whatever the ideal: a
         lookup in the member table where the size rule builds one (see the
-        module docstring), the generator scan otherwise.
+        module docstring), the generator scan otherwise. Below the least
+        generator degree nothing is listed, and so nothing is refused.
         """
         masks, least, table = self._memo("_member_table", _member_table)
-        if 0 <= degree < least:
+        if degree < least:
             return ()
+        _hold_member_budget(self.n, degree, degree)
         layer = _layer_masks(self.n, degree)
         if table is None:
             return tuple(m for m in layer if any(not g & ~m for g in masks))
@@ -437,9 +454,19 @@ def _generator_masks(ideal):
     return None
 
 
-def _candidate_count(n, d):
-    """The square-free monomials of degree d to n in n variables: sum_{k=d..n} C(n, k)."""
-    return sum(math.comb(n, k) for k in range(d, n + 1))
+def _candidate_count(n, d, top):
+    """The square-free monomials of degree d to top in n variables: sum_{k=d..top} C(n, k)."""
+    return sum(math.comb(n, k) for k in range(d, top + 1))
+
+
+def _hold_member_budget(n, d, top):
+    """Raise BudgetExceeded in stage rank past MEMBER_BUDGET candidates of degree d to top."""
+    candidates = _candidate_count(n, d, top)
+    if candidates > MEMBER_BUDGET:
+        terms = f"C({n}, {d})" if d == top else f"sum of C({n}, k) for k = {d}..{top}"
+        raise BudgetExceeded("rank", f"the {'listing tests' if d == top else 'layers test'} "
+                             f"{candidates} square-free candidates ({terms})",
+                             "MEMBER_BUDGET", MEMBER_BUDGET)
 
 
 def _member_table(ideal):
@@ -454,7 +481,7 @@ def _member_table(ideal):
         masks = tuple(g._mask for g in ideal.gens if g.is_squarefree)
     n, size = ideal.n, 1 << ideal.n
     least = min(map(int.bit_count, masks), default=n + 1)
-    if n > MEMBER_TABLE_MAX_N or size > 4 * _candidate_count(n, least) * len(masks):
+    if n > MEMBER_TABLE_MAX_N or size > 4 * _candidate_count(n, least, n) * len(masks):
         return masks, least, None
     seeds = bytearray((size + 7) >> 3)
     for g in masks:
@@ -473,43 +500,44 @@ def _member_table(ideal):
 
 
 def _swap_orbits(ideal):
-    """Orbit roots of the variables and of the generators of a square-free ideal.
+    """Orbit roots of the variables and of the generators of a nonzero ideal.
 
     The group is the one generated by the variable swaps (i j) that map
-    the generator masks onto themselves. Returns two tuples: for each
-    variable, 0-based, the least variable of its orbit, and for each
-    generator the first generator, in generator order, of its orbit.
-    Kept in the ideal's memo; certify_witness refines the variable orbits.
+    the generators onto themselves, tested on masks if the ideal is
+    square-free. Returns two tuples: for each variable, 0-based, the
+    least variable of its class, and for each generator the first
+    generator of its orbit (_class_roots). Kept in the ideal's memo;
+    certify_witness refines the variable classes.
     """
     return ideal._memo("_swap_orbits", _scan_swaps)
 
 
 def _scan_swaps(ideal):
-    masks = ideal.masks
-    variables, swaps = _swap_classes(ideal.n, _fixes_masks([frozenset(masks)]))
-    return variables, _orbit_roots(
-        masks, swaps, lambda m, i, j: m ^ (1 << i | 1 << j) if (m >> i ^ m >> j) & 1 else m)
+    vectors = [g.exponents for g in ideal.gens]
+    fixes = (_fixes_terms([dict.fromkeys(vectors, 1)]) if ideal.masks is None
+             else _fixes_masks([frozenset(ideal.masks)]))
+    least = _swap_classes(ideal.n, fixes)
+    return least, _class_roots(vectors, least)
 
 
 def _swap_classes(n, fixes, within=None):
-    """Least variable of each class of the swaps (i j) with fixes(i, j), and the swaps kept.
+    """Least variable of the class of each variable under the swaps (i j) with fixes(i, j).
 
     fixes(i, j) must say whether (i j) fixes some set of objects. Such
     swaps are the transpositions of a group, an equivalence relation on
     the variables since (i k) = (i j)(j k)(i j). So j is tested only
     against the least variable i of each class below it, and, if within
     gives the least variable of each class of another such relation, only
-    inside j's class of it. The n - #classes swaps kept generate the
-    group of all the swaps that pass.
+    inside j's class of it. The swaps that pass generate the product of
+    the symmetric groups on the classes.
     """
-    least, kept = list(range(n)), []
+    least = list(range(n))
     for j in range(1, n):
         for i in range(j):
             if least[i] == i and (within is None or within[i] == within[j]) and fixes(i, j):
                 least[j] = i
-                kept.append((i, j))
                 break
-    return tuple(least), tuple(kept)
+    return tuple(least)
 
 
 def _fixes_masks(sets):
@@ -525,36 +553,32 @@ def _fixes_masks(sets):
     return fixes
 
 
-def _orbit_roots(items, swaps, swapped):
-    """For each item, the first item of its orbit in item order, by union-find.
+def _fixes_terms(term_maps):
+    """fixes(i, j) for _swap_classes: (i j) maps each {exponents: coefficient} onto itself."""
+    def fixes(i, j):
+        return all(terms.get(_swapped(ev, i, j)) == c
+                   for terms in term_maps for ev, c in terms.items())
+    return fixes
 
-    swapped(item, i, j), the image under the swap (i, j), must be an item.
+
+def _swapped(ev, i, j):
+    """The exponent tuple with entries i and j exchanged."""
+    out = list(ev)
+    out[i], out[j] = ev[j], ev[i]
+    return tuple(out)
+
+
+def _class_roots(vectors, least):
+    """For each exponent vector, the first vector of its orbit under the class swaps.
+
+    least gives the least variable of each variable's class, and the
+    group is the product of the symmetric groups on the classes. Two
+    vectors lie in one orbit iff they hold the same multiset of exponents
+    on every class, which is what the key sorted(zip(least, v)) records.
     """
-    index = {item: k for k, item in enumerate(items)}
-    roots = list(range(len(items)))
-    for i, j in swaps:
-        for k, item in enumerate(items):
-            image = index[swapped(item, i, j)]
-            if image > k:  # the swap pairs k with its image, or leaves k alone
-                _join(roots, k, image)
-    for k in range(len(roots)):  # a root is never above its members
-        roots[k] = roots[roots[k]]
-    return tuple(roots)
-
-
-def _root(roots, k):
-    """The root of k in a union-find list, halving the path on the way."""
-    while roots[k] != k:
-        roots[k] = roots[roots[k]]
-        k = roots[k]
-    return k
-
-
-def _join(roots, a, b):
-    """Merge the classes of a and b; the smaller root becomes the root of both."""
-    a, b = _root(roots, a), _root(roots, b)
-    if a != b:
-        roots[max(a, b)] = min(a, b)
+    first = {}
+    return tuple(first.setdefault(tuple(sorted(zip(least, v))), k)
+                 for k, v in enumerate(vectors))
 
 
 @dataclass(frozen=True)

@@ -54,10 +54,11 @@ class _Scanner:
         self.advance()
 
     def integer(self, what):
-        if not self.peek().isdigit():
+        # ASCII digits only: str.isdigit also takes '²', which int() refuses, and '٣'
+        if not "0" <= self.peek() <= "9":
             self.error(f"expected {what}")
         value = 0
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":
             value = value * 10 + int(self.advance())
             if value > MAX_EXPONENT:
                 self.error(f"{what} overflow (limit {MAX_EXPONENT})")

@@ -21,19 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import BudgetExceeded, DomainError, StructuralError, TheoremViolationError
+from .errors import DomainError, StructuralError, TheoremViolationError
 from .homology import pd_depth
-from .ideals import Monomial, _candidate_count
+from .ideals import Monomial, _hold_member_budget
 from .groebner import Polynomial
 from .matroids import is_matroidal
 
 CONDITION_UNION = "union_covers_ideal"
 CONDITION_SINGLETON = "first_layer_singleton"
 CONDITION_PRODUCTS = "pair_products_absorbed"
-
-# square-free candidates the layers may test, sum_{k=d..n} C(n, k); every
-# n <= 20 fits, K_{10,10} with 2^20 - 21 of them included
-MEMBER_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,7 @@ def build_sv_witness(ideal):
     The lower bound comes first: pd_depth's limits refuse an oversized
     ideal before any layer is listed, and so a BudgetExceeded from it wins
     over a failed layer check. Then the candidates the layers test are
-    held against MEMBER_BUDGET (_hold_member_budget).
+    held against MEMBER_BUDGET (ideals._hold_member_budget).
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("witness needs a proper nonzero ideal")
@@ -133,7 +129,7 @@ def build_sv_witness(ideal):
         raise DomainError("degree-1 input uses the plain variable witness; see ara_report")
     r = n - d
     lower = pd_depth(ideal).pd
-    _hold_member_budget(n, d)
+    _hold_member_budget(n, d, n)
     layers = []
     for j in range(r + 1):
         layer = ideal._squarefree_member_masks(n - j)
@@ -159,15 +155,6 @@ def build_sv_witness(ideal):
     )
 
 
-def _hold_member_budget(n, d):
-    """Raise BudgetExceeded if the sum_{k=d..n} C(n, k) candidates exceed MEMBER_BUDGET."""
-    candidates = _candidate_count(n, d)
-    if candidates > MEMBER_BUDGET:
-        raise BudgetExceeded("rank", f"the layers test {candidates} square-free candidates "
-                             f"(sum of C({n}, k) for k = {d}..{n})", "MEMBER_BUDGET",
-                             MEMBER_BUDGET)
-
-
 def verify_sv_conditions(layers, ideal):
     """Mechanical check of the three layered-sum conditions.
 
@@ -188,7 +175,7 @@ def verify_sv_conditions(layers, ideal):
         return SVConditionReport(False, CONDITION_SINGLETON, ())
     # the listing tests from the least degree of a square-free generator up
     _hold_member_budget(ideal.n, min((g.degree for g in ideal.gens if g.is_squarefree),
-                                     default=ideal.n + 1))
+                                     default=ideal.n + 1), ideal.n)
     members = {m for k in range(ideal.n + 1) for m in ideal.squarefree_members(k)}
     layered = set().union(*map(set, layers))
     if layered != members:

@@ -235,6 +235,59 @@ class TestMainExitCodes:
         assert "parse error" in err and out == ""
 
 
+# mutations of valid text and JSON input, each with the exit code it must
+# give; a parse error that knows its place names line and column. Only ASCII
+# digits are read: str.isdigit takes '²', which int() refuses, and reads '٣' as 3
+MUTATED_INPUTS = [
+    ("x1*x²", 1, "line 1, col 5"),
+    ("x1^²", 1, "line 1, col 4"),
+    ("x١*x٢", 1, "line 1, col 2"),
+    ("n=٣; x1", 1, "line 1, col 3"),
+    ("x0*x1", 1, "line 1, col 3"),
+    ("x1^-1", 1, "line 1, col 4"),
+    ("n=1e3; x1", 1, "line 1, col 4"),
+    ("x1^1.5*x2", 1, "line 1, col 5"),
+    ("x1.0", 1, "line 1, col 3"),
+    ("n=2; x1*x3", 1, "exceeds declared n=2"),
+    ("n=4; x1*x", 1, "line 1, col 10"),
+    ("n=", 1, "line 1, col 3"),
+    ("x1*", 1, "line 1, col 4"),
+    ("n=3; x1*x2,", 1, "line 1, col 12"),
+    ("x1*x2, x1*x2", 0, None),
+    ('{"n": 2, "gens": [[1, 0.5]]}', 1, "bad exponent vector"),
+    ('{"n": 2, "gens": [[1.0, 1]]}', 1, "bad exponent vector"),
+    ('{"n": 2.0, "gens": [[1, 0]]}', 1, "positive integer"),
+    ('{"n": 1e3, "gens": []}', 1, "positive integer"),
+    ('{"n": true, "gens": [[1]]}', 1, "positive integer"),
+    ('{"n": 2, "gens": [[true, false]]}', 1, "bad exponent vector"),
+    ('{"n": {"n": 2}, "gens": []}', 1, "positive integer"),
+    ('{"n": 2, "gens": [[[1], 0]]}', 1, "bad exponent vector"),
+    ('{"n": 2, "gens": {"a": [1, 0]}}', 1, "list of exponent vectors"),
+    ('{"n": 2, "gens": [null]}', 1, "bad exponent vector"),
+    ('{"n": 2, "gens": [[1, 0, 1]]}', 1, "bad exponent vector"),
+    ('{"n": 2, "gens": [[1, -1]]}', 1, "bad exponent vector"),
+    ('{"n": ١, "gens": []}', 1, "line 1, col 7"),
+    ('{"n": 2, "gens": [[1, 1]', 1, "line 1, col 25"),
+    ('{"n": 2, "gens": [[1, 1], [1, 1]]}', 0, None),
+]
+
+
+class TestMutatedInput:
+    @pytest.mark.parametrize("text, expected, where", MUTATED_INPUTS,
+                             ids=[repr(text) for text, _, _ in MUTATED_INPUTS])
+    def test_exit_code_without_an_escaped_exception(self, text, expected, where, capsys,
+                                                    monkeypatch):
+        for argv in (["analyze", "--json"], ["certify"]):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code, out, err = run(capsys, *argv)
+            assert code in (0, 1, 2, 3)
+            assert code == expected, (argv, err)
+            if code == 1:
+                assert err.startswith("parse error: ") and where in err and out == ""
+            elif argv[0] == "analyze":
+                json.loads(out)
+
+
 class TestOutputs:
     def test_json_flag_emits_json(self, capsys, tmp_path):
         source = tmp_path / "ideal.txt"

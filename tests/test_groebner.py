@@ -466,12 +466,12 @@ def certify_with_roots(ideal, witness, field=None):
         recorded.append(original(*args))
         return recorded[-1]
 
-    original = groebner._orbit_roots
-    groebner._orbit_roots = recording
+    original = groebner._class_roots
+    groebner._class_roots = recording
     try:
         certificate = certify_witness(ideal, witness, field)
     finally:
-        groebner._orbit_roots = original
+        groebner._class_roots = original
     return certificate, recorded[0]
 
 

@@ -8,6 +8,7 @@ import math
 import pickle
 import random
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matroidalkit import (Monomial, MonomialIdeal, Polynomial, StructuralError,
-                          associated_primes, is_matroidal, is_polymatroidal,
+from matroidalkit import (BudgetExceeded, DomainError, Monomial, MonomialIdeal, Polynomial,
+                          StructuralError, associated_primes, is_matroidal, is_polymatroidal,
                           make_ideal, pd_depth, squarefree_monomials, squarefree_veronese,
                           transversal, veronese)
 from matroidalkit import ideals as ideals_module
@@ -438,6 +439,67 @@ class TestSwapOrbits:
         assert (hash(ideal), repr(ideal)) == before
         assert ideal == transversal(5, [{1, 2}, {3, 4, 5}])
 
+    def test_ideals_that_are_not_square_free(self, squared_pivot_n3):
+        # the squared pivot, block powers prod_i (x_b : b in B_i)^e_i and a
+        # relabeling of each, and seeded mixed-degree families, half of them
+        # closed under the permutations of a seeded block of variables
+        rng = random.Random(22)
+        ideals = [squared_pivot_n3]
+        for sizes, powers in (((2, 3), (2, 1)), ((2, 5), (2, 1)), ((3, 2), (2, 3)),
+                              ((1, 2, 2), (3, 1, 2))):
+            ends = list(itertools.accumulate(sizes))
+            blocks = [range(end - size + 1, end + 1) for size, end in zip(sizes, ends)]
+            power = MonomialIdeal.unit(ends[-1])
+            for block, e in zip(blocks, powers):
+                for _ in range(e):
+                    power = power * MonomialIdeal.from_supports(ends[-1], [{v} for v in block])
+            ideals += [power, relabeled(power, rng.sample(range(1, ends[-1] + 1), ends[-1]))]
+        for k in range(300):
+            n = rng.randint(1, 7)
+            ideal = make_ideal(n, [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+                                   for _ in range(rng.randint(1, 6))])
+            if k % 2:
+                block = rng.sample(range(ideal.n), min(ideal.n, rng.randint(2, 4)))
+                ideal = make_ideal(ideal.n, [
+                    tuple(g.exponents[perm[block.index(v)]] if v in block else g.exponents[v]
+                          for v in range(ideal.n))
+                    for g in ideal.gens for perm in itertools.permutations(block)])
+            ideals.append(ideal)
+        assert sum(not ideal.is_squarefree for ideal in ideals) > 200
+        symmetric = 0
+        for ideal in ideals:
+            orbits = ideals_module._swap_orbits(ideal)
+            assert orbits == ideals_oracle.swap_orbits(ideal), ideal
+            symmetric += not ideal.is_squarefree and orbits[1] != tuple(range(ideal.mu))
+        assert symmetric > 90
+        # (x1, x2)^2 (x3, ..., x7): x1^2 x_c and x2^2 x_c form one orbit
+        assert ideals_module._swap_orbits(ideals[3]) == ((0, 0, 2, 2, 2, 2, 2),
+                                                         (0,) * 5 + (5,) * 5 + (0,) * 5)
+
+    def test_class_roots_are_the_closure_under_in_class_swaps(self):
+        # the root of a vector is the first vector it reaches by swapping
+        # entries inside one class, whether or not the list is closed
+        rng = random.Random(23)
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            classes = {}
+            for v in range(n):
+                classes.setdefault(rng.randrange(n), []).append(v)
+            least = [0] * n
+            for members in classes.values():
+                for v in members:
+                    least[v] = members[0]
+            pairs = [(i, j) for i, j in itertools.combinations(range(n), 2)
+                     if least[i] == least[j]]
+            vectors = [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+                       for _ in range(rng.randint(1, 8))]
+            vectors += [ideals_module._swapped(rng.choice(vectors), *rng.choice(pairs))
+                        for _ in range(rng.randint(0, 4) if pairs else 0)]
+            want = tuple(min(k for k, u in enumerate(vectors) if u in ideals_oracle._closure(
+                v, lambda e: [ideals_module._swapped(e, i, j) for i, j in pairs]))
+                for v in vectors)
+            assert ideals_module._class_roots(vectors, tuple(least)) == want, (vectors, least)
+
 
 def colon_probes(n):
     """Each variable, square-free products, and products with a square."""
@@ -582,6 +644,33 @@ class TestSummaryAndViews:
         assert len(two_blocks_n4.squarefree_members(3)) == 4
         assert two_blocks_n4.squarefree_members(4) == \
             (Monomial((1, 1, 1, 1)),)
+
+    @pytest.mark.parametrize("bad", [-1, 2.0, True, 1.5, "2", None], ids=repr)
+    def test_member_degree_must_be_a_plain_int(self, two_blocks_n4, bad):
+        for listing in (two_blocks_n4.squarefree_members, lambda d: squarefree_monomials(4, d)):
+            with pytest.raises(DomainError, match=re.escape(f"got {bad!r}")):
+                listing(bad)
+
+    def test_squarefree_members_hold_the_member_budget(self, monkeypatch):
+        # x_i * x12 * ... * x40 for i <= 11: degree 30 has C(40, 30) candidates
+        ideal = MonomialIdeal.from_supports(40, [{i, *range(12, 41)} for i in range(1, 12)])
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded, match=r"^rank stage: the listing tests "
+                                                 r"847660528 square-free candidates "
+                                                 r"\(C\(40, 30\)\), over the limit "
+                                                 r"MEMBER_BUDGET = 1048576$"):
+            ideal.squarefree_members(30)
+        assert time.monotonic() - start < 0.5
+        # below the least generator degree nothing is listed, so nothing is refused
+        assert ideal.squarefree_members(29) == ideal.squarefree_members(0) == ()
+        assert len(ideal.squarefree_members(40)) == 1
+        # V(6,3): C(6,3) = 20 candidates at degree 3, 15 at degree 4
+        veronese6 = squarefree_veronese(6, 3)
+        monkeypatch.setattr(ideals_module, "MEMBER_BUDGET", 15)
+        assert len(veronese6.squarefree_members(4)) == 15
+        with pytest.raises(BudgetExceeded, match="C\\(6, 3\\)"):
+            veronese6.squarefree_members(3)
+        assert veronese6.squarefree_members(2) == ()
 
     def test_squarefree_members_match_contains_scan(self, two_blocks_n4, path_n4):
         # every degree 0..n, on square-free and non-square-free ideals

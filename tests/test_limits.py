@@ -12,7 +12,7 @@ from matroidalkit import (BudgetExceeded, DomainError, MonomialIdeal, PairBudget
                           dedupe_up_to_relabeling, enumerate_matroidal,
                           irreducible_decomposition, make_ideal, pd_depth,
                           squarefree_veronese, transversal, verify_sv_conditions)
-from matroidalkit import decomposition, groebner, homology, matroids, schmitt_vogel
+from matroidalkit import decomposition, groebner, homology, ideals, matroids
 from matroidalkit.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -68,7 +68,8 @@ LIMITS = [
      (lambda: pd_depth(MonomialIdeal.from_supports(40, [{1, 2}, {3, 4}])),)),
     ("linear-quotient", homology, "LINEAR_QUOTIENT_BUDGET",
      (lambda: pd_depth(MonomialIdeal.maximal(21)),)),
-    ("rank", schmitt_vogel, "MEMBER_BUDGET", (lambda: ara_report(tail_40()), verify_tail_40)),
+    ("rank", ideals, "MEMBER_BUDGET",
+     (lambda: ara_report(tail_40()), verify_tail_40, lambda: tail_40().squarefree_members(30))),
     ("decomposition", decomposition, "COVER_BUDGET", (lambda: associated_primes(matching(48)),)),
     ("decomposition", decomposition, "LEAF_BUDGET",
      (lambda: associated_primes(square_pairs(10)),)),
@@ -305,7 +306,7 @@ def readme_limits():
 
 class TestLimitsTable:
     def test_each_row_holds_its_constant(self):
-        modules = {"groebner": groebner, "homology": homology, "schmitt_vogel": schmitt_vogel,
+        modules = {"groebner": groebner, "homology": homology, "ideals": ideals,
                    "decomposition": decomposition, "matroids": matroids}
         rows = readme_limits()
         assert [name for _, name, _ in rows] == [

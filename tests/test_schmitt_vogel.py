@@ -8,7 +8,7 @@ import pytest
 
 from matroidalkit import (BudgetExceeded, DomainError, Monomial, MonomialIdeal, Polynomial,
                           StructuralError, SVWitness, TheoremViolationError, ara_report,
-                          build_sv_witness, groebner, homology, make_ideal, schmitt_vogel,
+                          build_sv_witness, groebner, homology, ideals, make_ideal,
                           squarefree_monomials, squarefree_veronese, transversal,
                           verify_sv_conditions)
 from matroidalkit.cli import _witness_payload
@@ -102,7 +102,7 @@ class TestLimitsComeFirst:
 
     def test_member_budget_wins_over_a_failed_layer_check(self, monkeypatch):
         monkeypatch.setattr(MonomialIdeal, "_squarefree_member_masks", lambda self, degree: ())
-        monkeypatch.setattr(schmitt_vogel, "MEMBER_BUDGET", 56)
+        monkeypatch.setattr(ideals, "MEMBER_BUDGET", 56)
         with pytest.raises(BudgetExceeded) as info:
             build_sv_witness(complete_bipartite(3))
         assert (info.value.stage, info.value.limit) == ("rank", "MEMBER_BUDGET")
@@ -111,10 +111,10 @@ class TestLimitsComeFirst:
         # K_{3,3}: C(6,2) + C(6,3) + ... + C(6,6) = 57 candidates, for the
         # witness and for the condition check alike
         ideal = complete_bipartite(3)
-        monkeypatch.setattr(schmitt_vogel, "MEMBER_BUDGET", 57)
+        monkeypatch.setattr(ideals, "MEMBER_BUDGET", 57)
         witness = build_sv_witness(ideal)
         assert witness.r == 4 and verify_sv_conditions(witness.layers, ideal)
-        monkeypatch.setattr(schmitt_vogel, "MEMBER_BUDGET", 56)
+        monkeypatch.setattr(ideals, "MEMBER_BUDGET", 56)
         for refused in (lambda: build_sv_witness(ideal),
                         lambda: verify_sv_conditions(witness.layers, ideal)):
             with pytest.raises(BudgetExceeded, match=r"^rank stage: the layers test 57 "

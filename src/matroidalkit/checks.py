@@ -33,10 +33,6 @@ class CheckResult:
     detail: str
     skipped: bool = False
 
-    @property
-    def failed(self):
-        return not self.passed and not self.skipped
-
 
 class _Skip(Exception):
     pass
@@ -58,7 +54,6 @@ def _check(name):
             except StructuralError as err:
                 return CheckResult(name, False, f"{type(err).__name__}: {err}")
             return CheckResult(name, passed, detail)
-        run.check_name = name
         return run
     return wrap
 

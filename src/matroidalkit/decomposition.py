@@ -205,6 +205,9 @@ def _minimal_covers(edges, tops=None):
     meets that edge, so exactly one branch, the one for the first allowed
     vertex in C, keeps chosen inside C and forbidden outside it: every
     vertex set is visited at most once and every minimal cover is reached.
+    The sets along the search's path are kept on a list, not the call
+    stack: the search goes one level deeper per chosen vertex, and the
+    cover of x1, ..., x1024 has 1,024 of them.
 
     Each chosen vertex keeps its private edges: those that meet chosen in
     that vertex alone and hold it in their top (tops gives one mask per
@@ -218,19 +221,28 @@ def _minimal_covers(edges, tops=None):
     top = dict(zip(edges, edges if tops is None else tops))
     edges = sorted(top)
     found = []
-    counts = {"nodes": 0, "leaves_rejected": 0}
-
-    def search(chosen, private, uncovered, forbidden):
-        if not uncovered:
+    nodes = rejected = 0
+    # the vertex sets on the path from the empty one, each as [chosen,
+    # private lists, uncovered edges, vertices left to branch on, forbidden]
+    path = []
+    chosen, private, uncovered, forbidden = 0, [], edges, 0
+    while True:
+        if uncovered:
+            edge = min(uncovered, key=lambda e: (e & ~forbidden).bit_count())
+            path.append([chosen, private, uncovered, edge & ~forbidden, forbidden])
+        else:
             found.append(chosen)
-            return
-        edge = min(uncovered, key=lambda e: (e & ~forbidden).bit_count())
-        allowed = edge & ~forbidden
-        while allowed:
+        while path:
+            frame = path[-1]
+            chosen, private, uncovered, allowed, forbidden = frame
+            if not allowed:
+                path.pop()
+                continue
             v = allowed & -allowed
-            allowed ^= v
-            counts["nodes"] += 1
-            if counts["nodes"] > COVER_BUDGET:
+            frame[3] ^= v
+            frame[4] |= v
+            nodes += 1
+            if nodes > COVER_BUDGET:
                 raise BudgetExceeded("decomposition", "the minimal-cover search visits more "
                                      f"than {COVER_BUDGET} vertex sets", "COVER_BUDGET",
                                      COVER_BUDGET)
@@ -252,14 +264,13 @@ def _minimal_covers(edges, tops=None):
                 for e in own:
                     union |= e
                 kept.append((own, union))
-            if union:
-                search(chosen | v, kept, [e for e in uncovered if not e & v], forbidden)
-            else:
-                counts["leaves_rejected"] += 1
-            forbidden |= v
-
-    search(0, [], edges, 0)
-    return tuple(found), CoverStats(leaves_kept=len(found), **counts)
+            if union:  # visit chosen | v next, with the forbidden set of its parent
+                chosen, private, uncovered = chosen | v, kept, [e for e in uncovered if not e & v]
+                break
+            rejected += 1
+        else:
+            return tuple(found), CoverStats(nodes=nodes, leaves_kept=len(found),
+                                            leaves_rejected=rejected)
 
 
 def associated_primes(ideal):
@@ -314,8 +325,10 @@ def partition_degree2(ideal):
 
     Two variables share a block exactly when their product stays out of
     the ideal. The relation is an equivalence for matroidal input; that,
-    and the block laws themselves, are re-verified before returning. The
-    (frozen) partition is kept in the ideal's memo; a refusal is not.
+    and the block laws themselves, are re-verified before returning: on
+    every pair, on the generator masks, since a degree-2 monomial lies in
+    the ideal iff it is a generator. The (frozen) partition is kept in
+    the ideal's memo; a refusal is not.
     """
     return ideal._memo("_partition", _partition)
 
@@ -335,9 +348,10 @@ def _partition(ideal):
         blocks.append(frozenset(block))
     partition = Partition(n, tuple(blocks))
     # transitivity is a theorem for matroidal input, not a given
+    block = {v: k for k, members in enumerate(blocks) for v in members}
+    masks = set(ideal.masks)
     for i, j in itertools.combinations(range(1, n + 1), 2):
-        same = partition.block_of(i) == partition.block_of(j)
-        if same == (not out_of(i, j)):
+        if (block[i] == block[j]) == (1 << i - 1 | 1 << j - 1 in masks):
             raise TheoremViolationError(
                 f"pair x{i}x{j} contradicts the block relation in {ideal}")
     if partition.m < 2:

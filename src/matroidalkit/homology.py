@@ -28,7 +28,8 @@ cannot carry homology are skipped (see pd_depth), and pd comes from a
 scan of the rest that stops below the best degree found (_homology_pd);
 _hochster_table builds the whole table. Before any face is listed, the
 sum of 2^|facet| over the facets, which bounds the face count, is held
-against FACE_BUDGET.
+against FACE_BUDGET, and the lcm lattice is held against LATTICE_BUDGET
+as it grows, one generator at a time.
 
 All linear algebra is exact and goes through one sparse column
 reduction with one elimination step for every field. The field enters
@@ -56,6 +57,9 @@ FACE_BUDGET = 1 << 22
 # an entry, keyed by a frozenset, costs about 870 bytes, so the table at
 # this limit takes about 0.9 GiB (K_{10,10}, 1,046,529 entries, fits)
 LINEAR_QUOTIENT_BUDGET = 1 << 20
+# multidegrees the lcm lattice may hold (unions of generator supports):
+# 16x the 3,970 of the largest lattice the test suite builds
+LATTICE_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -416,12 +420,21 @@ def _linear_quotients(ideal):
 
 
 def _hochster_setup(ideal, field):
-    """The face complex, its face levels and boundaries, and the lcm lattice."""
+    """The face complex, its face levels and boundaries, and the lcm lattice.
+
+    The lattice at most doubles with each generator, and it is held
+    against LATTICE_BUDGET after each one, so a refused lattice never
+    grows past twice the limit.
+    """
     complex_ = stanley_reisner(ideal)
     levels = _face_levels([support_to_mask(f) for f in complex_.facets])
     lattice = {0}
-    for g in ideal.masks:
+    for k, g in enumerate(ideal.masks, start=1):
         lattice |= {s | g for s in lattice}
+        if len(lattice) > LATTICE_BUDGET:
+            raise BudgetExceeded("homology", f"the lcm lattice holds {len(lattice)} "
+                                 f"multidegrees after {k} of {ideal.mu} generators",
+                                 "LATTICE_BUDGET", LATTICE_BUDGET)
     return complex_, levels, _boundaries(levels, field), lattice
 
 

@@ -7,9 +7,9 @@ and field-free: no coefficients, no floats.
 
 The square-free bit layout lives here alone: a set of variable indices
 (a support, a face, a prime) is an int whose bit k-1 stands for x_k;
-other modules convert with support_to_mask and mask_to_support, list the
-d-subsets of [n] with _layer_masks and filter a family of masks down to
-its inclusion-minimal members with _minimal_masks.
+other modules convert with support_to_mask and mask_to_support and
+filter a family of masks down to its inclusion-minimal members with
+_minimal_masks. _layer_masks holds C(n, d) before it lists d-subsets.
 
 A monomial caches its views (degree, support, support mask) and an ideal
 its derived data (degree, and in its memo the generator masks, the orbits
@@ -30,8 +30,8 @@ candidates * generators, the mask tests the generator scan makes at
 worst over the degrees from the least generator degree up to n.
 Otherwise the generator scan runs. On the measured shapes the table wins
 below a ratio 2^n / (candidates * generators) of about 4 and the scan
-above about 10. A listing holds its C(n, degree) candidates against
-MEMBER_BUDGET first.
+above about 10. _member_layers, the witness layers, holds the candidates
+of all its degrees against MEMBER_BUDGET at once, before any is listed.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ from .errors import BudgetExceeded, DomainError, StructuralError
 
 # the member table holds 2^n bits: 2 MiB at n = 24
 MEMBER_TABLE_MAX_N = 24
-# square-free candidates one member listing may test: sum_{k=d..n} C(n, k)
-# for the witness layers, C(n, degree) for squarefree_members; every
-# n <= 20 fits, K_{10,10} with 2^20 - 21 of them included
+# square-free candidates one listing may test: sum_{k=d..n} C(n, k) for
+# the witness layers, C(n, d) for one walk of _layer_masks; every n <= 20
+# fits, K_{10,10} with 2^20 - 21 of them included
 MEMBER_BUDGET = 1 << 20
 
 
@@ -231,7 +231,8 @@ def _member_degree(d):
 
 
 def _layer_masks(n, d):
-    """The d-subsets of [n] as masks, in lex order of their supports."""
+    """The d-subsets of [n] as masks, in lex order; their C(n, d) are held first."""
+    _hold_member_budget(n, d, d)
     return tuple(map(sum, itertools.combinations([1 << k for k in range(n)], d)))
 
 
@@ -414,16 +415,21 @@ class MonomialIdeal:
         membership is a mask test against theirs, whatever the ideal: a
         lookup in the member table where the size rule builds one (see the
         module docstring), the generator scan otherwise. Below the least
-        generator degree nothing is listed, and so nothing is refused.
+        generator degree nothing is listed, and _layer_masks refuses nothing.
         """
         masks, least, table = self._memo("_member_table", _member_table)
         if degree < least:
             return ()
-        _hold_member_budget(self.n, degree, degree)
         layer = _layer_masks(self.n, degree)
         if table is None:
             return tuple(m for m in layer if any(not g & ~m for g in masks))
         return tuple(m for m in layer if table[m >> 3] >> (m & 7) & 1)
+
+    def _member_layers(self):
+        """Member masks by degree, n down to the least generator degree; sized once first."""
+        least = self._memo("_member_table", _member_table)[1]
+        _hold_member_budget(self.n, least, self.n)
+        return tuple(map(self._squarefree_member_masks, range(self.n, least - 1, -1)))
 
     def summarize(self):
         return IdealSummary(

@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .errors import DomainError, StructuralError, TheoremViolationError
 from .homology import pd_depth
-from .ideals import Monomial, _hold_member_budget
+from .ideals import Monomial
 from .groebner import Polynomial
 from .matroids import is_matroidal
 
@@ -113,8 +113,8 @@ def build_sv_witness(ideal):
 
     The lower bound comes first: pd_depth's limits refuse an oversized
     ideal before any layer is listed, and so a BudgetExceeded from it wins
-    over a failed layer check. Then the candidates the layers test are
-    held against MEMBER_BUDGET (ideals._hold_member_budget).
+    over a failed layer check. Then MonomialIdeal._member_layers sizes the
+    layers against MEMBER_BUDGET and lists them; their count fixes r and d.
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("witness needs a proper nonzero ideal")
@@ -124,31 +124,26 @@ def build_sv_witness(ideal):
     if not summary.is_full_supported:
         raise DomainError("witness construction requires full support")
     n = ideal.n
-    d = min(map(int.bit_count, ideal.masks))
-    if d < 2:
+    if any(not m & (m - 1) for m in ideal.masks):  # a variable among the generators
         raise DomainError("degree-1 input uses the plain variable witness; see ara_report")
-    r = n - d
     lower = pd_depth(ideal).pd
-    _hold_member_budget(n, d, n)
-    layers = []
-    for j in range(r + 1):
-        layer = ideal._squarefree_member_masks(n - j)
+    layers = ideal._member_layers()
+    for j, layer in enumerate(layers):
         if not layer:
             raise TheoremViolationError(
                 f"empty layer at degree {n - j} for full-support {ideal}")
-        layers.append(layer)
     if layers[0] != ((1 << n) - 1,):
         raise TheoremViolationError(f"top layer of {ideal} is not the full product")
-    upper = r + 1
+    upper = len(layers)
     exact = lower == upper
     if is_matroidal(ideal) and not exact:
         raise TheoremViolationError(
             f"bounds {lower} < {upper} fail to meet on matroidal {ideal}")
     return SVWitness(
         n=n,
-        d=d,
-        r=r,
-        masks=tuple(layers),
+        d=n + 1 - upper,
+        r=upper - 1,
+        masks=layers,
         ara_upper=upper,
         ara_lower=lower,
         ara_exact=exact,
@@ -163,9 +158,9 @@ def verify_sv_conditions(layers, ideal):
     positions of a later layer have their product divisible by some
     earlier-layer element. Returns a report on any Monomial layers, even
     adversarial ones; raises StructuralError on another entry and, like
-    build_sv_witness, BudgetExceeded past MEMBER_BUDGET. Once (a) holds
-    every element is square-free, so (c) runs on masks: q divides p*p'
-    iff q lies in p | p'.
+    build_sv_witness, BudgetExceeded past MEMBER_BUDGET (_member_layers).
+    Once (a) holds every element is square-free, so (c) runs on masks: q
+    divides p*p' iff q lies in p | p'.
     """
     layers = [tuple(layer) for layer in layers]
     stray = [m for layer in layers for m in layer if not isinstance(m, Monomial)]
@@ -173,10 +168,8 @@ def verify_sv_conditions(layers, ideal):
         raise StructuralError(f"layer entry {stray[0]!r} is not a Monomial")
     if not layers:
         return SVConditionReport(False, CONDITION_SINGLETON, ())
-    # the listing tests from the least degree of a square-free generator up
-    _hold_member_budget(ideal.n, min((g.degree for g in ideal.gens if g.is_squarefree),
-                                     default=ideal.n + 1), ideal.n)
-    members = {m for k in range(ideal.n + 1) for m in ideal.squarefree_members(k)}
+    members = {Monomial.from_bitmask(ideal.n, m)
+               for layer in ideal._member_layers() for m in layer}
     layered = set().union(*map(set, layers))
     if layered != members:
         stray = sorted(layered ^ members, key=lambda m: m.exponents)

@@ -15,7 +15,7 @@ from matroidalkit import (BudgetExceeded, DomainError, Monomial, MonomialIdeal, 
                           StructuralError, associated_primes, criteria_check, decomposition,
                           irreducible_decomposition, is_matroidal, make_ideal, p1_classify,
                           partition_degree2, pd_depth, squarefree_veronese, stanley_reisner,
-                          transversal, veronese)
+                          TheoremViolationError, transversal, veronese)
 from matroidalkit.decomposition import (MATROIDAL, POWER_OF_M, CoverStats, _minimal_covers,
                                         _polarize)
 
@@ -364,6 +364,11 @@ class TestMinimalCovers:
         assert minimal_covers([frozenset({1}), frozenset()])[0] == frozenset()
         assert minimal_covers([{1, 2}, {2}, {2}])[0] == frozenset({frozenset({2})})
 
+    def test_search_deeper_than_the_recursion_limit(self):
+        # x1, ..., x1024: one cover, reached by choosing one vertex per level
+        edges = [1 << k for k in range(1024)]
+        assert _minimal_covers(edges) == (((1 << 1024) - 1,), CoverStats(1024, 1, 0))
+
     def test_matches_oracle_on_matroidal_census(self):
         for d in (2, 3):
             for ideal in enumerate_matroidal(5, d):
@@ -494,6 +499,15 @@ class TestPartition:
         monkeypatch.setattr("sys.stdin", io.StringIO("n=4; x1*x3, x1*x4, x2*x3, x2*x4"))
         assert main(["analyze", "--no-certify"]) == 0
         assert "  m: 2\n" in capsys.readouterr().out and len(scans) == 1
+
+    def test_block_laws_are_checked_on_the_generators(self, monkeypatch, two_blocks_n4):
+        # blocks built from a membership test that drops x1*x3 break a law
+        # the generator masks still hold
+        real = MonomialIdeal.contains
+        monkeypatch.setattr(MonomialIdeal, "contains",
+                            lambda ideal, u: u.support != {1, 3} and real(ideal, u))
+        with pytest.raises(TheoremViolationError, match="pair x1x3 contradicts"):
+            partition_degree2(MonomialIdeal(4, two_blocks_n4.gens))
 
     def test_a_refusal_is_not_kept(self):
         ideal = make_ideal(4, [(1, 1, 0, 0), (0, 0, 1, 1)])

@@ -12,10 +12,11 @@ import weakref
 
 import pytest
 
-from matroidalkit import (DomainError, HomologyProfile, HomologyStats, MonomialIdeal,
-                          SimplicialComplex, StructuralError, associated_primes,
-                          betti_table, make_ideal, pd_depth, reduced_homology_ranks,
-                          squarefree_veronese, stanley_reisner, transversal)
+from matroidalkit import (BudgetExceeded, DomainError, HomologyProfile, HomologyStats,
+                          MonomialIdeal, SimplicialComplex, StructuralError,
+                          associated_primes, betti_table, make_ideal, pd_depth,
+                          reduced_homology_ranks, squarefree_veronese, stanley_reisner,
+                          transversal)
 from matroidalkit import homology, matroids
 from matroidalkit.cli import Config, run_command
 from matroidalkit.matroids import enumerate_matroidal
@@ -629,6 +630,26 @@ class TestFaceBudget:
         assert reduced_homology_ranks(complex_of(4, {1, 2, 3}, {3, 4}))[0] == 0
         with pytest.raises(DomainError, match="16 faces"):
             reduced_homology_ranks(complex_of(4, {1, 2, 3}, {2, 4}, {1, 4}))
+
+    def test_lattice_is_held_as_it_grows(self, monkeypatch):
+        # x1 and the edges of K_4 on x2..x5: 2 * (2^4 - 4) = 24 unions of generator supports
+        ideal = MonomialIdeal.from_supports(5, [{1}, *itertools.combinations(range(2, 6), 2)])
+        profile = pd_depth(fresh(ideal))
+        assert profile.stats.route == "homology"
+        monkeypatch.setattr(homology, "LATTICE_BUDGET", 24)
+        assert pd_depth(fresh(ideal)) == profile
+        monkeypatch.setattr(homology, "LATTICE_BUDGET", 23)
+        with pytest.raises(BudgetExceeded, match=r"^homology stage: the lcm lattice holds 24 "
+                                                 r"multidegrees after 7 of 7 generators, over "
+                                                 r"the limit LATTICE_BUDGET = 23$"):
+            pd_depth(fresh(ideal))
+        # x1 and the edges of K_16 on x2..x17: 2^17 - 32 unions, refused after 17 generators
+        monkeypatch.undo()
+        start = time.monotonic()
+        probe = MonomialIdeal.from_supports(17, [{1}, *itertools.combinations(range(2, 18), 2)])
+        with pytest.raises(BudgetExceeded, match="holds 65538 multidegrees after 17 of 121"):
+            pd_depth(probe)
+        assert time.monotonic() - start < 0.5
 
     def test_linear_quotient_table_is_held_against_the_budget(self, monkeypatch):
         # (x1, ..., x30): set(u_k) has k - 1 variables, 2^30 - 1 entries

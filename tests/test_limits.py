@@ -1,6 +1,7 @@
 """Work limits: one error, raised where the work is sized, and what each command does."""
 
 import io
+import itertools
 import re
 import time
 from pathlib import Path
@@ -46,6 +47,11 @@ def square_pairs(k):
                           for i in range(k)])
 
 
+def lattice_probe(k):
+    """x1 and every x_i*x_j, 2 <= i < j <= k: 2^k - 2(k - 1) unions of generator supports."""
+    return MonomialIdeal.from_supports(k, [{1}, *itertools.combinations(range(2, k + 1), 2)])
+
+
 def certify_k23():
     ideal = k23()
     return certify_witness(ideal, ara_report(ideal).elements)
@@ -66,6 +72,7 @@ LIMITS = [
     ("groebner", groebner, "PAIR_BUDGET", (certify_k23,)),
     ("homology", homology, "FACE_BUDGET",
      (lambda: pd_depth(MonomialIdeal.from_supports(40, [{1, 2}, {3, 4}])),)),
+    ("homology", homology, "LATTICE_BUDGET", (lambda: pd_depth(lattice_probe(17)),)),
     ("linear-quotient", homology, "LINEAR_QUOTIENT_BUDGET",
      (lambda: pd_depth(MonomialIdeal.maximal(21)),)),
     ("rank", ideals, "MEMBER_BUDGET",
@@ -310,8 +317,9 @@ class TestLimitsTable:
                    "decomposition": decomposition, "matroids": matroids}
         rows = readme_limits()
         assert [name for _, name, _ in rows] == [
-            "PAIR_BUDGET", "FACE_BUDGET", "LINEAR_QUOTIENT_BUDGET", "MEMBER_BUDGET",
-            "COVER_BUDGET", "LEAF_BUDGET", "ENUMERATION_MAX_LAYER", "ENUMERATION_MAX_N"]
+            "PAIR_BUDGET", "FACE_BUDGET", "LATTICE_BUDGET", "LINEAR_QUOTIENT_BUDGET",
+            "MEMBER_BUDGET", "COVER_BUDGET", "LEAF_BUDGET", "ENUMERATION_MAX_LAYER",
+            "ENUMERATION_MAX_N"]
         for module, name, value in rows:
             assert getattr(modules[module], name) == value, name
 

@@ -23,13 +23,20 @@ multidegree (Hochster's formula). Its facets are the complements of the
 minimal primes of I. Faces, supports and multidegrees are int bitmasks
 in the layout of ideals.support_to_mask: a face f lies in the
 restriction to sigma when f & ~sigma == 0, and its boundary drops one
-bit at a time. Frozensets appear only at the API edge. Multidegrees that
-cannot carry homology are skipped (see pd_depth), and pd comes from a
-scan of the rest that stops below the best degree found (_homology_pd);
-_hochster_table builds the whole table. Before any face is listed, the
-sum of 2^|facet| over the facets, which bounds the face count, is held
-against FACE_BUDGET, and the lcm lattice is held against LATTICE_BUDGET
-as it grows, one generator at a time.
+bit at a time. Frozensets appear only at the API edge. Let base be the
+least generator degree less one. A non-face contains a generator
+support, so every set of at most base vertices is a face of every
+restriction: its levels up to base are complete skeleta of a simplex,
+whose homology is known in closed form (h~_j = 0 for j <= base - 2),
+and only the faces above base are listed and reduced (_reduced_ranks).
+Multidegrees that cannot carry homology are skipped (see pd_depth), and
+pd comes from a scan of the rest that stops below the best degree found
+and skips every multidegree holding too few generator supports to reach
+past it, by Taylor's resolution (_homology_pd); _hochster_table builds
+the whole table. Before any face is listed, the sum of 2^|facet| over
+the facets, which bounds the face count, is held against FACE_BUDGET,
+and the lcm lattice is held against LATTICE_BUDGET as it grows, one
+generator at a time.
 
 All linear algebra is exact and goes through one sparse column
 reduction with one elimination step for every field. The field enters
@@ -121,11 +128,15 @@ class HomologyStats:
     |set(u_k)| (pd - 1) and the other counters stay 0. On the homology
     route multidegrees_scanned counts the multidegrees whose restricted
     complex was reduced and multidegrees_skipped the rest; the two add up
-    to 2^n. The scan is pruned (see _homology_pd), so it skips the cones
-    and every multidegree too small to raise pd. matrices_reduced counts
-    the boundary maps between nonempty face levels that went through
-    elimination, and largest_matrix is the (rows, columns) shape of the
-    one with the most entries. Building the Betti table counts nothing.
+    to 2^n. The scan is pruned (see _homology_pd), so it skips the cones,
+    every multidegree too small to raise pd, and every one that holds no
+    more generator supports than the best degree found so far.
+    matrices_reduced counts the boundary maps that went through
+    elimination, which are those out of the face levels above base (the
+    least generator degree less one); the maps below are complete simplex
+    skeleta, read in closed form. largest_matrix is the (rows, columns)
+    shape of the reduced map with the most entries. Building the Betti
+    table counts nothing.
     """
 
     multidegrees_scanned: int = 0
@@ -168,11 +179,13 @@ def stanley_reisner(ideal):
     return SimplicialComplex(ideal.n, tuple(facets))
 
 
-def _face_levels(facets):
+def _face_levels(facets, base=0):
     """Faces by vertex count: levels[k] lists the k-vertex faces, ascending.
 
-    facets are masks; every face comes from a facet by dropping bits. An
-    empty list means the void complex.
+    facets are masks; every face comes from a facet by dropping bits.
+    Only the levels above base are listed; those up to base are left
+    empty for _reduced_ranks to read in closed form. An empty list means
+    the void complex.
     """
     if not facets:
         return []
@@ -182,8 +195,9 @@ def _face_levels(facets):
                              "(sum of 2^|facet|)", "FACE_BUDGET", FACE_BUDGET)
     levels = [set() for _ in range(max(f.bit_count() for f in facets) + 1)]
     for f in facets:
-        levels[f.bit_count()].add(f)
-    for k in range(len(levels) - 1, 0, -1):
+        if f.bit_count() > base:
+            levels[f.bit_count()].add(f)
+    for k in range(len(levels) - 1, base + 1, -1):
         below = levels[k - 1]
         for f in levels[k]:
             rest = f
@@ -259,31 +273,47 @@ def _reduce_columns(columns, field):
     return pivots
 
 
-def _reduced_ranks(levels, boundary, field, counts=None):
+def _reduced_ranks(levels, boundary, field, base=0, size=0, counts=None):
     """Reduced homology ranks of a face set given by levels, per dimension.
 
-    The k-vertex faces sit in dimension k - 1. Boundary maps are reduced
-    from the top down so that each one can skip columns (clearing): if a
-    reduced column R of the map out of the (k+1)-vertex faces has pivot
-    row f, then R is a nonzero multiple of f plus faces below f and
-    dR = 0. Trading f for R in the basis of k-vertex chains is a
-    triangular change, so the next map keeps its rank while f's column
-    becomes zero; f is left out of that reduction over every field.
+    The k-vertex faces sit in dimension k - 1. Every set of at most base
+    of the complex's size vertices is a face, so levels[k] is listed only
+    for k > base (see _face_levels). Up to base the levels are complete
+    skeleta of a simplex: level k holds C(size, k) faces and the boundary
+    out of it has rank C(size - 1, k - 1). So h~_j = 0 for j <= base - 2,
+    and h~_{base-1} is C(size - 1, base), the cycles of level base, less
+    the rank of the boundary out of level base + 1. With base = 0 the
+    only such level holds the empty face, one cycle whatever size is;
+    with base > 0, size must be at least 1.
+
+    Only the maps out of the levels above base are reduced, from the top
+    down so that each one can skip columns (clearing): if a reduced
+    column R of the map out of the (k+1)-vertex faces has pivot row f,
+    then R is a nonzero multiple of f plus faces below f and dR = 0.
+    Trading f for R in the basis of k-vertex chains is a triangular
+    change, so the next map keeps its rank while f's column becomes zero;
+    f is left out of that reduction over every field.
     """
-    while levels and not levels[-1]:
+    if not levels:
+        return {}
+    while len(levels) > base + 1 and not levels[-1]:
         levels = levels[:-1]
     ranks = [0] * (len(levels) + 1)
     cleared = {}
-    for k in range(len(levels) - 1, 0, -1):
+    for k in range(len(levels) - 1, base, -1):
         cleared = _reduce_columns(
             [boundary[f] for f in levels[k] if f not in cleared], field)
         ranks[k] = len(cleared)
         if counts is not None:
-            shape = (len(levels[k - 1]), len(levels[k]))
+            rows = len(levels[k - 1]) if k > base + 1 else math.comb(size, base)
             counts["matrices_reduced"] += 1
-            if shape[0] * shape[1] > math.prod(counts["largest_matrix"]):
-                counts["largest_matrix"] = shape
-    return {k - 1: len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(len(levels))}
+            if rows * len(levels[k]) > math.prod(counts["largest_matrix"]):
+                counts["largest_matrix"] = (rows, len(levels[k]))
+    out = dict.fromkeys(range(-1, base - 1), 0)
+    out[base - 1] = (math.comb(size - 1, base) if base else 1) - ranks[base + 1]
+    out.update((k - 1, len(levels[k]) - ranks[k] - ranks[k + 1])
+               for k in range(base + 1, len(levels)))
+    return out
 
 
 def reduced_homology_ranks(complex_, field=None):
@@ -325,8 +355,9 @@ def pd_depth(ideal, field=None):
     which misses v, so adding v to a face of the restriction gives a face
     again: the restriction is a cone with apex v and is acyclic over
     every field. pd comes from a scan of the lattice pruned by the best
-    degree found so far (see _homology_pd); profile.stats counts the
-    multidegrees it reduced and skipped.
+    degree found so far and by the generator supports inside each sigma
+    (see _homology_pd); profile.stats counts the multidegrees it reduced
+    and skipped.
 
     The ideal's memo keeps the linear-quotient profile, or its absence,
     for every field and the homology profile per field.
@@ -420,14 +451,16 @@ def _linear_quotients(ideal):
 
 
 def _hochster_setup(ideal, field):
-    """The face complex, its face levels and boundaries, and the lcm lattice.
+    """Face complex, base, the face levels above base, their boundaries, lcm lattice.
 
-    The lattice at most doubles with each generator, and it is held
-    against LATTICE_BUDGET after each one, so a refused lattice never
-    grows past twice the limit.
+    base is the least generator degree less one (see the module
+    docstring). The lattice at most doubles with each generator, and it
+    is held against LATTICE_BUDGET after each one, so a refused lattice
+    never grows past twice the limit.
     """
     complex_ = stanley_reisner(ideal)
-    levels = _face_levels([support_to_mask(f) for f in complex_.facets])
+    base = min(g.bit_count() for g in ideal.masks) - 1
+    levels = _face_levels([support_to_mask(f) for f in complex_.facets], base)
     lattice = {0}
     for k, g in enumerate(ideal.masks, start=1):
         lattice |= {s | g for s in lattice}
@@ -435,33 +468,46 @@ def _hochster_setup(ideal, field):
             raise BudgetExceeded("homology", f"the lcm lattice holds {len(lattice)} "
                                  f"multidegrees after {k} of {ideal.mu} generators",
                                  "LATTICE_BUDGET", LATTICE_BUDGET)
-    return complex_, levels, _boundaries(levels, field), lattice
+    return complex_, base, levels, _boundaries(levels, field), lattice
 
 
 def _homology_pd(ideal, field):
     """The homology route's profile, with pd from a pruned scan of the lcm lattice.
 
-    beta_{i, sigma} = h~_j(Delta_sigma) with j = |sigma| - i - 1 >= -1,
-    so i <= |sigma|. The lcm lattice is scanned by descending |sigma|,
-    from best = 0 (beta_{0, empty} = 1), and the scan stops once
-    |sigma| <= best. A multidegree can raise best only through some
-    i > best, that is j <= |sigma| - best - 2, so its complex is reduced
-    up to the faces of |sigma| - best vertices and the lowest nonzero
-    h~_j gives i = |sigma| - j - 1. The top level of that truncated
-    complex meets no boundary from above, and its rank is never read.
+    beta_{i, sigma} = h~_j(Delta_sigma) with j = |sigma| - i - 1, and
+    h~_j = 0 for j <= base - 2 on every nonempty sigma (_reduced_ranks),
+    so i <= |sigma| - base. The lcm lattice is scanned by descending
+    |sigma|, from best = 0 (beta_{0, empty} = 1), and the scan stops once
+    |sigma| - base <= best. By Taylor's resolution beta_{i, sigma} is
+    also 0 for i above the number of generator supports inside sigma, so
+    a sigma holding at most best of them is skipped; the count stops at
+    best + 1. A multidegree can raise best only through some i > best,
+    that is j <= |sigma| - best - 2, so its complex is reduced up to the
+    faces of |sigma| - best vertices and the lowest nonzero h~_j gives
+    i = |sigma| - j - 1. The top level of that truncated complex meets no
+    boundary from above, and its rank is never read.
     """
-    complex_, levels, boundary, lattice = _hochster_setup(ideal, field)
+    complex_, base, levels, boundary, lattice = _hochster_setup(ideal, field)
+    masks = ideal.masks
     counts = {"matrices_reduced": 0, "largest_matrix": (0, 0)}
     best = scanned = 0
     for sigma in sorted(lattice, key=lambda s: (-s.bit_count(), s)):
         size = sigma.bit_count()
-        if size <= best:
+        if size - base <= best:
             break
+        held = 0
+        for g in masks:
+            if not g & ~sigma:
+                held += 1
+                if held > best:
+                    break
+        else:
+            continue  # at most best generator supports inside sigma
         top = size - best
         inside = [[f for f in level if not f & ~sigma] for level in levels[:top + 1]]
-        ranks = _reduced_ranks(inside, boundary, field, counts)
+        ranks = _reduced_ranks(inside, boundary, field, base, size, counts)
         scanned += 1
-        for j in range(-1, top - 1):
+        for j in range(base - 1, top - 1):
             if ranks.get(j):
                 best = size - j - 1
                 break
@@ -471,13 +517,17 @@ def _homology_pd(ideal, field):
 
 
 def _hochster_table(ideal, field):
-    """The whole Betti table by Hochster's formula, over the lcm lattice."""
-    _, levels, boundary, lattice = _hochster_setup(ideal, field)
-    betti = {}
-    for sigma in sorted(lattice):
+    """The whole Betti table by Hochster's formula, over the lcm lattice.
+
+    sigma = empty restricts to the complex whose only face is empty,
+    with h~_{-1} = 1; every other sigma in the lattice is nonempty.
+    """
+    _, base, levels, boundary, lattice = _hochster_setup(ideal, field)
+    betti = {(0, frozenset()): 1}
+    for sigma in sorted(lattice)[1:]:
         size = sigma.bit_count()
         inside = [[f for f in level if not f & ~sigma] for level in levels[:size + 1]]
-        ranks = _reduced_ranks(inside, boundary, field)
+        ranks = _reduced_ranks(inside, boundary, field, base, size)
         members = mask_to_support(sigma)
         for i in range(size + 1):
             value = ranks.get(size - i - 1, 0)

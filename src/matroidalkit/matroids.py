@@ -24,6 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from . import ideals
 from .errors import BudgetExceeded, DomainError
 from .ideals import (Monomial, MonomialIdeal, _swap_orbits, _variable_count, make_ideal,
                      squarefree_monomials)
@@ -183,10 +184,18 @@ def squarefree_veronese(n, d):
 
 
 def veronese(n, d):
-    """The d-th power of the maximal ideal: all degree-d monomials; n and d plain ints."""
+    """The d-th power of the maximal ideal: all degree-d monomials; n and d plain ints.
+
+    Its C(n + d - 1, d) generators are held against ideals.MEMBER_BUDGET
+    before any is built.
+    """
     _variable_count(n)
     if type(d) is not int or d < 1:
         raise DomainError(f"Veronese degree must be a positive int, got {d!r}")
+    count = math.comb(n + d - 1, d)
+    if count > ideals.MEMBER_BUDGET:
+        raise BudgetExceeded("rank", f"the listing builds {count} monomials "
+                             f"(C({n + d - 1}, {d}))", "MEMBER_BUDGET", ideals.MEMBER_BUDGET)
     gens = []
     for combo in itertools.combinations_with_replacement(range(1, n + 1), d):
         exps = [0] * n

@@ -269,7 +269,14 @@ MUTATED_INPUTS = [
     ('{"n": ١, "gens": []}', 1, "line 1, col 7"),
     ('{"n": 2, "gens": [[1, 1]', 1, "line 1, col 25"),
     ('{"n": 2, "gens": [[1, 1], [1, 1]]}', 0, None),
+    # well-formed, but outside what certify, partition and witness are stated for
+    ("x1*x2, x3", (0, 2, 2, 2), "error: "),
+    ("x1^2*x2, x1*x2^2", (0, 2, 2, 2), "error: "),
 ]
+# the commands each input goes through; a row's exit code is pinned for
+# all of them, or given one per command in this order
+MUTATION_COMMANDS = (["analyze", "--json"], ["certify"], ["partition", "--json"],
+                     ["witness", "--json"])
 
 
 class TestMutatedInput:
@@ -277,14 +284,18 @@ class TestMutatedInput:
                              ids=[repr(text) for text, _, _ in MUTATED_INPUTS])
     def test_exit_code_without_an_escaped_exception(self, text, expected, where, capsys,
                                                     monkeypatch):
-        for argv in (["analyze", "--json"], ["certify"]):
+        if isinstance(expected, int):
+            expected = (expected,) * len(MUTATION_COMMANDS)
+        for argv, wanted in zip(MUTATION_COMMANDS, expected, strict=True):
             monkeypatch.setattr("sys.stdin", io.StringIO(text))
             code, out, err = run(capsys, *argv)
             assert code in (0, 1, 2, 3)
-            assert code == expected, (argv, err)
+            assert code == wanted, (argv, err)
             if code == 1:
                 assert err.startswith("parse error: ") and where in err and out == ""
-            elif argv[0] == "analyze":
+            elif code == 2:
+                assert err.startswith(where) and out == ""
+            elif "--json" in argv:
                 json.loads(out)
 
 

@@ -76,7 +76,8 @@ LIMITS = [
     ("linear-quotient", homology, "LINEAR_QUOTIENT_BUDGET",
      (lambda: pd_depth(MonomialIdeal.maximal(21)),)),
     ("rank", ideals, "MEMBER_BUDGET",
-     (lambda: ara_report(tail_40()), verify_tail_40, lambda: tail_40().squarefree_members(30))),
+     (lambda: ara_report(tail_40()), verify_tail_40, lambda: tail_40().squarefree_members(30),
+      lambda: matroids.veronese(40, 20))),
     ("decomposition", decomposition, "COVER_BUDGET", (lambda: associated_primes(matching(48)),)),
     ("decomposition", decomposition, "LEAF_BUDGET",
      (lambda: associated_primes(square_pairs(10)),)),
@@ -141,6 +142,25 @@ class TestCoverBudget:
             associated_primes(matching(48))
         # measured at about 0.25 s on a 2-vCPU VM
         assert time.monotonic() - start < 1.0
+
+
+class TestVeroneseBudget:
+    def test_budget_is_exact_and_checked_before_any_monomial_is_built(self, monkeypatch):
+        # C(59, 20), about 2.8e15 monomials of degree 20 in 40 variables
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded, match=r"^rank stage: the listing builds "
+                                                 r"2794563003870330 monomials \(C\(59, 20\)\), "
+                                                 r"over the limit MEMBER_BUDGET = 1048576$"):
+            matroids.veronese(40, 20)
+        assert time.monotonic() - start < 0.1
+        cubics = [e for e in itertools.product(range(4), repeat=5) if sum(e) == 3]
+        assert matroids.veronese(5, 3) == make_ideal(5, cubics)
+        assert matroids.veronese(5, 3).mu == len(cubics) == 35
+        monkeypatch.setattr(ideals, "MEMBER_BUDGET", 35)
+        assert matroids.veronese(5, 3).mu == 35
+        monkeypatch.setattr(ideals, "MEMBER_BUDGET", 34)
+        with pytest.raises(BudgetExceeded, match=r"builds 35 monomials \(C\(7, 3\)\)"):
+            matroids.veronese(5, 3)
 
 
 def square_pairs_text(k):

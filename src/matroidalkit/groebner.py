@@ -259,8 +259,8 @@ class GroebnerBasis:
     @property
     def is_trivial(self):
         """Whether the basis presents the unit ideal."""
-        return len(self.generators) == 1 and self.generators[0] == Polynomial.one(
-            self.generators[0].nvars, self.generators[0].field)
+        return (len(self.generators) == 1
+                and self.generators[0].terms == {(0,) * self.generators[0].nvars: 1})
 
 
 class _Repack(Exception):

@@ -13,8 +13,9 @@ at (|F| + 1, supp(u_k) | F) for every k and F within set(u_k), so
 pd = 1 + max |set(u_k)|. The table has no field in it, so it is the same
 over every field. Polymatroidal ideals have linear quotients in this
 order, but the route tests linearity on every input and assumes nothing.
-The table would hold the sum of 2^|set(u_k)| entries, which is held
-against LINEAR_QUOTIENT_BUDGET before pd is returned.
+pd_depth builds and sizes no table on this route; betti_table holds
+the table's sum of 2^|set(u_k)| entries against LINEAR_QUOTIENT_BUDGET
+before it builds the table.
 
 Every other square-free ideal goes to the homology route: the graded
 Betti numbers of R/I are ranks of reduced homology of induced
@@ -60,9 +61,9 @@ from .ideals import _minimal_masks, mask_to_support, support_to_mask
 
 # faces the homology route may list (bounded by sum of 2^|facet|)
 FACE_BUDGET = 1 << 22
-# entries the linear-quotient route may tabulate (sum of 2^|set(u_k)|);
-# an entry, keyed by a frozenset, costs about 870 bytes, so the table at
-# this limit takes about 0.9 GiB (K_{10,10}, 1,046,529 entries, fits)
+# entries betti_table may tabulate on the linear-quotient route (sum of
+# 2^|set(u_k)|); an entry, keyed by a frozenset, costs about 870 bytes, so
+# the table at this limit takes about 0.9 GiB (K_{10,10}, 1,046,529 entries, fits)
 LINEAR_QUOTIENT_BUDGET = 1 << 20
 # multidegrees the lcm lattice may hold (unions of generator supports):
 # 16x the 3,970 of the largest lattice the test suite builds
@@ -341,10 +342,9 @@ def pd_depth(ideal, field=None):
     Single-degree square-free input with linear quotients in descending
     lex order (every polymatroidal ideal) takes the linear-quotient
     route: pd = 1 + max |set(u_k)| (see the module docstring), the same
-    over every field, as the table is. The table's size is still held
-    against LINEAR_QUOTIENT_BUDGET before pd is returned. Any other
-    input, and any single colon that is not generated by variables, goes
-    to the homology route.
+    over every field, as the table is, and no table is sized (see
+    betti_table). Any other input, and any single colon that is not
+    generated by variables, goes to the homology route.
 
     There beta_{i, sigma} is the reduced homology rank of the face
     complex restricted to sigma, in dimension |sigma| - i - 1. Only the
@@ -373,16 +373,22 @@ def betti_table(ideal, field=None):
     """The multigraded Betti table of R/I, as a read-only mapping.
 
     It maps (homological degree i, multidegree as frozenset) to a nonzero
-    rank; absent keys are zero. pd_depth runs first, so the route, the
-    budgets and the errors are pd_depth's, and the table comes from the
-    same route: the mapping cones of the linear quotients, the same over
-    every field, or Hochster's formula over the lcm lattice. Both list
-    the table by multidegree mask, then by homological degree. The
-    ideal's memo keeps the linear-quotient table once for every field and
-    the homology table once per field.
+    rank; absent keys are zero. pd_depth runs first, so its budgets and
+    errors come first, and the table comes from the route it took: the
+    mapping cones of the linear quotients, the same over every field,
+    whose sum of 2^|set(u_k)| entries is held against
+    LINEAR_QUOTIENT_BUDGET before any is listed, or Hochster's formula
+    over the lcm lattice. Both list the table by multidegree mask, then
+    by homological degree. The ideal's memo keeps the linear-quotient
+    table once for every field and the homology table once per field.
     """
     if pd_depth(ideal, field).stats.route == "linear_quotients":
-        return ideal._memo("_linear_quotient_table", _linear_quotient_table)
+        quotients = _linear_quotients(ideal)
+        bound = sum(1 << linear.bit_count() for _, linear in quotients)
+        if bound > LINEAR_QUOTIENT_BUDGET:
+            raise BudgetExceeded("linear-quotient", f"the Betti table has {bound} entries (sum of "
+                                 "2^|set(u)|)", "LINEAR_QUOTIENT_BUDGET", LINEAR_QUOTIENT_BUDGET)
+        return ideal._memo("_linear_quotient_table", _linear_quotient_table, quotients)
     return ideal._memo(f"_hochster_table_{field}", _hochster_table, field)
 
 
@@ -391,22 +397,18 @@ def _linear_quotient_profile(ideal):
     quotients = _linear_quotients(ideal)
     if quotients is None:
         return None
-    bound = sum(1 << linear.bit_count() for _, linear in quotients)
-    if bound > LINEAR_QUOTIENT_BUDGET:
-        raise BudgetExceeded("linear-quotient", f"the Betti table has {bound} entries (sum of "
-                             "2^|set(u)|)", "LINEAR_QUOTIENT_BUDGET", LINEAR_QUOTIENT_BUDGET)
     largest = max(linear.bit_count() for _, linear in quotients)
     return _profile(ideal, stanley_reisner(ideal), 1 + largest,
                     HomologyStats(route="linear_quotients", largest_quotient_set=largest))
 
 
-def _linear_quotient_table(ideal):
+def _linear_quotient_table(ideal, quotients):
     """The Betti table of R/I from the linear quotients of its generators."""
     # sigma = supp(u) | F for every F within set(u); as the degree d is
     # fixed, |F| + 1 = |sigma| - d + 1 and sigma alone names the entry
     tally = collections.Counter()
     supports = {}
-    for u, linear in _linear_quotients(ideal):
+    for u, linear in quotients:
         masks, sets = [u], [mask_to_support(u)]
         rest = linear
         while rest:
@@ -480,12 +482,12 @@ def _homology_pd(ideal, field):
     |sigma|, from best = 0 (beta_{0, empty} = 1), and the scan stops once
     |sigma| - base <= best. By Taylor's resolution beta_{i, sigma} is
     also 0 for i above the number of generator supports inside sigma, so
-    a sigma holding at most best of them is skipped; the count stops at
-    best + 1. A multidegree can raise best only through some i > best,
-    that is j <= |sigma| - best - 2, so its complex is reduced up to the
-    faces of |sigma| - best vertices and the lowest nonzero h~_j gives
-    i = |sigma| - j - 1. The top level of that truncated complex meets no
-    boundary from above, and its rank is never read.
+    a sigma holding at most best of them is skipped. A multidegree can
+    raise best only through some i > best, that is j <= |sigma| - best - 2,
+    so its complex is reduced up to the faces of |sigma| - best vertices
+    and the lowest nonzero h~_j gives i = |sigma| - j - 1. The top level
+    of that truncated complex meets no boundary from above, and its rank
+    is never read.
     """
     complex_, base, levels, boundary, lattice = _hochster_setup(ideal, field)
     masks = ideal.masks
@@ -495,13 +497,7 @@ def _homology_pd(ideal, field):
         size = sigma.bit_count()
         if size - base <= best:
             break
-        held = 0
-        for g in masks:
-            if not g & ~sigma:
-                held += 1
-                if held > best:
-                    break
-        else:
+        if sum(1 for g in masks if not g & ~sigma) <= best:
             continue  # at most best generator supports inside sigma
         top = size - best
         inside = [[f for f in level if not f & ~sigma] for level in levels[:top + 1]]

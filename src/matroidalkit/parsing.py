@@ -133,11 +133,6 @@ def _parse_text(text):
     return make_ideal(n, vectors)
 
 
-def _is_count(value):
-    # JSON true/false arrive as bool, which Python counts as int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_json(text):
     try:
         data = json.loads(text)
@@ -146,7 +141,8 @@ def _parse_json(text):
     if not isinstance(data, dict) or "n" not in data or "gens" not in data:
         raise ParseError('JSON input needs the shape {"n": ..., "gens": [[...], ...]}')
     n = data["n"]
-    if not _is_count(n) or n < 1:
+    # JSON true/false arrive as bool, which Python counts as int: type() is exact
+    if type(n) is not int or n < 1:
         raise ParseError(f"n must be a positive integer, got {n!r}")
     if n > MAX_VARIABLES:
         raise ParseError(f"variable count {n} exceeds the limit {MAX_VARIABLES}")
@@ -156,7 +152,7 @@ def _parse_json(text):
     vectors = []
     for row in gens:
         if (not isinstance(row, list) or len(row) != n
-                or not all(_is_count(e) and e >= 0 for e in row)):
+                or not all(type(e) is int and e >= 0 for e in row)):
             raise ParseError(f"bad exponent vector {row!r} (need {n} non-negative integers)")
         if any(e > MAX_EXPONENT for e in row):
             raise ParseError(f"exponent overflow in {row!r} (limit {MAX_EXPONENT})")

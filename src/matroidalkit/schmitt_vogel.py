@@ -111,10 +111,11 @@ def build_sv_witness(ideal):
     meet; each of those is a proved fact, so failure raises rather than
     returning a defective witness.
 
-    The lower bound comes first: pd_depth's limits refuse an oversized
-    ideal before any layer is listed, and so a BudgetExceeded from it wins
-    over a failed layer check. Then MonomialIdeal._member_layers sizes the
-    layers against MEMBER_BUDGET and lists them; their count fixes r and d.
+    The lower bound comes first: pd_depth's limits (COVER_BUDGET,
+    FACE_BUDGET and LATTICE_BUDGET) refuse an oversized ideal before any
+    layer is listed, and so a BudgetExceeded from it wins over a failed
+    layer check. Then MonomialIdeal._member_layers sizes the layers
+    against MEMBER_BUDGET and lists them; their count fixes r and d.
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("witness needs a proper nonzero ideal")

@@ -51,8 +51,8 @@ RANDOM_10 = ("n=10; x1*x4*x9, x1*x4*x10, x1*x7*x8, x1*x7*x9, x2*x3*x5, x2*x3*x8,
              "x2*x5*x9, x2*x9*x10, x3*x6*x8, x3*x6*x10, x3*x7*x10, x3*x8*x9, "
              "x3*x8*x10, x4*x7*x10, x5*x6*x7, x5*x6*x8, x5*x7*x10, x5*x8*x9, "
              "x6*x7*x9, x8*x9*x10")
-# K_{16,16}: pd_depth's LINEAR_QUOTIENT_BUDGET skips homology and rank
-# before any layer is listed
+# K_{16,16}: pd 31 from the linear quotients, with no table built; its
+# layers would test 2^32 - 33 candidates, so MEMBER_BUDGET skips rank
 K16_16 = "n=32; " + ", ".join(f"x{a}*x{b}" for a in range(1, 17) for b in range(17, 33))
 # (x1, ..., x11) * x12 * ... * x40: pd 11, but its layers would test
 # 1,221,246,132 candidates, over MEMBER_BUDGET

@@ -105,6 +105,19 @@ class TestBuchberger:
         assert basis.is_trivial
         assert [g.terms for g in basis.generators] == [{(0, 0): 1}]
 
+    @pytest.mark.parametrize("field", [None, 32003])
+    def test_is_trivial_builds_no_polynomial(self, field, monkeypatch):
+        x1, x2 = poly(2, {(1, 0): 1}, field), poly(2, {(0, 1): 1}, field)
+        x1_plus_1 = poly(2, {(1, 0): 1, (0, 0): 1}, field)
+        systems = [[], [x1], [x1, x2], [x1_plus_1], [poly(2, {(0, 0): 7}, field)],
+                   [x1_plus_1, x1]]
+        bases = [buchberger(gens) for gens in systems]
+
+        def refuse(field):
+            raise AssertionError("is_trivial checked the field")
+        monkeypatch.setattr(groebner, "require_field", refuse)
+        assert [basis.is_trivial for basis in bases] == [False] * 4 + [True] * 2
+
     def test_witness_pair_example(self):
         # q1 = x1x2 + x1x3 + x2x3, q0 = x1x2x3; (x1x2)^2 lies in (q0, q1)
         q1 = poly(3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})

@@ -734,14 +734,14 @@ class TestFaceBudget:
         start = time.monotonic()
         with pytest.raises(DomainError, match="linear-quotient stage.*1073741823 entries"
                                               ".*LINEAR_QUOTIENT_BUDGET = 1048576"):
-            pd_depth(MonomialIdeal.maximal(30))
+            betti_table(MonomialIdeal.maximal(30))
         assert time.monotonic() - start < 1.0
         # (x1, ..., x4) tabulates 1 + 2 + 4 + 8 = 15 entries
         monkeypatch.setattr(homology, "LINEAR_QUOTIENT_BUDGET", 15)
-        assert pd_depth(MonomialIdeal.maximal(4)).pd == 4
+        assert len(betti_table(MonomialIdeal.maximal(4))) == 1 + 15
         monkeypatch.setattr(homology, "LINEAR_QUOTIENT_BUDGET", 14)
         with pytest.raises(DomainError, match="15 entries"):
-            pd_depth(MonomialIdeal.maximal(4))
+            betti_table(MonomialIdeal.maximal(4))
 
     def test_linear_quotient_budget_is_its_own_bound(self, monkeypatch):
         # the table's bound, not the face bound, decides the route's refusal
@@ -759,11 +759,30 @@ class TestFaceBudget:
         start = time.monotonic()
         with pytest.raises(DomainError, match="linear-quotient stage.*2097151 entries"
                                               ".*LINEAR_QUOTIENT_BUDGET = 1048576"):
-            pd_depth(MonomialIdeal.maximal(21))
+            betti_table(MonomialIdeal.maximal(21))
         assert time.monotonic() - start < 1.0
 
+    @pytest.mark.parametrize("sizes", [(2, 400), (1, 300), (16, 16), (11, 11), (2, 3, 40),
+                                       (1024,)], ids=str)
+    def test_pd_is_read_where_the_table_is_refused(self, sizes, monkeypatch):
+        # a transversal of d blocks: pd = n - d + 1 and the least block as
+        # height; its table has prod (2^|block| - 1) entries besides beta_0
+        calls = counting_builders(monkeypatch)
+        n, d = sum(sizes), len(sizes)
+        blocks = [range(sum(sizes[:k]) + 1, sum(sizes[:k + 1]) + 1) for k in range(d)]
+        ideal = transversal(n, blocks)
+        profile = pd_depth(ideal)
+        assert (profile.pd, profile.depth, profile.is_cm) == (n - d + 1, d - 1, d == 1)
+        entries = math.prod((1 << size) - 1 for size in sizes)
+        with pytest.raises(BudgetExceeded) as info:
+            betti_table(ideal)
+        assert str(info.value) == (f"linear-quotient stage: the Betti table has {entries} "
+                                   "entries (sum of 2^|set(u)|), over the limit "
+                                   "LINEAR_QUOTIENT_BUDGET = 1048576")
+        assert calls == []
+
     def analyze_maximal(self, n, capsys, monkeypatch):
-        """Exit code, wall time and the homology and rank lines of analyze."""
+        """Exit code, wall time and the homology, rank and certification lines of analyze."""
         from matroidalkit.cli import main
         text = f"n = {n}; " + ", ".join(f"x{i}" for i in range(1, n + 1))
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -771,26 +790,33 @@ class TestFaceBudget:
         code = main(["analyze"])
         elapsed = time.monotonic() - start
         out = capsys.readouterr().out
-        blocks = [out.split(f"\n{section}:\n", 1)[1].split("\n", 1)[0]
-                  for section in ("homology", "rank")]
+        blocks = {}
+        for section in ("homology", "rank", "certification"):
+            lines = out.split(f"\n{section}:\n", 1)[1].splitlines()
+            blocks[section] = list(itertools.takewhile(lambda line: line.startswith("  "), lines))
         return code, elapsed, blocks
 
-    def test_analyze_skips_homology_and_rank_on_the_maximal_ideal(self, capsys,
-                                                                 monkeypatch):
+    def assert_answers(self, n, blocks):
+        """pd = n, depth 0, CM, rank exact at n and certification passed."""
+        assert blocks["homology"] == [f"  pd: {n}", "  depth: 0", "  is_cm: True"]
+        assert blocks["rank"][:4] == ["  degree: 1", f"  lower: {n}", f"  upper: {n}",
+                                      "  exact: True"]
+        assert blocks["certification"][0] == "  passed: True"
+
+    def test_analyze_answers_homology_and_rank_on_the_maximal_ideal(self, capsys,
+                                                                   monkeypatch):
+        # no table is built, so the table's 2^30 - 1 entries are never sized
         code, elapsed, blocks = self.analyze_maximal(30, capsys, monkeypatch)
         assert code == 0
-        for block in blocks:
-            assert block.startswith("  skipped: linear-quotient stage"), block
-        # measured at about 0.003 s on a 2-vCPU VM
+        self.assert_answers(30, blocks)
+        # measured at about 0.015 s on a 2-vCPU VM
         assert elapsed < 1.0, f"analyze on x1..x30 took {elapsed:.2f}s, budget 1s"
 
-    def test_analyze_skips_a_table_just_past_the_budget(self, capsys, monkeypatch):
+    def test_analyze_answers_past_the_table_budget(self, capsys, monkeypatch):
+        # x1..x21 is the least maximal ideal whose table betti_table refuses
         code, elapsed, blocks = self.analyze_maximal(21, capsys, monkeypatch)
         assert code == 0
-        for block in blocks:
-            assert block.startswith("  skipped: linear-quotient stage: the Betti table "
-                                    "has 2097151 entries"), block
-            assert block.endswith("LINEAR_QUOTIENT_BUDGET = 1048576"), block
+        self.assert_answers(21, blocks)
         assert elapsed < 1.0, f"analyze on x1..x21 took {elapsed:.2f}s, budget 1s"
 
     def test_analyze_skips_homology_in_time(self, capsys, monkeypatch):

@@ -4,7 +4,8 @@ __all__ must name exactly the public names that __init__.py binds, each
 once, so that a new public function cannot be left out of it. The names
 bound are read from the import statements and definitions of
 __init__.py, so the submodules the imports bind as a side effect do not
-count. The quick start runs as written.
+count. The quick start runs as written, and the README's Layout block
+names every module of the package.
 """
 
 import ast
@@ -53,3 +54,13 @@ def test_readme_quick_start_runs():
     assert len(blocks) == 2
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_layout_names_every_module():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("\n## Layout\n", 1)[1].split("```", 2)[1]
+    lines = block.strip().splitlines()
+    assert lines[0] == "src/matroidalkit/"
+    listed = [line.split()[0] for line in lines[1:]]
+    modules = sorted(path.name for path in INIT.parent.glob("*.py") if path != INIT)
+    assert sorted(listed) == modules

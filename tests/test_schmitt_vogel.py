@@ -8,7 +8,7 @@ import pytest
 
 from matroidalkit import (BudgetExceeded, DomainError, Monomial, MonomialIdeal, Polynomial,
                           StructuralError, SVWitness, TheoremViolationError, ara_report,
-                          build_sv_witness, groebner, homology, ideals, make_ideal,
+                          build_sv_witness, decomposition, groebner, ideals, make_ideal,
                           squarefree_monomials, squarefree_veronese, transversal,
                           verify_sv_conditions)
 from matroidalkit.cli import _witness_payload
@@ -95,10 +95,11 @@ class TestLimitsComeFirst:
         monkeypatch.setattr(MonomialIdeal, "_squarefree_member_masks", lambda self, degree: ())
         with pytest.raises(TheoremViolationError, match="empty layer at degree 6"):
             build_sv_witness(complete_bipartite(3))
-        monkeypatch.setattr(homology, "LINEAR_QUOTIENT_BUDGET", 1)
+        # pd_depth reaches the cover search through the face complex's height
+        monkeypatch.setattr(decomposition, "COVER_BUDGET", 1)
         with pytest.raises(BudgetExceeded) as info:
             build_sv_witness(complete_bipartite(3))
-        assert info.value.limit == "LINEAR_QUOTIENT_BUDGET"
+        assert (info.value.stage, info.value.limit) == ("decomposition", "COVER_BUDGET")
 
     def test_member_budget_wins_over_a_failed_layer_check(self, monkeypatch):
         monkeypatch.setattr(MonomialIdeal, "_squarefree_member_masks", lambda self, degree: ())

@@ -128,20 +128,25 @@ def _polarize(ideal):
     """The compressed polarization of a monomial ideal, as a cover problem.
 
     Bit k stands for one pair (i, a), a a distinct positive exponent of
-    x_i among the generators, ascending. Returns the powers x_i^a by bit,
+    x_i among the generators, by ascending i, then a; the pairs are read
+    off each generator's support alone. Returns the powers x_i^a by bit,
     and per generator g the masks of its edge {(i, a) : a <= g_i} and of
     its top {(i, g_i)}. On square-free input each edge is its own top.
     """
+    exponents = {}  # exponents[i]: the distinct positive exponents of x_i
+    for g in ideal.gens:
+        for i in g.support:
+            exponents.setdefault(i, set()).add(g.exponents[i - 1])
     powers, below = [], {}  # below[i, a]: the mask of every (i, b) with b <= a
-    for i in range(ideal.n):
+    for i in sorted(exponents):
         mask = 0
-        for a in sorted({g.exponents[i] for g in ideal.gens} - {0}):
+        for a in sorted(exponents[i]):
             mask |= 1 << len(powers)
             below[i, a] = mask
-            powers.append(Monomial._trusted((0,) * i + (a,) + (0,) * (ideal.n - i - 1)))
+            powers.append(Monomial._trusted((0,) * (i - 1) + (a,) + (0,) * (ideal.n - i)))
     edges, tops = [], []
     for g in ideal.gens:
-        masks = [below[i, a] for i, a in enumerate(g.exponents) if a]
+        masks = [below[i, g.exponents[i - 1]] for i in g.support]
         edges.append(sum(masks))  # the variables' bits are disjoint
         tops.append(sum(1 << m.bit_length() - 1 for m in masks))
     return powers, edges, tops
@@ -415,7 +420,7 @@ def criteria_check(ideal):
         raise DomainError("criteria need degree at least 2")
     n = ideal.n
     dec = associated_primes(ideal)
-    variables, _ = _swap_orbits(ideal)
+    variables = _swap_orbits(ideal)
     facts = {}
     for r in variables:
         if r not in facts:

@@ -721,7 +721,7 @@ def certify_witness(ideal, witness, field=None):
     transpositions, roots = 0, ()
     if ideal.gens:
         _check_ring(qs, ideal.n, field)
-        least = _swap_classes(ideal.n, fixes, _swap_orbits(ideal)[0])
+        least = _swap_classes(ideal.n, fixes, _swap_orbits(ideal))
         transpositions = ideal.n - len(set(least))
         roots = _class_roots([u.exponents for u in ideal.gens], least)
     one = Fraction(1) if field is None else 1

@@ -22,24 +22,27 @@ Betti numbers of R/I are ranks of reduced homology of induced
 subcomplexes of its face complex, one subcomplex per square-free
 multidegree (Hochster's formula). Its facets are the complements of the
 minimal primes of I. Faces, supports and multidegrees are int bitmasks
-in the layout of ideals.support_to_mask: a face f lies in the
-restriction to sigma when f & ~sigma == 0, and its boundary drops one
-bit at a time. Frozensets appear only at the API edge. Let base be the
-least generator degree less one. A non-face contains a generator
-support, so every set of at most base vertices is a face of every
-restriction: its levels up to base are complete skeleta of a simplex,
-whose homology is known in closed form (h~_j = 0 for j <= base - 2),
-and only the faces above base are listed and reduced (_reduced_ranks).
-Multidegrees that cannot carry homology are skipped (see pd_depth), and
-pd comes from a scan of the rest that stops below the best degree found
-and skips every multidegree holding too few generator supports to reach
-past it, by Taylor's resolution, which also bounds from below the
-dimension in which each scanned multidegree can carry homology; the
-scan lists and reduces only the face levels between the two bounds
-(_homology_pd). _hochster_table builds the whole table. Before any face
-is listed, the sum of 2^|facet| over the facets, which bounds the face
-count, is held against FACE_BUDGET, and the lcm lattice is held against
-LATTICE_BUDGET as it grows, one generator at a time.
+in the layout of ideals.support_to_mask. The restriction to sigma has
+the facets cut down to sigma, F & sigma, and every face of it lies in
+one of them, so each restriction is walked from its own cut facets
+(_face_walk), level by level from the top down, and a face's boundary
+drops one bit at a time. Frozensets appear only at the API edge. Let
+base be the least generator degree less one. A non-face contains a
+generator support, so every set of at most base vertices is a face of
+every restriction: its levels up to base are complete skeleta of a
+simplex, whose homology is known in closed form (h~_j = 0 for
+j <= base - 2), and only the faces above base are listed and reduced
+(_reduced_ranks). Multidegrees that cannot carry homology are skipped
+(see pd_depth), and pd comes from a scan of the rest that stops below
+the best degree found and skips every multidegree holding too few
+generator supports to reach past it, by Taylor's resolution, which also
+bounds from below the dimension in which each scanned multidegree can
+carry homology; the scan reduces only the face levels between the two
+bounds and lists none below them (_homology_pd). _hochster_table builds
+the whole table. Before any face is listed, the sum of 2^|facet| over
+the facets, which bounds the face count of every restriction, is held
+against FACE_BUDGET, and the lcm lattice is held against LATTICE_BUDGET
+as it grows, one generator at a time.
 
 All linear algebra is exact and goes through one sparse column
 reduction with one elimination step for every field. The field enters
@@ -184,47 +187,37 @@ def stanley_reisner(ideal):
     return SimplicialComplex(ideal.n, tuple(facets))
 
 
-def _face_levels(walk, base):
-    """Faces by vertex count: levels[k] lists the k-vertex faces, ascending.
-
-    walk is a _face_walk, which lists the levels above base; those up to
-    base are left empty for _reduced_ranks to read in closed form.
-    """
-    return [[]] * (base + 1) + list(walk)[::-1]
-
-
-def _face_walk(facets, base):
-    """The face levels above base, from the top one down, each a sorted list.
-
-    facets are masks, at least one; every face comes from a facet by
-    dropping bits, so the faces of k vertices are the facets of k
-    vertices and the faces one bit below those of k + 1. The sum of
-    2^|facet|, which bounds the face count, is held against FACE_BUDGET
-    when the walk is made, before any face is listed; each level is
-    listed only when the walk is asked for it.
-    """
+def _face_budget(facets):
+    """Hold the sum of 2^|facet| over the facet masks, a face count bound, against FACE_BUDGET."""
     bound = sum(1 << f.bit_count() for f in facets)
     if bound > FACE_BUDGET:
         raise BudgetExceeded("homology", f"the face complex bounds {bound} faces "
                              "(sum of 2^|facet|)", "FACE_BUDGET", FACE_BUDGET)
+
+
+def _face_walk(masks, base):
+    """The levels above base of the faces within masks, from the top one down.
+
+    masks is any nonempty family of masks, not necessarily an antichain,
+    and each level is a sorted list. Every face comes from a mask by
+    dropping bits, so the faces of k vertices are the masks of k vertices
+    and the faces one bit below those of k + 1. Each level is listed only
+    when the walk is asked for it.
+    """
     by_size = collections.defaultdict(set)
-    for f in facets:
-        by_size[f.bit_count()].add(f)
-
-    def walk():
-        above = ()
-        for k in range(max(by_size), base, -1):
-            level = set(by_size[k])
-            for f in above:
-                rest = f
-                while rest:
-                    low = rest & -rest
-                    level.add(f ^ low)
-                    rest ^= low
-            above = sorted(level)
-            yield above
-
-    return walk()
+    for m in masks:
+        by_size[m.bit_count()].add(m)
+    above = ()
+    for k in range(max(by_size), base, -1):
+        level = by_size[k]
+        for f in above:
+            rest = f
+            while rest:
+                low = rest & -rest
+                level.add(f ^ low)
+                rest ^= low
+        above = sorted(level)
+        yield above
 
 
 class _Boundary(dict):
@@ -295,51 +288,54 @@ def _reduce_columns(columns, field):
     return pivots
 
 
-def _reduced_ranks(levels, boundary, field, base=0, size=0, counts=None, low=None):
-    """Reduced homology ranks of a face set given by levels, per dimension.
+def _reduced_ranks(walk, boundary, field, base=0, size=0, counts=None, top=None, low=None):
+    """Reduced homology ranks of a face set, per dimension, from its _face_walk.
 
     The k-vertex faces sit in dimension k - 1. Every set of at most base
-    of the complex's size vertices is a face, so levels[k] is listed only
-    for k > base (see _face_levels). Up to base the levels are complete
-    skeleta of a simplex: level k holds C(size, k) faces and the boundary
-    out of it has rank C(size - 1, k - 1). So h~_j = 0 for j <= base - 2,
-    and h~_{base-1} is C(size - 1, base), the cycles of level base, less
-    the rank of the boundary out of level base + 1. With base = 0 the
-    only such level holds the empty face, one cycle whatever size is;
-    with base > 0, size must be at least 1.
+    of the complex's size vertices is a face, so the walk lists only the
+    levels above base, from the top one down. Up to base the levels are
+    complete skeleta of a simplex: level k holds C(size, k) faces and the
+    boundary out of it has rank C(size - 1, k - 1). So h~_j = 0 for
+    j <= base - 2, and h~_{base-1} is C(size - 1, base), the cycles of
+    level base, less the rank of the boundary out of level base + 1. With
+    base = 0 the only such level holds the empty face, one cycle whatever
+    size is; with base > 0, size must be at least 1.
 
-    The maps out of the levels from low (base + 1 by default) up are
-    reduced, from the top down so that each one can skip columns
-    (clearing): if a reduced column R of the map out of the
-    (k+1)-vertex faces has pivot row f, then R is a nonzero multiple of
-    f plus faces below f and dR = 0. Trading f for R in the basis of
-    k-vertex chains is a triangular change, so the next map keeps its
-    rank while f's column becomes zero; f is left out of that reduction
-    over every field. With low above base + 1 only h~_j for j >= low - 1
-    is returned, and levels[low - 1] is read for its row count alone.
+    The maps out of the levels from top (every level by default) down to
+    low (base + 1 by default) are reduced in the order the walk yields
+    them, so that each one can skip columns (clearing): if a reduced
+    column R of the map out of the (k+1)-vertex faces has pivot row f,
+    then R is a nonzero multiple of f plus faces below f and dR = 0.
+    Trading f for R in the basis of k-vertex chains is a triangular
+    change, so the next map keeps its rank while f's column becomes zero;
+    f is left out of that reduction over every field. Levels above top
+    are passed over, and the walk is left after level low - 1, which is
+    read for its row count alone (above base; level base is complete).
+    The ranks come out by ascending dimension, from -1 when low is
+    base + 1 and from low - 1 otherwise.
     """
-    if not levels:
-        return {}
     low = base + 1 if low is None else low
-    while len(levels) > low and not levels[-1]:
-        levels = levels[:-1]
-    ranks = [0] * (len(levels) + 1)
-    cleared = {}
-    for k in range(len(levels) - 1, low - 1, -1):
-        cleared = _reduce_columns(
-            [boundary[f] for f in levels[k] if f not in cleared], field)
+    sizes, ranks, cleared = {}, {}, {}
+    for level in walk:
+        k = level[0].bit_count()
+        if top is not None and k > top:
+            continue
+        sizes[k] = len(level)
+        if k < low:
+            break
+        cleared = _reduce_columns([boundary[f] for f in level if f not in cleared], field)
         ranks[k] = len(cleared)
-        if counts is not None:
-            rows = len(levels[k - 1]) if k > base + 1 else math.comb(size, base)
+    if counts is not None:
+        for k in ranks:
+            rows = sizes[k - 1] if k > base + 1 else math.comb(size, base)
             counts["matrices_reduced"] += 1
-            if rows * len(levels[k]) > math.prod(counts["largest_matrix"]):
-                counts["largest_matrix"] = (rows, len(levels[k]))
+            if rows * sizes[k] > math.prod(counts["largest_matrix"]):
+                counts["largest_matrix"] = (rows, sizes[k])
     out = {}
     if low == base + 1:
         out = dict.fromkeys(range(-1, base - 1), 0)
-        out[base - 1] = (math.comb(size - 1, base) if base else 1) - ranks[base + 1]
-    out.update((k - 1, len(levels[k]) - ranks[k] - ranks[k + 1])
-               for k in range(low, len(levels)))
+        out[base - 1] = (math.comb(size - 1, base) if base else 1) - ranks.get(base + 1, 0)
+    out.update((k - 1, sizes[k] - ranks[k] - ranks.get(k + 1, 0)) for k in sorted(ranks))
     return out
 
 
@@ -354,8 +350,9 @@ def reduced_homology_ranks(complex_, field=None):
     require_field(field)
     if not complex_.facets:
         return {}
-    levels = _face_levels(_face_walk([support_to_mask(f) for f in complex_.facets], 0), 0)
-    return _reduced_ranks(levels, _Boundary(field), field)
+    facets = [support_to_mask(f) for f in complex_.facets]
+    _face_budget(facets)
+    return _reduced_ranks(_face_walk(facets, 0), _Boundary(field), field)
 
 
 def pd_depth(ideal, field=None):
@@ -481,17 +478,19 @@ def _linear_quotients(ideal):
 
 
 def _hochster_setup(ideal):
-    """Face complex, base, the walk of its face levels above base, lcm lattice.
+    """Face complex, base, facet masks and lcm lattice of the homology route.
 
     base is the least generator degree less one (see the module
-    docstring). FACE_BUDGET is held when the walk is made, before the
-    lattice is built (see _face_walk). The lattice at most doubles with
-    each generator, and it is held against LATTICE_BUDGET after each
-    one, so a refused lattice never grows past twice the limit.
+    docstring). FACE_BUDGET is held on the facets before the lattice is
+    built; the face complex restricted to any sigma has no more faces. The
+    lattice at most doubles with each generator, and it is held against
+    LATTICE_BUDGET after each one, so a refused lattice never grows past
+    twice the limit.
     """
     complex_ = stanley_reisner(ideal)
     base = min(g.bit_count() for g in ideal.masks) - 1
-    walk = _face_walk([support_to_mask(f) for f in complex_.facets], base)
+    facets = [support_to_mask(f) for f in complex_.facets]
+    _face_budget(facets)
     lattice = {0}
     for k, g in enumerate(ideal.masks, start=1):
         lattice |= {s | g for s in lattice}
@@ -499,7 +498,7 @@ def _hochster_setup(ideal):
             raise BudgetExceeded("homology", f"the lcm lattice holds {len(lattice)} "
                                  f"multidegrees after {k} of {ideal.mu} generators",
                                  "LATTICE_BUDGET", LATTICE_BUDGET)
-    return complex_, base, walk, lattice
+    return complex_, base, facets, lattice
 
 
 def _homology_pd(ideal, field):
@@ -519,19 +518,17 @@ def _homology_pd(ideal, field):
     i = |sigma| - j - 1. The top level of that truncated complex meets no
     boundary from above, and its rank is never read.
 
-    The face levels are listed from the top down, each only once some
-    scanned sigma reads it (level |sigma| - t - 1 for its row count),
-    and a boundary column is built only for a face that is reduced. On
-    the 10-edge matching the scan reads [20] alone, at t = 10: it lists
-    levels 10 and 9 of the complex's 3^10 faces and reduces one map, from
-    level 10 to level 9.
+    Each scanned sigma walks its restricted complex from the facets cut
+    down to sigma, F & sigma, from the top level down to level
+    |sigma| - t - 1 at the lowest, read for its row count, and a boundary
+    column is built only for a face that is reduced. On the 10-edge matching the
+    scan reads [20] alone, at t = 10: it lists levels 10 and 9 of the
+    complex's 3^10 faces and reduces one map, from level 10 to level 9.
     """
-    complex_, base, walk, lattice = _hochster_setup(ideal)
+    complex_, base, facets, lattice = _hochster_setup(ideal)
     masks = ideal.masks
     counts = {"matrices_reduced": 0, "largest_matrix": (0, 0)}
     boundary = _Boundary(field)
-    levels = [[]] * (complex_.dim + 2)
-    listed = len(levels)  # the walk has listed the levels from here up
     best = scanned = 0
     for sigma in sorted(lattice, key=lambda s: (-s.bit_count(), s)):
         size = sigma.bit_count()
@@ -541,13 +538,9 @@ def _homology_pd(ideal, field):
         if inside <= best:
             continue  # at most best generator supports inside sigma
         top = size - best
-        low = max(base + 1, size - inside)
-        while listed > max(low - 1, base + 1):
-            listed -= 1
-            levels[listed] = next(walk)
-        restricted = [[f for f in level if not f & ~sigma] if k >= low - 1 else []
-                      for k, level in enumerate(levels[:top + 1])]
-        ranks = _reduced_ranks(restricted, boundary, field, base, size, counts, low)
+        walk = _face_walk({f & sigma for f in facets}, base)
+        ranks = _reduced_ranks(walk, boundary, field, base, size, counts, top,
+                               max(base + 1, size - inside))
         scanned += 1
         for j in range(base - 1, top - 1):
             if ranks.get(j):
@@ -564,14 +557,13 @@ def _hochster_table(ideal, field):
     sigma = empty restricts to the complex whose only face is empty,
     with h~_{-1} = 1; every other sigma in the lattice is nonempty.
     """
-    _, base, walk, lattice = _hochster_setup(ideal)
-    levels = _face_levels(walk, base)
+    _, base, facets, lattice = _hochster_setup(ideal)
     boundary = _Boundary(field)
     betti = {(0, frozenset()): 1}
     for sigma in sorted(lattice)[1:]:
         size = sigma.bit_count()
-        inside = [[f for f in level if not f & ~sigma] for level in levels[:size + 1]]
-        ranks = _reduced_ranks(inside, boundary, field, base, size)
+        walk = _face_walk({f & sigma for f in facets}, base)
+        ranks = _reduced_ranks(walk, boundary, field, base, size)
         members = mask_to_support(sigma)
         for i in range(size + 1):
             value = ranks.get(size - i - 1, 0)

@@ -12,15 +12,15 @@ filter a family of masks down to its inclusion-minimal members with
 _minimal_masks. _layer_masks holds C(n, d) before it lists d-subsets.
 
 A monomial caches its views (degree, support, support mask) and an ideal
-its derived data (degree, and in its memo the generator masks, the orbits
-of the variable swaps that fix it, and what other modules compute on it)
-outside the dataclass fields. Symmetry is one scan and one key:
-_swap_classes, the package's one swap scan for ideals and witnesses,
-gives the classes of the variables, and _class_roots reads the generator
-orbits off them. Membership and the colon on a square-free ideal, and
-the square-free member listing on any, work on masks: a square-free g
-divides any u iff mask(g) lies in u's support mask. Other ideals divide
-exponent tuples.
+its derived data (degree, and in its memo the generator masks, the
+classes of the variables under the swaps that fix it, and what other
+modules compute on it) outside the dataclass fields. Symmetry is one
+scan and one key: _swap_classes, the package's one swap scan for ideals
+and witnesses, gives the classes of the variables, and _class_roots
+reads the generator orbits off them. Membership and the colon on a
+square-free ideal, and the square-free member listing on any, work on
+masks: a square-free g divides any u iff mask(g) lies in u's support
+mask. Other ideals divide exponent tuples.
 
 The member listing reads a table of 2^n bits, bit m set iff the mask m
 holds a square-free generator's mask, built once per ideal by up-closure
@@ -506,24 +506,21 @@ def _member_table(ideal):
 
 
 def _swap_orbits(ideal):
-    """Orbit roots of the variables and of the generators of a nonzero ideal.
+    """The classes of the variables under the swaps that fix a nonzero ideal.
 
-    The group is the one generated by the variable swaps (i j) that map
-    the generators onto themselves, tested on masks if the ideal is
-    square-free. Returns two tuples: for each variable, 0-based, the
-    least variable of its class, and for each generator the first
-    generator of its orbit (_class_roots). Kept in the ideal's memo;
-    certify_witness refines the variable classes.
+    The swaps are the (i j) that map the generators onto themselves,
+    tested on masks if the ideal is square-free. Returns, for each
+    variable, 0-based, the least variable of its class. Kept in the
+    ideal's memo; certify_witness refines the classes and reads the
+    generator orbits off them (_class_roots).
     """
     return ideal._memo("_swap_orbits", _scan_swaps)
 
 
 def _scan_swaps(ideal):
-    vectors = [g.exponents for g in ideal.gens]
-    fixes = (_fixes_terms([dict.fromkeys(vectors, 1)]) if ideal.masks is None
-             else _fixes_masks([frozenset(ideal.masks)]))
-    least = _swap_classes(ideal.n, fixes)
-    return least, _class_roots(vectors, least)
+    fixes = (_fixes_terms([dict.fromkeys((g.exponents for g in ideal.gens), 1)])
+             if ideal.masks is None else _fixes_masks([frozenset(ideal.masks)]))
+    return _swap_classes(ideal.n, fixes)
 
 
 def _swap_classes(n, fixes, within=None):

@@ -7,14 +7,11 @@ then generator supports form the bases of a matroid.
 
 is_polymatroidal computes one certificate per ideal object and keeps it in
 the ideal's memo. Square-free input runs on generator bitmasks through one
-kernel, _exchange_failure, which enumeration shares. When there are more
-generators than variable pairs, the check scans one u per orbit of the
-variable swaps that fix the ideal; enumeration scans every u. Other input
-runs on exponent tuples. Both routes report the first failure with u,
-then v, in generator order and the variable index ascending. Enumeration
-over all collections of square-free degree-d monomials runs on packed
-bitmasks; the survivors are rebuilt as ideals through the ordinary
-constructors.
+kernel, _exchange_failure, which enumeration shares. Other input runs on
+exponent tuples. Both routes report the first failure with u, then v, in
+generator order and the variable index ascending. Enumeration over all
+collections of square-free degree-d monomials runs on packed bitmasks;
+the survivors are rebuilt as ideals through the ordinary constructors.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from dataclasses import dataclass
 
 from . import ideals
 from .errors import BudgetExceeded, DomainError
-from .ideals import (Monomial, MonomialIdeal, _swap_orbits, _variable_count, make_ideal,
+from .ideals import (Monomial, MonomialIdeal, _variable_count, make_ideal,
                      squarefree_monomials)
 
 NOT_SINGLE_DEGREE = "not_single_degree"
@@ -69,16 +66,6 @@ def is_polymatroidal(ideal):
     of every generator. Both routes visit u, then v, in generator order
     and the index i in ascending order, so failure_witness is the first
     failing (u, v, i) in that order whichever route ran.
-
-    When the generators outnumber the variable pairs, the mask route
-    takes as u only the first generator of each orbit of the variable
-    swaps that fix the ideal (ideals._swap_orbits); v and i still range
-    over everything. Such a swap sigma maps a failing (u, v, i) to a
-    failing (sigma u, sigma v, sigma i), so if any u fails its orbit's
-    first generator does, and that root comes before the rest of its
-    orbit in generator order. The first failure of the full scan
-    therefore has a root as u, and within a row the order is the same,
-    so the witness is the one the full scan reports.
     """
     if ideal.is_zero:
         raise DomainError("exchange property undefined for the zero ideal")
@@ -89,14 +76,7 @@ def _exchange_certificate(ideal):
     if ideal.degree is None:
         return ExchangeCertificate(holds=False, reason=NOT_SINGLE_DEGREE)
     if ideal.is_squarefree:
-        masks, rows = ideal.masks, None
-        # the swap scan tests at most C(n, 2) variable pairs, and can pay
-        # only when there are more rows to skip; most small collections
-        # fail in their first rows anyway
-        if len(masks) > ideal.n * (ideal.n - 1) // 2:
-            _, roots = _swap_orbits(ideal)
-            rows = [a for a, r in enumerate(roots) if a == r]
-        failure = _exchange_failure(masks, rows)
+        failure = _exchange_failure(ideal.masks)
         if failure is None:
             return ExchangeCertificate(holds=True)
         a, b, e = failure
@@ -130,11 +110,10 @@ def _tuple_exchange_failure(ideal):
     return None
 
 
-def _exchange_failure(masks, rows=None):
+def _exchange_failure(masks):
     """First failing (a, b, e) of basis exchange on distinct equal-size masks.
 
-    a and b index masks, a taken from rows (ascending indices; every
-    index by default), and e is the one-bit mask of a variable in
+    a and b index masks, and e is the one-bit mask of a variable in
     masks[a] but not in masks[b] such that no f in masks[b] outside
     masks[a] makes masks[a] - e + f a member; None when every pair
     exchanges. The order is a, then b, then e ascending.
@@ -156,8 +135,7 @@ def _exchange_failure(masks, rows=None):
     for m in masks:
         union |= m
     completions = {}
-    for a in range(len(masks)) if rows is None else rows:
-        u = masks[a]
+    for a, u in enumerate(masks):
         outside = union & ~u
         allowed = {}
         rest = u

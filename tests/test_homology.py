@@ -19,6 +19,7 @@ from matroidalkit import (BudgetExceeded, DomainError, HomologyProfile, Homology
                           transversal)
 from matroidalkit import homology, matroids
 from matroidalkit.cli import Config, main, run_command
+from matroidalkit.ideals import support_to_mask
 from matroidalkit.matroids import enumerate_matroidal
 
 import homology_oracle
@@ -620,6 +621,46 @@ class TestScanAgainstTheOracle:
         for ideal in mixed:
             for field in self.FIELDS:
                 self.assert_matches(ideal, field)
+
+
+class TestCutFacetWalk:
+    """_face_walk on the facets cut down to sigma, F & sigma.
+
+    The cut facets need not be an antichain; the walk must list what their
+    maximal members list, and what the faces of the complex inside sigma are.
+    """
+
+    def test_matches_the_maximal_cut_facets_and_the_faces_inside_sigma(self):
+        rng = random.Random(181)
+        not_antichains = 0
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            complex_ = SimplicialComplex.from_faces(n, [
+                rng.sample(range(1, n + 1), rng.randint(0, n)) for _ in range(rng.randint(1, 6))])
+            facets = [support_to_mask(f) for f in complex_.facets]
+            sigma, base = rng.getrandbits(n), rng.randint(0, 2)
+            cut = {f & sigma for f in facets}
+            maximal = [c for c in cut if not any(c != o and c & o == c for o in cut)]
+            not_antichains += len(maximal) < len(cut)
+            inside = [m for m in map(support_to_mask, complex_.faces()) if not m & ~sigma]
+            top = max(m.bit_count() for m in inside)
+            brute = [sorted(m for m in inside if m.bit_count() == k) for k in range(top, base, -1)]
+            assert list(homology._face_walk(cut, base)) == brute, (complex_, sigma, base)
+            assert list(homology._face_walk(maximal, base)) == brute, (complex_, sigma, base)
+            # the public ranks run on the same walk, listed by ascending dimension
+            assert list(reduced_homology_ranks(complex_)) == list(range(-1, complex_.dim + 1))
+        assert not_antichains > 30
+
+    def test_a_restriction_whose_cut_facets_are_all_empty(self):
+        # (x1, x2, x3*x4) has facets {3} and {4}; both miss {1, 2}
+        ideal = MonomialIdeal.from_supports(4, [{1}, {2}, {3, 4}])
+        cut = {support_to_mask(f) & 0b0011 for f in stanley_reisner(ideal).facets}
+        assert cut == {0} and list(homology._face_walk(cut, 0)) == []
+        for field in (None, 2, 3):
+            ranks = homology._reduced_ranks(homology._face_walk(cut, 0),
+                                            homology._Boundary(field), field, 0, 2)
+            assert ranks == {-1: 1}
+            assert homology._hochster_table(ideal, field)[(2, frozenset({1, 2}))] == 1
 
 
 class TestLazyTable:

@@ -13,7 +13,7 @@ from matroidalkit import (BudgetExceeded, DomainError, MonomialIdeal, PairBudget
                           dedupe_up_to_relabeling, enumerate_matroidal,
                           irreducible_decomposition, make_ideal, pd_depth,
                           squarefree_veronese, transversal, verify_sv_conditions)
-from matroidalkit import decomposition, groebner, homology, ideals, matroids
+from matroidalkit import checks, decomposition, groebner, homology, ideals, matroids
 from matroidalkit.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -317,6 +317,24 @@ class TestCommandsAtLimits:
                            "linear-quotient-sweep"}
         assert all(row.startswith("SKIP") for row in rows if row.endswith(refused))
         assert not any(row.startswith("FAIL") for row in rows)
+
+    def test_reproduce_paper_checks_refuse_before_they_scan(self, monkeypatch):
+        # every layer is enumerated before any collection is scanned, so
+        # (7, 2), past ENUMERATION_MAX_LAYER, skips the check at once
+        calls = []
+        original = checks._bases_exchange
+
+        def counting(bases):
+            calls.append(bases)
+            return original(bases)
+        monkeypatch.setattr(checks, "_bases_exchange", counting)
+        result = checks.check_oracle_exchange(max_n=7)
+        assert result.skipped and result.detail.endswith("ENUMERATION_MAX_LAYER = 20")
+        assert "n=7, d=2" in result.detail and calls == []
+        # the oracle checks over the seeded corpus read n <= 6 alone
+        for check in (checks.check_oracle_ideal_arithmetic, checks.check_oracle_minimal_primes,
+                      checks.check_oracle_euler):
+            assert check(max_n=40) == check(max_n=6)
 
 
 def readme_limits():

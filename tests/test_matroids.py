@@ -13,7 +13,7 @@ from matroidalkit import (DomainError, MonomialIdeal, is_matroidal,
                           is_polymatroidal, is_squarefree_veronese, make_ideal,
                           matroids, squarefree_monomials, squarefree_veronese,
                           transversal, veronese)
-from matroidalkit.ideals import _swap_orbits, mask_to_support
+from matroidalkit.ideals import _class_roots, _swap_orbits, mask_to_support
 from matroidalkit.matroids import (ENUMERATION_MAX_LAYER, ENUMERATION_MAX_N,
                                    NO_EXCHANGE_INDEX, NOT_SINGLE_DEGREE,
                                    dedupe_up_to_relabeling, enumerate_matroidal)
@@ -253,6 +253,21 @@ class TestMaskRouteAgainstOracle:
             assert_matches_oracle(ideal)
             failed += not is_polymatroidal(ideal).holds
         assert 600 < failed < 2400  # both verdicts are exercised
+        # random families alternating with families closed under the swaps
+        # inside random blocks of variables
+        rng = random.Random(20)
+        symmetric_failures = 0
+        for k in range(3000):
+            if k % 2:
+                ideal = symmetric_family(rng, rng.randint(4, 9))
+            else:
+                ideal = random_squarefree(rng, rng.randint(2, 8))
+            if ideal.degree is None:
+                continue
+            assert_matches_oracle(ideal)
+            if k % 2:
+                symmetric_failures += not is_polymatroidal(ideal).holds
+        assert symmetric_failures > 250
 
     def test_families(self):
         rng = random.Random(9)
@@ -293,6 +308,17 @@ class TestMaskRouteAgainstOracle:
         assert matroids._exchange_failure(masks) == (0, 1, 0b0001)
         assert matroids._exchange_failure([0b0011]) is None
 
+    def test_symmetric_failure_keeps_its_witness(self):
+        # fixed by (1 2), (3 4) and (5 6): 18 generators in 6 orbits
+        ideal = all_triples_but_123_and_124()
+        classes = _swap_orbits(ideal)
+        assert classes == (0, 0, 2, 2, 4, 4)
+        assert _class_roots([g.exponents for g in ideal.gens], classes) == (
+            0, 0, 2, 3, 3, 3, 3, 7, 2, 3, 3, 3, 3, 7, 14, 14, 16, 16)
+        assert_matches_oracle(ideal)
+        u, v, i = is_polymatroidal(ideal).failure_witness
+        assert (str(u), str(v), i) == ("x1*x2*x5", "x1*x3*x4", 5)
+
     def test_enumeration_matches_the_oracle_scan(self):
         for n in range(1, ENUMERATION_MAX_N + 1):
             for d in range(1, n + 1):
@@ -326,60 +352,6 @@ def symmetric_family(rng, n):
 def all_triples_but_123_and_124():
     return MonomialIdeal.from_supports(6, [c for c in itertools.combinations(range(1, 7), 3)
                                            if c not in {(1, 2, 3), (1, 2, 4)}])
-
-
-class TestRootRows:
-    """Root rows against the full scan, which is their oracle; the exchange check
-    scans root rows only when the generators outnumber the variable pairs."""
-
-    def test_root_rows_give_the_full_scan_failure(self):
-        rng = random.Random(20)
-        symmetric_failures = gated = 0
-        for k in range(3000):
-            if k % 2:
-                n = rng.randint(4, 9)
-                ideal = symmetric_family(rng, n)
-            else:
-                n = rng.randint(2, 8)
-                ideal = random_squarefree(rng, n)
-            if ideal.degree is None:
-                continue
-            _, roots = _swap_orbits(ideal)
-            rows = [a for a, r in enumerate(roots) if a == r]
-            full = matroids._exchange_failure(ideal.masks)
-            assert matroids._exchange_failure(ideal.masks, rows) == full, ideal
-            assert_matches_oracle(ideal)
-            symmetric_failures += full is not None and len(rows) < ideal.mu
-            # the exchange check itself scans root rows only past the gate
-            gated += full is not None and ideal.mu > math.comb(n, 2) and len(rows) < ideal.mu
-        assert symmetric_failures > 250 and gated > 30
-
-    def test_symmetric_failure_keeps_its_witness(self):
-        # fixed by (1 2), (3 4) and (5 6): 18 generators in 6 orbits, and
-        # 18 > C(6, 2), so the check scans roots only
-        ideal = all_triples_but_123_and_124()
-        assert _swap_orbits(ideal) == ((0, 0, 2, 2, 4, 4), (0, 0, 2, 3, 3, 3, 3, 7, 2, 3, 3, 3,
-                                                             3, 7, 14, 14, 16, 16))
-        assert_matches_oracle(ideal)
-        u, v, i = is_polymatroidal(ideal).failure_witness
-        assert (str(u), str(v), i) == ("x1*x2*x5", "x1*x3*x4", 5)
-
-    def test_root_rows_only_past_the_gate(self, monkeypatch):
-        calls = []
-        full_scan = matroids._exchange_failure
-
-        def recording(masks, rows=None):
-            calls.append(rows)
-            return full_scan(masks, rows)
-        monkeypatch.setattr(matroids, "_exchange_failure", recording)
-        assert is_matroidal(squarefree_veronese(9, 4))  # 126 generators > C(9, 2)
-        assert not is_matroidal(all_triples_but_123_and_124())
-        # K_{3,3,4}: 36 generators, not more than C(10, 2) = 45
-        assert is_matroidal(transversal(10, [{1, 2, 3}, {4, 5, 6}, {7, 8, 9, 10}]))
-        assert calls == [[0], [0, 2, 3, 7, 14, 16], None]
-        # enumeration keeps the full scan
-        matroids._enumerate_matroidal.__wrapped__(4, 2)
-        assert calls[3:] and all(rows is None for rows in calls[3:])
 
 
 class TestMemo:

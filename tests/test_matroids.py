@@ -253,6 +253,8 @@ class TestMaskRouteAgainstOracle:
             assert_matches_oracle(ideal)
             failed += not is_polymatroidal(ideal).holds
         assert 600 < failed < 2400  # both verdicts are exercised
+
+    def test_random_and_symmetric_families(self):
         # random families alternating with families closed under the swaps
         # inside random blocks of variables
         rng = random.Random(20)

@@ -39,10 +39,11 @@ generator supports to reach past it, by Taylor's resolution, which also
 bounds from below the dimension in which each scanned multidegree can
 carry homology; the scan reduces only the face levels between the two
 bounds and lists none below them (_homology_pd). _hochster_table builds
-the whole table. Before any face is listed, the sum of 2^|facet| over
-the facets, which bounds the face count of every restriction, is held
-against FACE_BUDGET, and the lcm lattice is held against LATTICE_BUDGET
-as it grows, one generator at a time.
+the whole table. The lcm lattice is held against LATTICE_BUDGET as it
+grows, one generator at a time. Each walk holds the sum of 2^|m| over
+the masks it walks from, here the facets cut down to sigma, against
+FACE_BUDGET before it lists a face, so variables outside every generator
+support, which no restriction in the lattice holds, do not count.
 
 All linear algebra is exact and goes through one sparse column
 reduction with one elimination step for every field. The field enters
@@ -64,7 +65,7 @@ from .errors import BudgetExceeded, DomainError, StructuralError
 from .fields import require_field
 from .ideals import _minimal_masks, mask_to_support, support_to_mask
 
-# faces the homology route may list (bounded by sum of 2^|facet|)
+# faces one walk may list (bounded by sum of 2^|facet| over the facets it walks)
 FACE_BUDGET = 1 << 22
 # entries betti_table may tabulate on the linear-quotient route (sum of
 # 2^|set(u_k)|); an entry, keyed by a frozenset, costs about 870 bytes, so
@@ -187,14 +188,6 @@ def stanley_reisner(ideal):
     return SimplicialComplex(ideal.n, tuple(facets))
 
 
-def _face_budget(facets):
-    """Hold the sum of 2^|facet| over the facet masks, a face count bound, against FACE_BUDGET."""
-    bound = sum(1 << f.bit_count() for f in facets)
-    if bound > FACE_BUDGET:
-        raise BudgetExceeded("homology", f"the face complex bounds {bound} faces "
-                             "(sum of 2^|facet|)", "FACE_BUDGET", FACE_BUDGET)
-
-
 def _face_walk(masks, base):
     """The levels above base of the faces within masks, from the top one down.
 
@@ -202,11 +195,17 @@ def _face_walk(masks, base):
     and each level is a sorted list. Every face comes from a mask by
     dropping bits, so the faces of k vertices are the masks of k vertices
     and the faces one bit below those of k + 1. Each level is listed only
-    when the walk is asked for it.
+    when the walk is asked for it. Before the first one, the sum of 2^|m|
+    over the distinct masks m, which bounds the faces the walk can list,
+    is held against FACE_BUDGET.
     """
     by_size = collections.defaultdict(set)
     for m in masks:
         by_size[m.bit_count()].add(m)
+    bound = sum(len(level) << k for k, level in by_size.items())
+    if bound > FACE_BUDGET:
+        raise BudgetExceeded("homology", f"the face complex bounds {bound} faces "
+                             "(sum of 2^|facet|)", "FACE_BUDGET", FACE_BUDGET)
     above = ()
     for k in range(max(by_size), base, -1):
         level = by_size[k]
@@ -344,14 +343,13 @@ def reduced_homology_ranks(complex_, field=None):
 
     The empty face spans the degree -1 chain group, so the complex whose
     only face is empty has rank 1 in dimension -1 and the void complex
-    has no homology at all. A complex whose sum of 2^|facet| exceeds
-    FACE_BUDGET raises BudgetExceeded before any face is listed.
+    has no homology at all. The walk raises BudgetExceeded before it
+    lists a face when the sum of 2^|facet| exceeds FACE_BUDGET.
     """
     require_field(field)
     if not complex_.facets:
         return {}
     facets = [support_to_mask(f) for f in complex_.facets]
-    _face_budget(facets)
     return _reduced_ranks(_face_walk(facets, 0), _Boundary(field), field)
 
 
@@ -384,14 +382,15 @@ def pd_depth(ideal, field=None):
     (see _homology_pd); profile.stats counts the multidegrees it reduced
     and skipped.
 
-    The ideal's memo keeps the linear-quotient profile, or its absence,
-    for every field and the homology profile per field.
+    The ideal's memo keeps the linear quotients, or their absence, and
+    the linear-quotient profile for every field, and the homology profile
+    per field.
     """
     require_field(field)
-    profile = ideal._memo("_linear_quotient_profile", _linear_quotient_profile)
-    if profile is None:
-        profile = ideal._memo(f"_homology_profile_{field}", _homology_pd, field)
-    return profile
+    quotients = ideal._memo("_linear_quotients", _linear_quotients)
+    if quotients is None:
+        return ideal._memo(f"_homology_profile_{field}", _homology_pd, field)
+    return ideal._memo("_linear_quotient_profile", _linear_quotient_profile, quotients)
 
 
 def betti_table(ideal, field=None):
@@ -407,21 +406,19 @@ def betti_table(ideal, field=None):
     by homological degree. The ideal's memo keeps the linear-quotient
     table once for every field and the homology table once per field.
     """
-    if pd_depth(ideal, field).stats.route == "linear_quotients":
-        quotients = _linear_quotients(ideal)
-        bound = sum(1 << linear.bit_count() for _, linear in quotients)
-        if bound > LINEAR_QUOTIENT_BUDGET:
-            raise BudgetExceeded("linear-quotient", f"the Betti table has {bound} entries (sum of "
-                                 "2^|set(u)|)", "LINEAR_QUOTIENT_BUDGET", LINEAR_QUOTIENT_BUDGET)
-        return ideal._memo("_linear_quotient_table", _linear_quotient_table, quotients)
-    return ideal._memo(f"_hochster_table_{field}", _hochster_table, field)
-
-
-def _linear_quotient_profile(ideal):
-    """The field-free profile of the linear-quotient route, or None."""
-    quotients = _linear_quotients(ideal)
+    pd_depth(ideal, field)
+    quotients = ideal._memo("_linear_quotients", _linear_quotients)
     if quotients is None:
-        return None
+        return ideal._memo(f"_hochster_table_{field}", _hochster_table, field)
+    bound = sum(1 << linear.bit_count() for _, linear in quotients)
+    if bound > LINEAR_QUOTIENT_BUDGET:
+        raise BudgetExceeded("linear-quotient", f"the Betti table has {bound} entries (sum of "
+                             "2^|set(u)|)", "LINEAR_QUOTIENT_BUDGET", LINEAR_QUOTIENT_BUDGET)
+    return ideal._memo("_linear_quotient_table", _linear_quotient_table, quotients)
+
+
+def _linear_quotient_profile(ideal, quotients):
+    """The field-free profile of the linear-quotient route."""
     largest = max(linear.bit_count() for _, linear in quotients)
     return _profile(ideal, stanley_reisner(ideal), 1 + largest,
                     HomologyStats(route="linear_quotients", largest_quotient_set=largest))
@@ -452,7 +449,7 @@ def _linear_quotient_table(ideal, quotients):
 
 
 def _linear_quotients(ideal):
-    """(mask of u_k, mask of set(u_k)) for every generator, or None.
+    """A tuple of (mask of u_k, mask of set(u_k)), one per generator, or None.
 
     None unless the ideal is square-free, proper, nonzero and of one
     degree, and every colon (u_1, ..., u_{k-1}) : u_k, in the generators'
@@ -474,23 +471,21 @@ def _linear_quotients(ideal):
         if any(not c & linear for c in colon):
             return None
         quotients.append((u, linear))
-    return quotients
+    return tuple(quotients)
 
 
 def _hochster_setup(ideal):
     """Face complex, base, facet masks and lcm lattice of the homology route.
 
     base is the least generator degree less one (see the module
-    docstring). FACE_BUDGET is held on the facets before the lattice is
-    built; the face complex restricted to any sigma has no more faces. The
-    lattice at most doubles with each generator, and it is held against
-    LATTICE_BUDGET after each one, so a refused lattice never grows past
-    twice the limit.
+    docstring). The lattice at most doubles with each generator, and it
+    is held against LATTICE_BUDGET after each one, so a refused lattice
+    never grows past twice the limit. FACE_BUDGET is held by each walk
+    over a restriction (_face_walk), on its own cut facets.
     """
     complex_ = stanley_reisner(ideal)
     base = min(g.bit_count() for g in ideal.masks) - 1
     facets = [support_to_mask(f) for f in complex_.facets]
-    _face_budget(facets)
     lattice = {0}
     for k, g in enumerate(ideal.masks, start=1):
         lattice |= {s | g for s in lattice}

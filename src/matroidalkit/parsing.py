@@ -5,7 +5,10 @@ then comma-separated products of x<i> or x<i>^<e>. JSON is
 {"n": ..., "gens": [[exponents], ...]} and is detected by a leading
 brace. Errors raise ParseError with a line and column where known.
 Variable counts above MAX_VARIABLES are refused before any exponent
-vector is allocated, so a short input cannot ask for gigabytes.
+vector is allocated, so a short input cannot ask for gigabytes. Each
+parser checks its own exponents (ints from 0 to MAX_EXPONENT), so it
+hands make_ideal rows built by Monomial._trusted, which are not scanned
+again.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import json
 
 from .errors import ParseError
-from .ideals import make_ideal
+from .ideals import Monomial, make_ideal
 
 MAX_EXPONENT = 2 ** 63 - 1
 MAX_VARIABLES = 1024
@@ -129,7 +132,7 @@ def _parse_text(text):
             exps[index - 1] += exponent
             if exps[index - 1] > MAX_EXPONENT:
                 raise ParseError(f"exponent overflow on x{index} (limit {MAX_EXPONENT})")
-        vectors.append(tuple(exps))
+        vectors.append(Monomial._trusted(tuple(exps)))
     return make_ideal(n, vectors)
 
 
@@ -156,7 +159,7 @@ def _parse_json(text):
             raise ParseError(f"bad exponent vector {row!r} (need {n} non-negative integers)")
         if any(e > MAX_EXPONENT for e in row):
             raise ParseError(f"exponent overflow in {row!r} (limit {MAX_EXPONENT})")
-        vectors.append(tuple(row))
+        vectors.append(Monomial._trusted(tuple(row)))
     return make_ideal(n, vectors)
 
 

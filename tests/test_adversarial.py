@@ -14,7 +14,8 @@ Where a family has a closed form, the report must meet it in every
 section that ran, and such a section may be skipped only for a limit:
 transversals (K_{a,b}, K_{a,b,c}) have the least block size as height
 and pd = ara = n - d + 1, V(n, d) has height, pd and ara n - d + 1, a
-matching of m edges height and pd m, and x1, ..., xn all three n.
+matching of m edges height and pd m, whatever variables lie outside
+it, and x1, ..., xn all three n.
 """
 
 import contextlib
@@ -97,6 +98,10 @@ def cases():
     for m in (6, 10, 24):
         masks = [3 << 2 * i for i in range(m)]
         out.append((f"matching-{m}", text_of(2 * m, masks), {"height": m, "pd": m}, False))
+    # variables outside every edge leave height and pd alone
+    for m, n in ((2, 40), (2, 1024), (11, 64)):
+        masks = [3 << 2 * i for i in range(m)]
+        out.append((f"matching-{m}-n{n}", text_of(n, masks), {"height": m, "pd": m}, False))
     for k in range(3):
         n = rng.randint(9, 12)
         masks = {sum(1 << k for k in rng.sample(range(n), rng.randint(2, 5)))

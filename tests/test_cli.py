@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -120,6 +121,39 @@ class TestJsonInput:
                     '{"n": 2, "gens": [[1, false]]}'):
             with pytest.raises(ParseError):
                 parse_ideal(bad)
+
+
+class TestParsedRows:
+    def test_random_inputs_give_the_ideal_of_plain_tuples(self):
+        # both parsers build their rows unchecked; make_ideal checks plain tuples
+        from matroidalkit.parsing import MAX_EXPONENT
+        rng = random.Random(4099)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            rows = []
+            for _ in range(rng.randint(1, 6)):
+                row = [rng.choice((0, 0, 1, 2, 3, MAX_EXPONENT - rng.randrange(4)))
+                       for _ in range(n)]
+                row[rng.randrange(n)] = rng.randint(1, 3)
+                rows.append(tuple(row))
+            expected = make_ideal(n, rows)
+            factors = []
+            for row in rows:
+                parts = []
+                for i, e in enumerate(row, start=1):
+                    while e:  # split an exponent across repeated factors
+                        part = rng.randint(1, e) if rng.random() < 0.3 else e
+                        parts.append(f"x{i}" if part == 1 and rng.random() < 0.5
+                                     else f"x{i}^{part}")
+                        e -= part
+                rng.shuffle(parts)
+                factors.append(" * ".join(parts) if rng.random() < 0.5 else "*".join(parts))
+            text = f"n = {n};\n" + ", ".join(factors)
+            blob = json.dumps({"n": n, "gens": [list(row) for row in rows]})
+            for parsed in (parse_ideal(text), parse_ideal(blob)):
+                assert parsed == expected, (text, blob)
+                assert [g.exponents for g in parsed.gens] == [g.exponents for g in expected.gens]
+                assert all(type(e) is int for g in parsed.gens for e in g.exponents)
 
 
 class TestRunCommand:

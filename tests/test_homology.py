@@ -452,6 +452,11 @@ def fresh(ideal):
     return MonomialIdeal(ideal.n, ideal.gens)
 
 
+def matching(edges, n):
+    """x1*x2, x3*x4, ...: the given number of disjoint edges, in n variables."""
+    return MonomialIdeal.from_supports(n, [(2 * k + 1, 2 * k + 2) for k in range(edges)])
+
+
 def random_layer_ideal(rng, n, d, count):
     """R(n, d, count): count of the d-subsets of [n], drawn at random."""
     layer = list(itertools.combinations(range(1, n + 1), d))
@@ -720,7 +725,7 @@ class TestLazyTable:
         with pytest.raises(DomainError, match="LINEAR_QUOTIENT_BUDGET"):
             betti_table(MonomialIdeal.maximal(21))
         with pytest.raises(DomainError, match="FACE_BUDGET"):
-            betti_table(MonomialIdeal.from_supports(40, [{1, 2}, {3, 4}]))
+            betti_table(matching(12, 24))
         with pytest.raises(DomainError):
             betti_table(MonomialIdeal.maximal(3), 4)
         assert calls == []
@@ -755,11 +760,14 @@ def counting_builders(monkeypatch):
 
 class TestFaceBudget:
     def test_budget_is_checked_before_faces_are_listed(self):
+        # the 12-edge matching: its top multidegree keeps all 2^12 facets of
+        # 12 vertices, 2^24 faces by the bound
+        start = time.monotonic()
+        with pytest.raises(DomainError, match="homology stage: the face complex bounds "
+                                              "16777216 faces.*FACE_BUDGET = 4194304"):
+            pd_depth(matching(12, 24))
         # 4 facets of 38 vertices: about 10^12 faces
         ideal = MonomialIdeal.from_supports(40, [{1, 2}, {3, 4}])
-        start = time.monotonic()
-        with pytest.raises(DomainError, match="homology stage.*FACE_BUDGET = 4194304"):
-            pd_depth(ideal)
         with pytest.raises(DomainError, match=str(4 << 38)):
             reduced_homology_ranks(stanley_reisner(ideal))
         assert time.monotonic() - start < 1.0
@@ -770,6 +778,69 @@ class TestFaceBudget:
         assert reduced_homology_ranks(complex_of(4, {1, 2, 3}, {3, 4}))[0] == 0
         with pytest.raises(DomainError, match="16 faces"):
             reduced_homology_ranks(complex_of(4, {1, 2, 3}, {2, 4}, {1, 4}))
+
+    def test_budget_is_held_on_each_restriction(self, monkeypatch):
+        # (x1*x2, x3*x4) in n = 6: 4 facets of 4 vertices, 64 faces by the
+        # bound, but the top multidegree [4] cuts them to 4 facets of 2
+        ideal = matching(2, 6)
+        monkeypatch.setattr(homology, "FACE_BUDGET", 16)
+        assert pd_depth(fresh(ideal)).pd == 2
+        with pytest.raises(BudgetExceeded, match="bounds 64 faces"):
+            reduced_homology_ranks(stanley_reisner(ideal))
+        for field in (None, 2):
+            assert (list(betti_table(fresh(ideal), field).items())
+                    == list(homology_oracle.betti_table(ideal, field).items()))
+        monkeypatch.setattr(homology, "FACE_BUDGET", 15)
+        with pytest.raises(BudgetExceeded, match="bounds 16 faces"):
+            pd_depth(fresh(ideal))
+
+    @pytest.mark.parametrize("edges, n", [(2, 40), (2, 1024), (11, 64)], ids=str)
+    def test_cone_variables_do_not_count(self, edges, n):
+        # no restriction to a union of edges holds x_{2 edges + 1}, ..., x_n,
+        # so the bound on the top multidegree is 4^edges whatever n is
+        # pd_depth is timed once the cover search has found the primes, and
+        # as timeit times: the collector off, best of 3 fresh runs per field
+        for field in (None, 2):
+            times = []
+            for _ in range(3):
+                ideal = matching(edges, n)
+                assert associated_primes(ideal).height == edges
+                gc.disable()
+                try:
+                    start = time.monotonic()
+                    profile = pd_depth(ideal, field)
+                    times.append(time.monotonic() - start)
+                finally:
+                    gc.enable()
+                assert (profile.pd, profile.depth, profile.is_cm) == (edges, n - edges, True)
+            assert min(times) < 0.1, f"{edges} edges in n = {n} took {min(times):.3f}s, budget 0.1s"
+
+    def test_cone_variables_keep_pd_and_the_verdict(self):
+        # J on k <= 7 variables, full support, set among n = k + c variables
+        rng = random.Random(331)
+        checked = 0
+        for _ in range(60):
+            k = rng.randint(1, 7)
+            while True:
+                supports = [rng.sample(range(1, k + 1), rng.randint(1, k))
+                            for _ in range(rng.randint(1, 6))]
+                small = MonomialIdeal.from_supports(k, supports)
+                if len(small.support) == k:
+                    break
+            n = k + (rng.randint(1, 3) if rng.random() < 0.5 else rng.randint(4, 33))
+            place = rng.sample(range(1, n + 1), k)
+            ideal = MonomialIdeal.from_supports(n, [{place[v - 1] for v in support}
+                                                    for support in supports])
+            for field in (None, 2):
+                small_profile = pd_depth(small, field)
+                profile = pd_depth(ideal, field)
+                assert (profile.pd, profile.depth, profile.is_cm) == (
+                    small_profile.pd, n - small_profile.pd, small_profile.is_cm), ideal
+                if n <= 8:
+                    pd, depth, is_cm, _ = homology_oracle.pd_depth(ideal, field)
+                    assert (profile.pd, profile.depth, profile.is_cm) == (pd, depth, is_cm)
+                    checked += 1
+        assert checked >= 20
 
     def test_lattice_is_held_as_it_grows(self, monkeypatch):
         # x1 and the edges of K_4 on x2..x5: 2 * (2^4 - 4) = 24 unions of generator supports
@@ -883,7 +954,8 @@ class TestFaceBudget:
 
     def test_analyze_skips_homology_in_time(self, capsys, monkeypatch):
         from matroidalkit.cli import main
-        monkeypatch.setattr("sys.stdin", io.StringIO("n = 40; x1*x2, x3*x4"))
+        text = "n = 24; " + ", ".join(f"x{2 * k + 1}*x{2 * k + 2}" for k in range(12))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
         start = time.monotonic()
         code = main(["analyze"])
         elapsed = time.monotonic() - start
@@ -892,7 +964,7 @@ class TestFaceBudget:
         block = out.split("homology:\n", 1)[1].split("\n", 1)[0]
         assert block.startswith("  skipped: homology stage")
         assert "FACE_BUDGET = 4194304" in block
-        assert elapsed < 1.0, f"analyze at n = 40 took {elapsed:.2f}s, budget 1s"
+        assert elapsed < 1.0, f"analyze on the 12-edge matching took {elapsed:.2f}s, budget 1s"
 
 
 class TestCaches:
@@ -926,6 +998,8 @@ class TestCaches:
         assert first.stats.route == "linear_quotients"
         assert pd_depth(ideal, 2) is first
         assert pd_depth(ideal, 3) is first
+        assert len(calls) == 1
+        betti_table(ideal)
         assert len(calls) == 1
 
     def test_homology_fallback_is_cached_per_field(self, monkeypatch):

@@ -71,7 +71,7 @@ def verify_tail_40():
 LIMITS = [
     ("groebner", groebner, "PAIR_BUDGET", (certify_k23,)),
     ("homology", homology, "FACE_BUDGET",
-     (lambda: pd_depth(MonomialIdeal.from_supports(40, [{1, 2}, {3, 4}])),)),
+     (lambda: pd_depth(matching(24)),)),
     ("homology", homology, "LATTICE_BUDGET", (lambda: pd_depth(lattice_probe(17)),)),
     ("linear-quotient", homology, "LINEAR_QUOTIENT_BUDGET",
      (lambda: betti_table(MonomialIdeal.maximal(21)),)),

@@ -58,6 +58,12 @@ def _check(name):
     return wrap
 
 
+def _swept(count, caps):
+    """Skip a sweep that examined nothing, naming the caps that left it empty."""
+    if not count:
+        raise _Skip(f"nothing to sweep under {caps}")
+
+
 def _verdict(problems, detail):
     if problems:
         return False, "; ".join(problems[:4])
@@ -197,6 +203,7 @@ def check_pd_formula_sweep(max_n=6, max_d=3):
                     label = "rationals" if field is None else f"GF({field})"
                     problems.append(f"{ideal} over {label}: pd {profile.pd}")
             count += 1
+    _swept(count, f"max_n={max_n}, max_d={max_d}")
     return _verdict(problems, f"pd = n-d+1 and depth = d-1 on {count} ideals, both fields")
 
 
@@ -217,6 +224,7 @@ def check_linear_quotient_sweep(max_n=6, max_d=3):
                       or fast.pd != max(i for i, _ in table)):
                     problems.append(f"{ideal} over {label}: the routes disagree")
             count += 1
+    _swept(count, f"max_n={max_n}, max_d={max_d}")
     return _verdict(problems,
                     f"linear quotients and homology give one Betti table on {count} "
                     "ideals, both fields")
@@ -237,6 +245,7 @@ def check_block_identity_sweep(max_n=6):
                 if report.ass_count != report.block_count:
                     problems.append(f"{ideal}: {report.ass_count} primes, {report.block_count} blocks")
             count += 1
+    _swept(count, f"max_n={max_n}")
     return _verdict(problems,
                     f"identity holds on {count} degree-2 ideals ({unmixed_count} unmixed)")
 
@@ -252,6 +261,7 @@ def check_colon_criterion_sweep(max_n=6, max_d=3):
             if report.t2_condition != report.is_unmixed:
                 problems.append(f"{ideal}: colon criterion disagrees")
             count += 1
+    _swept(count, f"max_n={max_n}, max_d={max_d}")
     return _verdict(problems, f"colon criterion matches unmixedness on {count} ideals")
 
 
@@ -275,6 +285,7 @@ def check_degree2_classification_sweep(max_n=4):
                 continue
             examined += 1
             branches[p1_classify(ideal)] += 1
+    _swept(examined, f"max_n={max_n}")
     return _verdict(problems,
                     f"{examined} candidates split {branches[MATROIDAL]} matroidal, "
                     f"{branches[POWER_OF_M]} squared-maximal, nothing else")
@@ -310,6 +321,7 @@ def check_sci_equivalence_sweep(max_n=5):
                     problems.append(f"{ideal}: flags {full_layer}/{complete_intersection}/{cm}")
                 count += 1
                 veronese_count += full_layer
+    _swept(count, f"max_n={max_n}")
     return _verdict(problems,
                     f"three-way equivalence on {count} ideals ({veronese_count} full layers)")
 
@@ -440,6 +452,7 @@ def check_oracle_exchange(max_n=6, max_d=3):
             compared += 1
         if tuple(survivors) != expected:
             problems.append(f"enumeration n={n} d={d} differs from direct scan")
+    _swept(compared, f"max_n={max_n}, max_d={max_d}")
     return _verdict(problems, f"exchange equals basis axiom on {compared} collections")
 
 

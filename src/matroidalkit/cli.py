@@ -327,15 +327,23 @@ def _write_json(value, newline, write):
         write(json.dumps(value, indent=2).replace("\n", newline))
 
 
+def _count(value):
+    """A count spelled in ASCII digits only, as the input grammar reads them.
+
+    int() alone would also take '٣', '3_0', '+3', ' 3' and '-5'.
+    """
+    if not (value.isascii() and value.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {value!r}")
+    return int(value)
+
+
 def _parse_field(value):
     if value == "q":
         return None
     if value.startswith("gf:"):
+        p = _count(value[3:])
         try:
-            p = int(value[3:])
             require_prime(p)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad field {value!r}")
         except DomainError as err:
             raise argparse.ArgumentTypeError(str(err))
         return p
@@ -353,17 +361,17 @@ class _Parser(argparse.ArgumentParser):
 _OPTIONS = {
     "input": {"nargs": "?", "default": "-",
               "help": "ideal file, or - for stdin (default)"},
-    "n": {"type": int},
-    "d": {"type": int},
+    "n": {"type": _count},
+    "d": {"type": _count},
     "--json": {"action": "store_true", "dest": "as_json",
                "help": "emit the report as JSON"},
     "--field": {"type": _parse_field, "default": Config.field, "metavar": "q|gf:p",
                 "help": f"coefficient field (default q; try gf:{DEFAULT_PRIME})"},
     "--no-certify": {"action": "store_false", "dest": "certify",
                      "help": "skip the radical-membership certification"},
-    "--max-n": {"type": int, "default": Config.max_n, "metavar": "K",
+    "--max-n": {"type": _count, "default": Config.max_n, "metavar": "K",
                 "help": "cap on the ambient variable count for sweeps"},
-    "--max-d": {"type": int, "default": Config.max_d, "metavar": "K",
+    "--max-d": {"type": _count, "default": Config.max_d, "metavar": "K",
                 "help": "cap on the generating degree for sweeps"},
 }
 

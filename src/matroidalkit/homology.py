@@ -58,6 +58,7 @@ import collections
 import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from types import MappingProxyType
 
 from .decomposition import associated_primes
@@ -83,6 +84,8 @@ class SimplicialComplex:
     The facets must be an antichain: ideals._minimal_masks keeps them all.
     The complex whose only face is the empty set is legal (facets contain
     one empty frozenset) and distinct from the void complex (no facets).
+    The facet masks the antichain check builds are kept as a cached view
+    outside the fields, so equality, hashing and repr see n and facets alone.
     """
 
     n: int
@@ -93,8 +96,13 @@ class SimplicialComplex:
         for f in self.facets:
             if not f <= vertices:
                 raise StructuralError(f"facet {sorted(f)} outside 1..{self.n}")
-        if len(_minimal_masks(map(support_to_mask, self.facets))) < len(self.facets):
+        if len(_minimal_masks(self._masks)) < len(self.facets):
             raise StructuralError("facets must be inclusion-incomparable")
+
+    @cached_property
+    def _masks(self):
+        """The facets as masks, in facet order."""
+        return tuple(map(support_to_mask, self.facets))
 
     @classmethod
     def from_faces(cls, n, faces):
@@ -349,8 +357,7 @@ def reduced_homology_ranks(complex_, field=None):
     require_field(field)
     if not complex_.facets:
         return {}
-    facets = [support_to_mask(f) for f in complex_.facets]
-    return _reduced_ranks(_face_walk(facets, 0), _Boundary(field), field)
+    return _reduced_ranks(_face_walk(complex_._masks, 0), _Boundary(field), field)
 
 
 def pd_depth(ideal, field=None):
@@ -485,7 +492,6 @@ def _hochster_setup(ideal):
     """
     complex_ = stanley_reisner(ideal)
     base = min(g.bit_count() for g in ideal.masks) - 1
-    facets = [support_to_mask(f) for f in complex_.facets]
     lattice = {0}
     for k, g in enumerate(ideal.masks, start=1):
         lattice |= {s | g for s in lattice}
@@ -493,7 +499,7 @@ def _hochster_setup(ideal):
             raise BudgetExceeded("homology", f"the lcm lattice holds {len(lattice)} "
                                  f"multidegrees after {k} of {ideal.mu} generators",
                                  "LATTICE_BUDGET", LATTICE_BUDGET)
-    return complex_, base, facets, lattice
+    return complex_, base, complex_._masks, lattice
 
 
 def _homology_pd(ideal, field):

@@ -1,17 +1,19 @@
 """Exchange-property checks and the named families built from them.
 
-The exchange check is the workhorse: an ideal generated in a single degree
-is polymatroidal when every ordered generator pair admits an exchange at
-every separating variable. Square-free plus polymatroidal is matroidal, and
-then generator supports form the bases of a matroid.
+An ideal generated in one degree is polymatroidal when each ordered
+generator pair (u, v) exchanges at each x_i with deg_{x_i}(u) >
+deg_{x_i}(v): some x_j with deg_{x_j}(v) > deg_{x_j}(u) makes u/x_i * x_j
+a generator. Square-free plus polymatroidal is matroidal, and then the
+generator supports are the bases of a matroid. Both kernels test one
+criterion: with w = u/x_i and C(w) the j such that w*x_j is a generator
+(i among them), (u, v) fails at x_i exactly when deg_{x_j}(v) <=
+deg_{x_j}(w) for every j in C(w), on masks when v misses C(w). Each kernel
+keeps one memo from w to the first generator that C(w) fails to reach, and
+reports the first row u that fails, at the least (v, i) over its w's.
 
-is_polymatroidal computes one certificate per ideal object and keeps it in
-the ideal's memo. Square-free input runs on generator bitmasks through one
-kernel, _exchange_failure, which enumeration shares. Other input runs on
-exponent tuples. Both routes report the first failure with u, then v, in
-generator order and the variable index ascending. Enumeration over all
-collections of square-free degree-d monomials runs on packed bitmasks;
-the survivors are rebuilt as ideals through the ordinary constructors.
+is_polymatroidal keeps one certificate in each ideal's memo. Square-free
+input runs on bitmasks (_exchange_failure, which enumeration shares over
+every collection of a layer), other input on exponent tuples.
 """
 
 from __future__ import annotations
@@ -53,19 +55,11 @@ class ExchangeCertificate:
 def is_polymatroidal(ideal):
     """Exchange check on the minimal generators, run once per ideal object.
 
-    Returns a certificate; on failure the witness pins down a concrete
-    ordered pair and variable index with no exchange partner. The
-    certificate is kept in the ideal's memo, so later calls on the same
-    object return it; the zero ideal raises on every call.
-
-    Single-degree square-free input runs on generator masks
-    (_exchange_failure), which finds the exchanges of each u - x_i
-    once and scans v only for the indices i some v could fail at; every
-    other single-degree input runs on exponent tuples, where membership
-    of the exchanged monomial is a set lookup because it has the degree
-    of every generator. Both routes visit u, then v, in generator order
-    and the index i in ascending order, so failure_witness is the first
-    failing (u, v, i) in that order whichever route ran.
+    Returns a certificate; on failure the witness is the first (u, v, i)
+    with no exchange, u then v in generator order and i ascending,
+    whichever kernel ran. The certificate is kept in the ideal's memo, so
+    later calls on the same object return it; the zero ideal raises on
+    every call.
     """
     if ideal.is_zero:
         raise DomainError("exchange property undefined for the zero ideal")
@@ -90,82 +84,77 @@ def _exchange_certificate(ideal):
 
 
 def _tuple_exchange_failure(ideal):
-    """First (u, v, i) with no exchange, on exponent tuples, or None."""
-    gen_exps = {g.exponents for g in ideal.gens}
-    for u, v in itertools.permutations(ideal.gens, 2):
-        ue, ve = u.exponents, v.exponents
-        for i in range(ideal.n):
-            if ue[i] <= ve[i]:
+    """First failing (u, v, i) on exponent tuples, or None.
+
+    first maps w to the index of the first generator v with v_j <= w_j on
+    C(w), or to mu; n membership tests and one generator scan fill it.
+    """
+    vectors = [g.exponents for g in ideal.gens]
+    members = set(vectors)
+    none = len(vectors)
+    first = {}
+    for a, u in enumerate(vectors):
+        b = none
+        for i, exponent in enumerate(u):
+            if not exponent:
                 continue
-            lowered = list(ue)
-            lowered[i] -= 1
-            for j in range(ideal.n):
-                if ve[j] > ue[j]:
-                    lowered[j] += 1
-                    if tuple(lowered) in gen_exps:
-                        break
-                    lowered[j] -= 1
-            else:
-                return u, v, i + 1
+            w = u[:i] + (exponent - 1,) + u[i + 1:]
+            c = first.get(w)
+            if c is None:
+                reach = [j for j, e in enumerate(w) if w[:j] + (e + 1,) + w[j + 1:] in members]
+                c = next((k for k, v in enumerate(vectors)
+                          if all(v[j] <= w[j] for j in reach)), none)
+                first[w] = c
+            if c < b:
+                b, index = c, i
+        if b < none:
+            return ideal.gens[a], ideal.gens[b], index + 1
     return None
 
 
 def _exchange_failure(masks):
-    """First failing (a, b, e) of basis exchange on distinct equal-size masks.
+    """First failing (a, b, e) on distinct equal-size masks, or None.
 
-    a and b index masks, and e is the one-bit mask of a variable in
-    masks[a] but not in masks[b] such that no f in masks[b] outside
-    masks[a] makes masks[a] - e + f a member; None when every pair
-    exchanges. The order is a, then b, then e ascending.
-
-    completions maps a (d-1)-set w to the bits f with w + f a member.
-    It is filled by membership tests the first time some row asks for
-    w, and kept, so it holds at most m*d sets and each is tested once:
-    on x1, ..., xn every row asks for the empty set alone. For u =
-    masks[a], allowed[e] = completions[u - e] - e holds the f's for
-    which u - e + f is a member, and (u, v) fails at e iff e is not in v
-    and allowed[e] & v == 0. An e whose allowed set is all of outside
-    (the union of the masks less u) never fails, as a distinct mask v of
-    the same size meets outside. Only the other e's are tried against
-    each v, and a row with none is not scanned; the first failure is the
-    same.
+    a and b index masks, and e is the bit of masks[a] the pair fails at.
+    first maps w to the index of the first mask that misses C(w), or to
+    len(masks). Membership tests over the union less w and one scan of the
+    masks fill it; the scan is skipped when C(w) is the whole union less
+    w, which every mask meets, having more bits than w.
     """
     members = set(masks)
     union = 0
     for m in masks:
         union |= m
-    completions = {}
+    none = len(masks)
+    first = {}
     for a, u in enumerate(masks):
-        outside = union & ~u
-        allowed = {}
+        b = none
         rest = u
         while rest:
             e = rest & -rest
             rest ^= e
-            base = u ^ e
-            swaps = completions.get(base)
-            if swaps is None:
-                swaps = 0
-                free = union & ~base
-                while free:
-                    f = free & -free
-                    if base | f in members:
-                        swaps |= f
-                    free ^= f
-                completions[base] = swaps
-            swaps ^= e
-            if swaps != outside:
-                allowed[e] = swaps
-        if not allowed:
-            continue
-        hard = sum(allowed)
-        for b, v in enumerate(masks):
-            rest = hard & ~v  # empty when b == a
-            while rest:
-                e = rest & -rest
-                if not allowed[e] & v:
-                    return a, b, e
-                rest ^= e
+            w = u ^ e
+            c = first.get(w)
+            if c is None:
+                free = union & ~w
+                reach = 0
+                bits = free
+                while bits:
+                    f = bits & -bits
+                    bits ^= f
+                    if w | f in members:
+                        reach |= f
+                c = none
+                if reach != free:
+                    for k, v in enumerate(masks):
+                        if not v & reach:
+                            c = k
+                            break
+                first[w] = c
+            if c < b:
+                b, i = c, e
+        if b < none:
+            return a, b, i
     return None
 
 

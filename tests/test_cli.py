@@ -256,6 +256,23 @@ class TestMainExitCodes:
             main(["enumerate", "3", "2", "--field", "gf:4"])
         assert info.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "٣", "2"], ["enumerate", "3_0", "1"], ["enumerate", "3", "+2"],
+        ["enumerate", " 3", "2"], ["enumerate", "3", "2", "--field", "gf:٣"],
+        ["enumerate", "3", "2", "--field", "gf:0_7"], ["enumerate", "3", "2", "--field", "gf:+7"],
+        ["enumerate", "3", "2", "--field", "gf: 7"], ["enumerate", "3", "2", "--field", "gf:"],
+        ["reproduce-paper", "--max-n", "-5"], ["reproduce-paper", "--max-n", "٣"],
+        ["reproduce-paper", "--max-d", "1_0"], ["reproduce-paper", "--max-d", "2 "],
+    ], ids=repr)
+    def test_counts_are_ascii_digits_only(self, capsys, monkeypatch, argv):
+        # int() takes all of these; the input grammar refuses them, and so do the options
+        monkeypatch.setattr(cli, "run_command", None)  # never reached
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: matroidalkit {argv[0]}") and "ASCII digits" in err
+
     def test_oversized_enumeration_is_two(self, capsys):
         code, out, err = run(capsys, "enumerate", "7", "3")
         assert code == 2
@@ -387,6 +404,31 @@ class TestOutputs:
         lines = [l for l in out.splitlines() if l[:4] in ("PASS", "FAIL", "SKIP")]
         assert len(lines) == 15
         assert not any(l.startswith("FAIL") for l in lines)
+
+    @pytest.mark.parametrize("caps, empty", [
+        (["--max-n", "1", "--max-d", "0"], {"pd-formula-sweep", "block-identity-sweep",
+                                            "colon-criterion-sweep", "sci-equivalence-sweep",
+                                            "oracle-exchange", "linear-quotient-sweep"}),
+        (["--max-n", "1"], {"pd-formula-sweep", "block-identity-sweep",
+                            "colon-criterion-sweep", "sci-equivalence-sweep",
+                            "oracle-exchange", "linear-quotient-sweep"}),
+        (["--max-n", "0"], {"pd-formula-sweep", "block-identity-sweep",
+                            "colon-criterion-sweep", "degree2-classification-sweep",
+                            "sci-equivalence-sweep", "oracle-exchange",
+                            "linear-quotient-sweep"}),
+    ], ids=["n1-d0", "n1", "n0"])
+    def test_reproduce_paper_skips_empty_sweeps(self, capsys, caps, empty):
+        code, out, err = run(capsys, "reproduce-paper", *caps, "--no-certify")
+        assert code == 0
+        rows = {line.split()[1].rstrip(":"): line for line in out.splitlines()[:-1]}
+        max_n = caps[1]
+        for name in empty:
+            assert rows[name].startswith("SKIP")
+            assert "nothing to sweep under" in rows[name] and f"max_n={max_n}" in rows[name]
+        assert not any(" on 0 " in line or line.startswith("FAIL") for line in rows.values())
+        passes = sum(line.startswith("PASS") for line in rows.values())
+        assert out.splitlines()[-1] == (f"{passes} of {passes} checks good, "
+                                        f"{15 - passes} skipped")
 
 
 class TestEdges:

@@ -63,6 +63,29 @@ class TestSimplicialComplex:
         with pytest.raises(StructuralError, match="outside"):
             complex_of(2, {1, 3})
 
+    def test_facet_masks_are_built_once_and_not_a_field(self, monkeypatch):
+        calls = []
+
+        def counting(support):
+            calls.append(support)
+            return support_to_mask(support)
+        monkeypatch.setattr(homology, "support_to_mask", counting)
+        ideal = MonomialIdeal.from_supports(6, [{1, 2}, {3, 4}, {5, 6}, {1, 3}])
+        complex_ = stanley_reisner(ideal)
+        assert len(calls) == len(complex_.facets)  # the antichain check
+        assert complex_._masks == tuple(map(support_to_mask, complex_.facets))
+        # the pd scan, the Betti table and the whole-complex ranks read them back
+        monkeypatch.setattr(homology, "stanley_reisner", lambda _: complex_)
+        assert pd_depth(ideal).stats.route == "homology"
+        homology._hochster_table(ideal, None)
+        reduced_homology_ranks(complex_)
+        assert len(calls) == len(complex_.facets)
+        # the view takes no part in equality, hashing or repr
+        fresh = complex_of(6, *complex_.facets)
+        assert [f.name for f in dataclasses.fields(SimplicialComplex)] == ["n", "facets"]
+        assert fresh == complex_ and hash(fresh) == hash(complex_)
+        assert repr(fresh) == repr(complex_) and "_masks" not in repr(fresh)
+
     def test_from_faces_keeps_maximal(self):
         cx = SimplicialComplex.from_faces(
             3, [frozenset(), frozenset({1}), frozenset({1, 2}), frozenset({3})])

@@ -321,6 +321,32 @@ class TestMaskRouteAgainstOracle:
         u, v, i = is_polymatroidal(ideal).failure_witness
         assert (str(u), str(v), i) == ("x1*x2*x5", "x1*x3*x4", 5)
 
+    def test_perturbed_matroids(self):
+        # a transversal or Veronese matroid with one basis added or removed
+        rng = random.Random(41)
+        failed = 0
+        for _ in range(600):
+            n = rng.randint(2, 8)
+            if rng.random() < 0.5:
+                blocks = [rng.sample(range(1, n + 1), rng.randint(1, n))
+                          for _ in range(rng.randint(1, 3))]
+                supports = {g.support for g in transversal(n, blocks).gens if g.is_squarefree}
+            else:
+                supports = {g.support for g in squarefree_veronese(n, rng.randint(1, n)).gens}
+            if not supports:
+                continue
+            d = len(next(iter(supports)))
+            missing = [m.support for m in squarefree_monomials(n, d)
+                       if m.support not in supports]
+            if missing and (len(supports) == 1 or rng.random() < 0.5):
+                supports.add(rng.choice(missing))
+            elif len(supports) > 1:
+                supports.remove(rng.choice(sorted(supports, key=sorted)))
+            ideal = MonomialIdeal.from_supports(n, supports)
+            assert_matches_oracle(ideal)
+            failed += not is_polymatroidal(ideal).holds
+        assert 40 < failed < 400  # both verdicts are exercised
+
     def test_enumeration_matches_the_oracle_scan(self):
         for n in range(1, ENUMERATION_MAX_N + 1):
             for d in range(1, n + 1):
@@ -329,6 +355,87 @@ class TestMaskRouteAgainstOracle:
                 for flag in (True, False):
                     assert enumerate_matroidal(n, d, flag) == \
                         matroids_oracle.enumerate_matroidal(n, d, flag), (n, d, flag)
+
+
+class TestTupleRouteAgainstOracle:
+    def test_random_single_degree_families(self):
+        # the oracle scans every generator pair; the tuple route asks once per w
+        rng = random.Random(43)
+        failed = compared = 0
+        for _ in range(1500):
+            n, d = rng.randint(1, 6), rng.randint(2, 4)
+            gens = set()
+            for _ in range(rng.randint(1, 10)):
+                exps = [0] * n
+                for _ in range(d):
+                    exps[rng.randrange(n)] += 1
+                gens.add(tuple(exps))
+            ideal = make_ideal(n, gens)
+            if ideal.is_squarefree or ideal.degree is None:
+                continue
+            assert_matches_oracle(ideal)
+            failed += not is_polymatroidal(ideal).holds
+            compared += 1
+        assert compared > 1000 and 300 < failed < compared - 300
+
+    def test_powers_of_matroids(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            blocks = [rng.sample(range(1, n + 1), rng.randint(1, n))
+                      for _ in range(rng.randint(1, 2))]
+            base = transversal(n, blocks)
+            ideal = base * base
+            assert is_polymatroidal(ideal).holds
+            assert_matches_oracle(ideal)
+            # drop one generator: the exchange may or may not survive
+            if ideal.mu > 1:
+                fewer = make_ideal(n, ideal.gens[:-1])
+                assert_matches_oracle(fewer)
+
+
+class CountingMasks(list):
+    """A mask list that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def mask_scans(masks):
+    """(result, passes over masks beyond those of a one-mask input)."""
+    masks, single = CountingMasks(masks), CountingMasks(masks[:1])
+    result = matroids._exchange_failure(masks)
+    assert matroids._exchange_failure(single) is None
+    return result, masks.passes - single.passes
+
+
+class TestExchangeKernel:
+    """_exchange_failure scans the masks once per distinct w = u - e, and only
+    when C(w), the bits f with w + f a member, misses part of the union less w."""
+
+    def test_two_by_400_scans_once_per_w(self):
+        ideal = transversal(402, [{1, 2}, range(3, 403)])
+        # C(x1) = C(x2) = {y_j} and C(y_j) = {x1, x2}: none covers the union
+        # less w, no mask misses it, and the 800 rows ask for 402 w's
+        assert mask_scans(list(ideal.masks)) == (None, 402)
+
+    def test_covered_w_scans_nothing(self):
+        for n, d in ((6, 3), (7, 2), (5, 1)):
+            assert mask_scans(list(squarefree_veronese(n, d).masks)) == (None, 0)
+
+    def test_rows_that_share_a_w_share_its_answer(self):
+        # rows x1x2 and x1x3 share w = x1, with C(x1) = {x2, x3}, which every
+        # mask meets; x1x3 is the first row with a failing w: C(x3) = {x1},
+        # which x2x4 misses. Three w's, so three scans.
+        assert mask_scans([0b0011, 0b0101, 0b1010]) == ((1, 2, 0b0001), 3)
+
+    def test_a_row_fails_at_its_least_failing_w(self):
+        # row x1x2: every mask meets C(x2) = {x1, x4}, and x3x4 misses
+        # C(x1) = {x2}; a memo keyed by the row would miss the second w
+        assert mask_scans([0b0011, 0b1010, 0b1100]) == ((0, 2, 0b0010), 2)
 
 
 def symmetric_family(rng, n):

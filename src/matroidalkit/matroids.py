@@ -9,7 +9,11 @@ criterion: with w = u/x_i and C(w) the j such that w*x_j is a generator
 (i among them), (u, v) fails at x_i exactly when deg_{x_j}(v) <=
 deg_{x_j}(w) for every j in C(w), on masks when v misses C(w). Each kernel
 keeps one memo from w to the first generator that C(w) fails to reach, and
-reports the first row u that fails, at the least (v, i) over its w's.
+reports the first row u that fails, at the least (v, i) over its w's. The
+tuple kernel reads every C(w) off the generators g, as the j with g - e_j =
+w, once the generators' gcd is divided out; the mask kernel finds each C(w)
+by membership tests when a row first asks for it, so a collection that
+fails early, as most do in enumeration, pays for no other row.
 
 is_polymatroidal keeps one certificate in each ideal's memo. Square-free
 input runs on bitmasks (_exchange_failure, which enumeration shares over
@@ -86,25 +90,31 @@ def _exchange_certificate(ideal):
 def _tuple_exchange_failure(ideal):
     """First failing (u, v, i) on exponent tuples, or None.
 
-    first maps w to the index of the first generator v with v_j <= w_j on
-    C(w), or to mu; n membership tests and one generator scan fill it.
+    The generators' gcd is divided out first: C(w) and v_j <= w_j are
+    unchanged on the quotients, and an i in the gcd's support that the
+    quotient u lacks fails no v, since v_i > w_i. rows[a] lists (i, u -
+    e_i) over the support of quotient u = gens[a], reach maps w to C(w),
+    the i with (i, w) in some row, and first maps w to the index of the
+    first generator v with v_j <= w_j on C(w), or to mu, found by one
+    generator scan.
     """
-    vectors = [g.exponents for g in ideal.gens]
-    members = set(vectors)
+    floor = [min(column) for column in zip(*(g.exponents for g in ideal.gens))]
+    vectors = [tuple(e - f for e, f in zip(g.exponents, floor)) for g in ideal.gens]
+    rows = [[(i, u[:i] + (e - 1,) + u[i + 1:]) for i, e in enumerate(u) if e] for u in vectors]
+    reach = {}
+    for row in rows:
+        for i, w in row:
+            reach.setdefault(w, []).append(i)
     none = len(vectors)
     first = {}
-    for a, u in enumerate(vectors):
+    for a, row in enumerate(rows):
         b = none
-        for i, exponent in enumerate(u):
-            if not exponent:
-                continue
-            w = u[:i] + (exponent - 1,) + u[i + 1:]
+        for i, w in row:
             c = first.get(w)
             if c is None:
-                reach = [j for j, e in enumerate(w) if w[:j] + (e + 1,) + w[j + 1:] in members]
-                c = next((k for k, v in enumerate(vectors)
-                          if all(v[j] <= w[j] for j in reach)), none)
-                first[w] = c
+                reached = reach[w]
+                c = first[w] = next((k for k, v in enumerate(vectors)
+                                     if all(v[j] <= w[j] for j in reached)), none)
             if c < b:
                 b, index = c, i
         if b < none:

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import time
+import timeit
 
 import pytest
 
@@ -392,6 +393,48 @@ class TestTupleRouteAgainstOracle:
             if ideal.mu > 1:
                 fewer = make_ideal(n, ideal.gens[:-1])
                 assert_matches_oracle(fewer)
+
+    def test_families_times_a_common_monomial(self):
+        # the route divides out the generators' gcd; the oracle does not
+        rng = random.Random(53)
+        failed = compared = 0
+        for _ in range(600):
+            n, d = rng.randint(1, 6), rng.randint(1, 3)
+            gens = set()
+            for _ in range(rng.randint(1, 8)):
+                exps = [0] * n
+                for _ in range(d):
+                    exps[rng.randrange(n)] += 1
+                gens.add(tuple(exps))
+            factor = [rng.choice((0, 1, 2)) for _ in range(n)]
+            ideal = make_ideal(n, [tuple(map(sum, zip(g, factor))) for g in gens])
+            if ideal.is_squarefree:
+                continue
+            assert_matches_oracle(ideal)
+            failed += not is_polymatroidal(ideal).holds
+            compared += 1
+        assert compared > 400 and 100 < failed < compared - 100
+
+    @pytest.mark.parametrize("case", ["P*(x1,x2)", "P*m", "disjoint"])
+    def test_large_support_in_time(self, case):
+        # P = x1*...*x1000; the disjoint pair x1*...*x600, x601^2*...*x900^2
+        # shares no variable and fails at its first row
+        n = 1000
+        if case == "disjoint":
+            gens = [(1,) * 600 + (0,) * 400, (0,) * 600 + (2,) * 300 + (0,) * 100]
+        else:
+            gens = [tuple(1 + (j == k) for j in range(n))
+                    for k in range(2 if case == "P*(x1,x2)" else n)]
+        ideal = make_ideal(n, gens)
+        elapsed = min(timeit.repeat(lambda: matroids._tuple_exchange_failure(ideal),
+                                    number=1, repeat=3))
+        witness = matroids._tuple_exchange_failure(ideal)
+        if case == "disjoint":
+            assert witness == (ideal.gens[0], ideal.gens[1], 1)
+        else:
+            assert witness is None
+        bound = {"P*(x1,x2)": 0.05, "P*m": 1.0, "disjoint": 0.5}[case]
+        assert elapsed < bound, f"{case} took {elapsed:.3f}s, budget {bound}s"
 
 
 class CountingMasks(list):

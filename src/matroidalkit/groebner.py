@@ -698,6 +698,14 @@ def certify_witness(ideal, witness, field=None):
     orbit. The verdicts are expanded back in generator order, so
     failing_generators is what one test per generator gives.
 
+    The roots are tested in generator order, and each is tested against
+    the q_j and the generators of every orbit proven before it, as plain
+    monomials. If U lies in rad J then rad(J + (U)) = rad J, so the
+    verdict is the one the q_j alone give, over Q and over every GF(p),
+    while the later Buchberger runs have less left to do. A failed orbit
+    is never adjoined, or a later root could pass on its strength alone:
+    x1*x4 lies in rad(x1*x3 + 2*x1*x4, x1*x3) but not in rad J.
+
     The swap scan (ideals._swap_classes) refines the classes of
     _swap_orbits(ideal), checking swaps only on the witness: an
     SVWitness's coefficient-1 sums on its layer masks (over GF(p) the
@@ -725,12 +733,14 @@ def certify_witness(ideal, witness, field=None):
         transpositions = ideal.n - len(set(least))
         roots = _class_roots([u.exponents for u in ideal.gens], least)
     one = Fraction(1) if field is None else 1
-    verdicts = {}
-    for k in roots:
-        if k not in verdicts:
-            u = ideal.gens[k]
-            verdicts[k] = radical_membership(
-                Polynomial._raw(ideal.n, {u.exponents: one}, field), qs)
+    orbits = {}
+    for u, k in zip(ideal.gens, roots):
+        orbits.setdefault(k, []).append(Polynomial._raw(ideal.n, {u.exponents: one}, field))
+    system, verdicts = list(qs), {}
+    for k, orbit in orbits.items():
+        verdicts[k] = radical_membership(orbit[0], system)
+        if verdicts[k]:
+            system += orbit
     failing = tuple(u for u, k in zip(ideal.gens, roots) if not verdicts[k])
     return WitnessCertificate(
         passed=subset_failure is None and not failing,

@@ -25,7 +25,7 @@ from .fields import require_prime
 from .groebner import DEFAULT_PRIME, certify_witness
 from .homology import pd_depth
 from .matroids import enumerate_matroidal, is_matroidal, is_polymatroidal
-from .parsing import parse_ideal
+from .parsing import DIGITS, parse_ideal
 from .schmitt_vogel import ara_report
 
 
@@ -328,11 +328,11 @@ def _write_json(value, newline, write):
 
 
 def _count(value):
-    """A count spelled in ASCII digits only, as the input grammar reads them.
+    """A count spelled in ASCII digits only: the input grammar's DIGITS pattern.
 
     int() alone would also take '٣', '3_0', '+3', ' 3' and '-5'.
     """
-    if not (value.isascii() and value.isdigit()):
+    if not DIGITS.fullmatch(value):
         raise argparse.ArgumentTypeError(f"expected ASCII digits, got {value!r}")
     return int(value)
 

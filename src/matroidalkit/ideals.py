@@ -56,9 +56,17 @@ def exponent_vector(values):
 
     int() alone would truncate 1.5 to 1, so each value must equal its
     int(): integral floats and bools pass, 0.9 and Fraction(1, 2) do not.
+    Infinities and nan are refused the same way; other values int() cannot
+    read ("a") raise its own error.
     """
     values = tuple(values)
-    exps = tuple(map(int, values))
+    try:
+        exps = tuple(map(int, values))
+    except (OverflowError, ValueError):
+        # int() raises OverflowError only on an infinity; nan is unequal to itself
+        if any(v != v or v in (math.inf, -math.inf) for v in values):
+            raise StructuralError(f"non-finite exponent in {values}") from None
+        raise
     if min(exps, default=0) < 0:
         raise StructuralError(f"negative exponent in {values}")
     if exps != values:

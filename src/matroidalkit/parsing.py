@@ -1,9 +1,22 @@
 """Reading ideals: the plain text grammar and the JSON form.
 
 Text looks like "n=4; x1*x3, x2*x4": an optional declared variable count,
-then comma-separated products of x<i> or x<i>^<e>. JSON is
-{"n": ..., "gens": [[exponents], ...]} and is detected by a leading
-brace. Errors raise ParseError with a line and column where known.
+then comma-separated products of x<i> or x<i>^<e>. It is read by offset:
+the DIGITS pattern takes each digit run (ASCII 0-9 only, the rule the
+CLI's counts share), another pattern skips spaces, tabs, carriage
+returns and newlines, and str.startswith tests each one-character
+token. A digit run loses its leading zeros and int() reads at most 19
+of the digits left, so a long run of zeros is read as the number it
+spells and Python's int-string limit never applies. The line and
+column of a ParseError are counted from the offset only when it is
+raised: the line is one more than the newlines before it, and the
+column counts from the last one, so a carriage return is an ordinary
+column.
+
+JSON is {"n": ..., "gens": [[exponents], ...]} and is detected by a
+leading brace. JSON nested too deeply for the decoder, or with an
+integer literal longer than Python's int-string limit, is a ParseError
+too. Errors raise ParseError with a line and column where known.
 Variable counts above MAX_VARIABLES are refused before any exponent
 vector is allocated, so a short input cannot ask for gigabytes. Each
 parser checks its own exponents (ints from 0 to MAX_EXPONENT), so it
@@ -14,6 +27,7 @@ again.
 from __future__ import annotations
 
 import json
+import re
 
 from .errors import ParseError
 from .ideals import Monomial, make_ideal
@@ -22,103 +36,72 @@ MAX_EXPONENT = 2 ** 63 - 1
 MAX_VARIABLES = 1024
 
 
-class _Scanner:
-    """Character scanner with line/column bookkeeping for error messages."""
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def error(self, message):
-        raise ParseError(message, self.line, self.col)
-
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def advance(self):
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def skip_space(self):
-        while self.peek() and self.peek() in " \t\r\n":
-            self.advance()
-
-    def take(self, ch):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.advance()
-
-    def integer(self, what):
-        # ASCII digits only: str.isdigit also takes '²', which int() refuses, and '٣'
-        if not "0" <= self.peek() <= "9":
-            self.error(f"expected {what}")
-        value = 0
-        while "0" <= self.peek() <= "9":
-            value = value * 10 + int(self.advance())
-            if value > MAX_EXPONENT:
-                self.error(f"{what} overflow (limit {MAX_EXPONENT})")
-        return value
-
-
-def _parse_factor(scanner):
-    """One factor x<idx> or x<idx>^<exp>; returns (index, exponent)."""
-    scanner.take("x")
-    index = scanner.integer("variable index")
-    if index == 0:
-        scanner.error("variable index 0 (variables are x1, x2, ...)")
-    if index > MAX_VARIABLES:
-        scanner.error(f"variable x{index} exceeds the limit of {MAX_VARIABLES} variables")
-    exponent = 1
-    if scanner.peek() == "^":
-        scanner.advance()
-        exponent = scanner.integer("exponent")
-        if exponent == 0:
-            scanner.error("exponent must be positive")
-    return index, exponent
+# ASCII digits only: \d and str.isdigit also take '٣' and '²', which int() reads or refuses
+DIGITS = re.compile(r"[0-9]+")
+_SPACE = re.compile(r"[ \t\r\n]*")
 
 
 def _parse_text(text):
-    scanner = _Scanner(text)
-    scanner.skip_space()
+    def fail(message, at):
+        # positions are counted only for the error: \r is an ordinary column
+        raise ParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+
+    def skip(at):
+        return _SPACE.match(text, at).end()
+
+    def take(token, at):
+        if not text.startswith(token, at):
+            fail(f"expected {token!r}", at)
+        return at + 1
+
+    def integer(at, what):
+        """The value of the digit run at `at`, and the offset past it."""
+        run = DIGITS.match(text, at)
+        if run is None:
+            fail(f"expected {what}", at)
+        digits = run.group().lstrip("0")  # leading zeros add nothing
+        # over the limit just past the 19th or the 20th significant digit; int()
+        # never reads more than 19 digits, so Python's int-string limit never applies
+        past = 19 if int(digits[:19] or "0") > MAX_EXPONENT else 20
+        if len(digits) >= past:
+            fail(f"{what} overflow (limit {MAX_EXPONENT})", run.end() - len(digits) + past)
+        return int(digits or "0"), run.end()
+
+    pos = skip(0)
     declared = None
-    if scanner.peek() == "n":
-        scanner.advance()
-        scanner.skip_space()
-        scanner.take("=")
-        scanner.skip_space()
-        declared = scanner.integer("variable count")
+    if text.startswith("n", pos):
+        declared, pos = integer(skip(take("=", skip(pos + 1))), "variable count")
         if declared == 0:
-            scanner.error("variable count must be positive")
+            fail("variable count must be positive", pos)
         if declared > MAX_VARIABLES:
-            scanner.error(f"variable count {declared} exceeds the limit {MAX_VARIABLES}")
-        scanner.skip_space()
-        scanner.take(";")
-        scanner.skip_space()
+            fail(f"variable count {declared} exceeds the limit {MAX_VARIABLES}", pos)
+        pos = skip(take(";", skip(pos)))
     raw = []
-    while scanner.peek():
-        factors = [_parse_factor(scanner)]
-        scanner.skip_space()
-        while scanner.peek() == "*":
-            scanner.advance()
-            scanner.skip_space()
-            factors.append(_parse_factor(scanner))
-            scanner.skip_space()
-        if scanner.peek() and scanner.peek() not in ",":
-            scanner.error(f"unexpected character {scanner.peek()!r}")
+    while pos < len(text):
+        factors = []
+        while True:  # factors x<idx> or x<idx>^<exp>, joined by *
+            index, pos = integer(take("x", pos), "variable index")
+            if index == 0:
+                fail("variable index 0 (variables are x1, x2, ...)", pos)
+            if index > MAX_VARIABLES:
+                fail(f"variable x{index} exceeds the limit of {MAX_VARIABLES} variables", pos)
+            exponent = 1
+            if text.startswith("^", pos):
+                exponent, pos = integer(pos + 1, "exponent")
+                if exponent == 0:
+                    fail("exponent must be positive", pos)
+            factors.append((index, exponent))
+            pos = skip(pos)
+            if not text.startswith("*", pos):
+                break
+            pos = skip(pos + 1)
         raw.append(factors)
-        if scanner.peek() == ",":
-            scanner.advance()
-            scanner.skip_space()
-            if not scanner.peek():
-                scanner.error("trailing comma")
+        if pos < len(text):
+            if not text.startswith(",", pos):
+                fail(f"unexpected character {text[pos]!r}", pos)
+            pos = skip(pos + 1)
+            if pos == len(text):
+                fail("trailing comma", pos)
     if declared is None and not raw:
         raise ParseError("empty input: declare n (e.g. \"n=3;\") or give generators")
     seen = max((i for factors in raw for i, _ in factors), default=0)
@@ -141,6 +124,10 @@ def _parse_json(text):
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"bad JSON: {err.msg}", err.lineno, err.colno) from err
+    except ValueError as err:  # json reads integer literals with int()
+        raise ParseError("bad JSON: an integer literal has too many digits") from err
+    except RecursionError as err:
+        raise ParseError("bad JSON: nested too deeply") from err
     if not isinstance(data, dict) or "n" not in data or "gens" not in data:
         raise ParseError('JSON input needs the shape {"n": ..., "gens": [[...], ...]}')
     n = data["n"]

@@ -320,6 +320,9 @@ MUTATED_INPUTS = [
     ('{"n": ١, "gens": []}', 1, "line 1, col 7"),
     ('{"n": 2, "gens": [[1, 1]', 1, "line 1, col 25"),
     ('{"n": 2, "gens": [[1, 1], [1, 1]]}', 0, None),
+    # past Python's int-string limit, and past the decoder's recursion limit
+    ('{"n": 2, "gens": [[1' + "0" * 5000 + ', 0]]}', 1, "too many digits"),
+    ('{"n": 2, "gens": ' + "[" * 100_000, 1, "nested too deeply"),
     # well-formed, but outside what certify, partition and witness are stated for
     ("x1*x2, x3", (0, 2, 2, 2), "error: "),
     ("x1^2*x2, x1*x2^2", (0, 2, 2, 2), "error: "),
@@ -331,8 +334,10 @@ MUTATION_COMMANDS = (["analyze", "--json"], ["certify"], ["partition", "--json"]
 
 
 class TestMutatedInput:
+    # a long input is named by its first 60 characters
     @pytest.mark.parametrize("text, expected, where", MUTATED_INPUTS,
-                             ids=[repr(text) for text, _, _ in MUTATED_INPUTS])
+                             ids=[repr(text[:60]) + "..." * (len(text) > 60)
+                                  for text, _, _ in MUTATED_INPUTS])
     def test_exit_code_without_an_escaped_exception(self, text, expected, where, capsys,
                                                     monkeypatch):
         if isinstance(expected, int):

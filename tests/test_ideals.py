@@ -106,9 +106,10 @@ class TestMonomial:
             Monomial(("a",))
         assert Monomial((True, 2.0)).exponents == (1, 2)
 
-    @pytest.mark.parametrize("bad", [1.5, 0.9, -0.5, Fraction(1, 2)], ids=str)
+    @pytest.mark.parametrize("bad", [1.5, 0.9, -0.5, Fraction(1, 2), float("inf"),
+                                     float("-inf"), float("nan")], ids=str)
     def test_non_integral_exponents_are_refused(self, bad):
-        # int() alone would truncate each of these to a wrong exponent
+        # int() alone would truncate each of these to a wrong exponent, or raise its own error
         with pytest.raises(StructuralError):
             Monomial((bad, 0))
         with pytest.raises(StructuralError):

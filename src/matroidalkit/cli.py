@@ -330,11 +330,18 @@ def _write_json(value, newline, write):
 def _count(value):
     """A count spelled in ASCII digits only: the input grammar's DIGITS pattern.
 
-    int() alone would also take '٣', '3_0', '+3', ' 3' and '-5'.
+    int() alone would also take '٣', '3_0', '+3', ' 3' and '-5'. A run
+    past Python's int-string limit is refused by its length; argparse
+    would otherwise echo every digit of it.
     """
     if not DIGITS.fullmatch(value):
         raise argparse.ArgumentTypeError(f"expected ASCII digits, got {value!r}")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"a count of {len(value)} digits is past Python's int-string limit of "
+            f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _parse_field(value):

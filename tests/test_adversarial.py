@@ -75,8 +75,8 @@ def cases():
     rng = random.Random(20240611)
     out = [transversal_case((2, 400)), transversal_case((1, 300)), transversal_case((16, 16)),
            transversal_case((11, 11)), transversal_case((2, 3, 40)),
-           transversal_case((5, 6, 7)), transversal_case((3, 3, 3)),
-           transversal_case((2, 2, 2), certify=True)]
+           transversal_case((5, 6, 7)), transversal_case((3, 3, 3), certify=True),
+           transversal_case((2, 3, 4), certify=True), transversal_case((2, 2, 2), certify=True)]
     out += [transversal_case((a, rng.randint(a, 4)), certify=True) for a in (2, 3)]
     out += [transversal_case((rng.randint(4, 7), rng.randint(4, 7)))]
     out += [veronese_case(10, 5, certify=True), veronese_case(9, 4, certify=True),

@@ -273,6 +273,18 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"usage: matroidalkit {argv[0]}") and "ASCII digits" in err
 
+    @pytest.mark.parametrize("argv", [["enumerate", "3", "1" * 5000],
+                                      ["enumerate", "3", "2", "--field", "gf:" + "7" * 5000]],
+                             ids=["d", "field"])
+    def test_count_past_int_string_limit_is_one(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "run_command", None)  # never reached
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert "int-string limit" in err and "5000 digits" in err
+        assert "_count" not in err and "1" * 50 not in err and "7" * 50 not in err
+
     def test_oversized_enumeration_is_two(self, capsys):
         code, out, err = run(capsys, "enumerate", "7", "3")
         assert code == 2
